@@ -9,7 +9,8 @@ Four subcommands share one JSON config file:
 
 Every run writes resolved_config.json with all defaults made explicit;
 re-running from that file reproduces the outputs byte for byte on the same
-platform.  Unknown config keys are rejected.
+platform, except the wall times in the ``metrics`` block of
+decay_report.json.  Unknown config keys are rejected.
 """
 
 from __future__ import annotations
@@ -268,6 +269,7 @@ def run_linear(cfg: dict, outdir: Path) -> dict:
         n_phi=int(lc["n_phi"]),
         check_convergence=bool(lc["check_convergence"]),
     )
+    metrics: dict = {}
     rows = linear.decay_report(
         constants,
         s=float(cfg["data_class"]["s"]),
@@ -277,11 +279,13 @@ def run_linear(cfg: dict, outdir: Path) -> dict:
         num_times=int(lc["num_times"]),
         quad=quad,
         tolerance=float(lc["tolerance"]),
+        metrics=metrics,
     )
     report = {
         "s": float(cfg["data_class"]["s"]),
         "rows": [r.as_dict() for r in rows],
         "all_pass": all(r.fit.verdict == "pass" for r in rows),
+        "metrics": metrics,
     }
     _write_json(outdir / "decay_report.json", report)
     return report

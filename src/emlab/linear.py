@@ -7,6 +7,25 @@ spherical rule; with zero background magnetic field the flow is rotation
 equivariant, so a single direction per radius suffices and the angular
 integral is analytic.
 
+The quadrature runs in blocks of _MODE_BLOCK (radius, direction) modes.  A
+block assembles its generators and initial vectors as stacks (the direction
+frames are built once per pass), diagonalizes them with one stacked
+eig / cond / solve, and forms vec . exp(lambda t) . c at every time.  Each
+monitored quantity is a sum of squared moduli of linear functionals of the
+mode state (QUANTITIES): state components by index, plus the xi-dependent
+row i xi . u of n_divu.  One einsum reduces every functional at every time
+over the block's modes.  Blocks are generated from mode indices, so peak
+memory does not grow with the quadrature.  mode_matrix, initial_mode_vector
+and the direction frame are the one-mode case of the same builders.
+
+No fallback is silent.  A mode whose eigenvector condition number exceeds
+COND_LIMIT is propagated by a dense expm instead; a block whose stacked
+decomposition raises LinAlgError is retried one mode at a time.  The number
+of modes, of expm fallbacks and the worst eigenvector condition number seen
+are carried in each NormSeries' metadata.  evolve_mode is the one-mode
+reference for all of this, and the tests compare the batched quadrature
+against it.
+
 Structure worth knowing before reading fits: on the constraint manifold the
 longitudinal (acoustic/electrostatic) sector is uniformly exponentially
 damped, while the transverse electromagnetic sector carries a slow branch
@@ -18,8 +37,10 @@ exponentially under this linear flow.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field as dc_field, replace
+import time
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,13 +61,25 @@ __all__ = [
     "decay_report",
     "DecayReportRow",
     "QUANTITIES",
+    "COND_LIMIT",
 ]
 
+# eigenvector condition number above which a mode is propagated by expm
+COND_LIMIT = 1e8
 
-def _cross_matrix(a: np.ndarray) -> np.ndarray:
-    return np.array(
-        [[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]], dtype=complex
-    )
+# modes per stacked decomposition; the (block, 10, times) intermediates stay
+# a few hundred kB, so larger blocks buy little and raise peak memory
+_MODE_BLOCK = 16
+
+
+def _cross_matrix(a) -> np.ndarray:
+    """Matrix of v -> a x v for a vector or a stack of vectors (..., 3)."""
+    a = np.asarray(a, dtype=float)
+    m = np.zeros(a.shape[:-1] + (3, 3), dtype=complex)
+    m[..., 0, 1], m[..., 0, 2] = -a[..., 2], a[..., 1]
+    m[..., 1, 0], m[..., 1, 2] = a[..., 2], -a[..., 0]
+    m[..., 2, 0], m[..., 2, 1] = -a[..., 1], a[..., 0]
+    return m
 
 
 @dataclass(frozen=True)
@@ -64,11 +97,22 @@ class ModeSystem:
             object.__setattr__(self, "_eig", (lam, vec, cond))
         return self.__dict__["_eig"]
 
-    def propagator(self, t: float) -> np.ndarray:
-        lam, vec, cond = self.eigensystem()
-        if cond > 1e8:
-            raise IllConditioned(f"eigenvector condition {cond:.2e} at xi={self.xi}")
-        return (vec * np.exp(lam * t)) @ np.linalg.inv(vec)
+
+def _mode_matrices(xi, constants: PhysicalConstants) -> np.ndarray:
+    """The linearized generators at a wavenumber or a stack of them (..., 3),
+    shape (..., 10, 10); see mode_matrix."""
+    xi = np.asarray(xi, dtype=float)
+    nu = constants.nu
+    eye = np.eye(3)
+    A = np.zeros(xi.shape[:-1] + (10, 10), dtype=complex)
+    A[..., 0, 1:4] = -1j * xi
+    A[..., 1:4, 0] = -1j * xi
+    A[..., 1:4, 1:4] = -nu * eye + _cross_matrix(constants.b_infty_vector())
+    A[..., 1:4, 4:7] = -nu * eye
+    A[..., 4:7, 1:4] = nu * eye
+    A[..., 4:7, 7:10] = 1j * nu * _cross_matrix(xi)
+    A[..., 7:10, 4:7] = -1j * nu * _cross_matrix(xi)
+    return A
 
 
 def mode_matrix(xi, constants: PhysicalConstants) -> ModeSystem:
@@ -81,16 +125,7 @@ def mode_matrix(xi, constants: PhysicalConstants) -> ModeSystem:
     trace(A) = -3*nu identically.
     """
     xi = np.asarray(xi, dtype=float)
-    nu = constants.nu
-    A = np.zeros((10, 10), dtype=complex)
-    A[0, 1:4] = -1j * xi
-    A[1:4, 0] = -1j * xi
-    A[1:4, 1:4] = -nu * np.eye(3) + _cross_matrix(constants.b_infty_vector())
-    A[1:4, 4:7] = -nu * np.eye(3)
-    A[4:7, 1:4] = nu * np.eye(3)
-    A[4:7, 7:10] = 1j * nu * _cross_matrix(xi)
-    A[7:10, 4:7] = -1j * nu * _cross_matrix(xi)
-    return ModeSystem(xi=xi, matrix=A, constants=constants)
+    return ModeSystem(xi=xi, matrix=_mode_matrices(xi, constants), constants=constants)
 
 
 def evolve_mode(mode: ModeSystem, t: float, s0: np.ndarray) -> np.ndarray:
@@ -100,12 +135,59 @@ def evolve_mode(mode: ModeSystem, t: float, s0: np.ndarray) -> np.ndarray:
     s0 = np.asarray(s0, dtype=complex)
     try:
         lam, vec, cond = mode.eigensystem()
-        if cond > 1e8:
+        if cond > COND_LIMIT:
             raise IllConditioned("fallback")
         c = np.linalg.solve(vec, s0)
         return vec @ (np.exp(lam * t) * c)
     except (IllConditioned, np.linalg.LinAlgError):
         return scipy.linalg.expm(mode.matrix * t) @ s0
+
+
+@dataclass
+class _PropagationCounts:
+    """What the propagation did; the quadrature adds to it once per block."""
+
+    modes: int = 0
+    expm_fallbacks: int = 0
+    max_eig_cond: float = 0.0
+
+    def add(self, modes: int, fallbacks: int, max_cond: float) -> None:
+        self.modes += modes
+        self.expm_fallbacks += fallbacks
+        self.max_eig_cond = max(self.max_eig_cond, max_cond)
+
+
+def _expm_states(A: np.ndarray, s0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    return np.stack([scipy.linalg.expm(A * t) @ s0 for t in times], axis=1)
+
+
+def _propagate(
+    A: np.ndarray, s0: np.ndarray, times: np.ndarray, counts: _PropagationCounts
+) -> np.ndarray:
+    """States exp(t A_m) s0_m of a stack of modes at every time: (M, 10, T).
+
+    One stacked eig / cond / solve for the whole stack; ill-conditioned modes
+    take expm, and a stack whose decomposition fails is retried per mode.
+    """
+    try:
+        lam, vec = np.linalg.eig(A)
+        cond = np.linalg.cond(vec)
+        good = ~(cond > COND_LIMIT)
+        c = np.linalg.solve(vec[good], s0[good, :, None])
+    except np.linalg.LinAlgError:
+        if len(A) > 1:
+            return np.concatenate(
+                [_propagate(A[i : i + 1], s0[i : i + 1], times, counts) for i in range(len(A))]
+            )
+        counts.add(1, 1, 0.0)  # no condition number without a decomposition
+        return _expm_states(A[0], s0[0], times)[None]
+    states = np.zeros((len(A), 10, len(times)), dtype=complex)
+    states[good] = vec[good] @ (np.exp(lam[good, :, None] * times) * c)
+    bad = np.flatnonzero(~good)
+    for i in bad:
+        states[i] = _expm_states(A[i], s0[i], times)
+    counts.add(len(A), len(bad), float(cond.max()))
+    return states
 
 
 # -- initial profiles ---------------------------------------------------------------
@@ -168,69 +250,72 @@ class SpectralProfile:
         )
 
 
-def _direction_frame(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    trial = np.array([0.0, 0.0, 1.0]) if abs(omega[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+def _direction_frame(omega) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vectors (e1, e2) completing a direction, or each of a stack of
+    directions (..., 3), to an orthonormal frame."""
+    omega = np.asarray(omega, dtype=float)
+    trial = np.where(np.abs(omega[..., 2:]) < 0.9, [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
     e1 = np.cross(omega, trial)
-    e1 /= np.linalg.norm(e1)
+    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
     e2 = np.cross(omega, e1)
     return e1, e2
 
 
+def _initial_vectors(
+    profile: SpectralProfile, r: np.ndarray, omega: np.ndarray, e1: np.ndarray, e2: np.ndarray, nu: float
+) -> np.ndarray:
+    """Constraint-consistent 10-vectors at xi = r * omega for a stack of
+    radii (M,) and directions (M, 3) with their frames: shape (M, 10)."""
+    g = profile.envelope(r)[:, None]
+    s = np.zeros((len(r), 10), dtype=complex)
+    if profile.include_n:
+        s[:, 0] = g[:, 0]
+    if profile.include_u:
+        s[:, 1:4] = g * (omega + e1 + e2) / math.sqrt(3.0)
+    if profile.include_e:
+        s[:, 4:7] = g * (e1 + e2) / math.sqrt(2.0)
+    if profile.include_n:
+        # electrostatic constraint: i xi . E = -nu n
+        pos = r > 0
+        s[pos, 4:7] += (1j * nu * s[pos, 0] / r[pos])[:, None] * omega[pos]
+    if profile.include_b:
+        s[:, 7:10] = g * (e1 + e2) / math.sqrt(2.0)
+    return s
+
+
 def initial_mode_vector(profile: SpectralProfile, r: float, omega: np.ndarray, nu: float) -> np.ndarray:
     """Constraint-consistent 10-vector at xi = r * omega."""
-    g = float(profile.envelope(np.asarray([r]))[0])
-    e1, e2 = _direction_frame(omega)
-    s = np.zeros(10, dtype=complex)
-    if profile.include_n:
-        s[0] = g
-    if profile.include_u:
-        s[1:4] = g * (omega + e1 + e2) / math.sqrt(3.0)
-    if profile.include_e:
-        s[4:7] = g * (e1 + e2) / math.sqrt(2.0)
-    if profile.include_n and r > 0:
-        # electrostatic constraint: i xi . E = -nu n
-        s[4:7] += (1j * nu * s[0] / r) * omega
-    if profile.include_b:
-        s[7:10] = g * (e1 + e2) / math.sqrt(2.0)
-    return s
+    omega = np.asarray(omega, dtype=float)[None]
+    return _initial_vectors(profile, np.array([r], dtype=float), omega, *_direction_frame(omega), nu)[0]
 
 
 # -- output functionals ----------------------------------------------------------
 
+# the functional i xi . u, the one row that depends on the wavenumber
+DIV_U = "div_u"
 
-def _q_full(st: np.ndarray, xi: np.ndarray) -> float:
-    return float(np.sum(np.abs(st) ** 2))
-
-
-def _q_nue(st, xi):
-    return float(np.sum(np.abs(st[:7]) ** 2))
-
-
-def _q_ue(st, xi):
-    return float(np.sum(np.abs(st[1:7]) ** 2))
-
-
-def _q_n(st, xi):
-    return float(np.abs(st[0]) ** 2)
-
-
-def _q_b(st, xi):
-    return float(np.sum(np.abs(st[7:10]) ** 2))
-
-
-def _q_n_divu(st, xi):
-    divu = 1j * (xi[0] * st[1] + xi[1] * st[2] + xi[2] * st[3])
-    return float(np.abs(st[0]) ** 2 + np.abs(divu) ** 2)
-
-
-QUANTITIES: dict[str, Callable] = {
-    "full_state": _q_full,
-    "nuE": _q_nue,
-    "uE": _q_ue,
-    "n_only": _q_n,
-    "B_only": _q_b,
-    "n_divu": _q_n_divu,
+# each quantity is the sum of |l . S|^2 over its functional rows l: a state
+# index (S = (n, u, E, B)), or DIV_U
+QUANTITIES: dict[str, tuple] = {
+    "full_state": tuple(range(10)),
+    "nuE": tuple(range(7)),
+    "uE": tuple(range(1, 7)),
+    "n_only": (0,),
+    "B_only": (7, 8, 9),
+    "n_divu": (0, DIV_U),
 }
+
+
+def _functional_rows(rows: Sequence, xi: np.ndarray) -> np.ndarray:
+    """The functional rows at each wavenumber of a stack xi (M, 3): (M, R, 10)."""
+    out = np.zeros((len(xi), len(rows), 10), dtype=complex)
+    for j, row in enumerate(rows):
+        if row == DIV_U:
+            out[:, j, 1:4] = 1j * xi
+        else:
+            out[:, j, row] = 1.0
+    return out
+
 
 # fit targets: B decays no faster than the basic rate (regularity loss), and
 # uE shares the nuE improvement
@@ -283,6 +368,16 @@ def _sphere_directions(constants: PhysicalConstants, quad: QuadratureSpec):
     return np.asarray(dirs), np.asarray(ws)
 
 
+@functools.lru_cache(maxsize=2)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre rule on [-1, 1].  leggauss costs O(n^3); a
+    report needs the same coarse and refined rule for every k."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _norm_series_values(
     profile: SpectralProfile,
     k: int,
@@ -292,43 +387,39 @@ def _norm_series_values(
     radial_nodes: int,
     xi_max: float,
     quad: QuadratureSpec,
+    counts: _PropagationCounts,
 ) -> dict[str, np.ndarray]:
+    dirs, dir_ws = _sphere_directions(constants, quad)
+    e1, e2 = _direction_frame(dirs)
     if profile.shell_radius is not None:
         radii = np.array([profile.shell_radius])
-        weights = np.array([1.0])  # collapse: report the per-shell amplitude itself
-        sphere_w_scale = 1.0
     else:
-        x, wq = np.polynomial.legendre.leggauss(radial_nodes)
+        x, wq = _gauss_legendre(radial_nodes)
         radii = (x + 1.0) / 2.0 * xi_max
-        weights = wq * xi_max / 2.0
-        sphere_w_scale = None
-    dirs, dir_ws = _sphere_directions(constants, quad)
-    nu = constants.nu
-    acc = {q: np.zeros(len(times)) for q in quantities}
-    qfns = {q: QUANTITIES[q] for q in quantities}
-    for r, wr in zip(radii, weights):
-        for omega, wo in zip(dirs, dir_ws):
-            mode = mode_matrix(r * omega, constants)
-            s0 = initial_mode_vector(profile, r, omega, nu)
-            try:
-                lam, vec, cond = mode.eigensystem()
-                if cond > 1e8:
-                    raise IllConditioned("fallback")
-                c = np.linalg.solve(vec, s0)
-                st_all = vec @ (np.exp(np.outer(lam, times)) * c[:, None])
-            except (IllConditioned, np.linalg.LinAlgError):
-                st_all = np.stack(
-                    [scipy.linalg.expm(mode.matrix * t) @ s0 for t in times], axis=1
-                )
-            if profile.shell_radius is not None:
-                w_total = r ** (2 * k)
-            else:
-                w_total = wr * wo * r ** (2 * k + 2)
-            xi = r * omega
-            for q, fn in qfns.items():
-                vals = np.array([fn(st_all[:, i], xi) for i in range(len(times))])
-                acc[q] += w_total * vals
-    return {q: np.sqrt(v) for q, v in acc.items()}
+        radial_ws = wq * xi_max / 2.0
+    rows = list(dict.fromkeys(row for q in quantities for row in QUANTITIES[q]))
+    acc = np.zeros((len(rows), len(times)))
+    n_modes = len(radii) * len(dirs)
+    for lo in range(0, n_modes, _MODE_BLOCK):
+        # modes run radius-major over the (radius, direction) pairs
+        i, j = np.divmod(np.arange(lo, min(lo + _MODE_BLOCK, n_modes)), len(dirs))
+        r, omega = radii[i], dirs[j]
+        if profile.shell_radius is not None:
+            w = r ** (2 * k)  # collapse: report the per-shell amplitude itself
+        else:
+            w = radial_ws[i] * dir_ws[j] * r ** (2 * k + 2)
+        xi = r[:, None] * omega
+        states = _propagate(
+            _mode_matrices(xi, constants),
+            _initial_vectors(profile, r, omega, e1[j], e2[j], constants.nu),
+            times,
+            counts,
+        )
+        values = _functional_rows(rows, xi) @ states
+        acc += np.einsum("m,mrt->rt", w, np.abs(values) ** 2)
+    return {
+        q: np.sqrt(acc[[rows.index(row) for row in QUANTITIES[q]]].sum(axis=0)) for q in quantities
+    }
 
 
 def weighted_norm_series(
@@ -360,14 +451,20 @@ def multi_norm_series(
     constants: PhysicalConstants,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> dict[str, NormSeries]:
-    """Like weighted_norm_series for several quantities over one quadrature pass."""
+    """Like weighted_norm_series for several quantities over one quadrature pass.
+
+    Every series carries the same metadata, including what the propagation
+    did over both passes: ``modes`` propagated, ``expm_fallbacks`` taken and
+    the worst eigenvector condition number ``max_eig_cond``.
+    """
     times = np.asarray(sorted(times), dtype=float)
     xi_max = quad.xi_max if quad.xi_max is not None else _auto_xi_max(profile, k)
     # full_state rides along to set the roundoff floor of the propagation
     wanted = list(quantities)
     computed = wanted if "full_state" in wanted else wanted + ["full_state"]
+    counts = _PropagationCounts()
     values = _norm_series_values(
-        profile, k, computed, times, constants, quad.radial_nodes, xi_max, quad
+        profile, k, computed, times, constants, quad.radial_nodes, xi_max, quad, counts
     )
     meta = {
         "profile": profile.label,
@@ -378,7 +475,7 @@ def multi_norm_series(
     }
     if quad.check_convergence and profile.shell_radius is None:
         refined = _norm_series_values(
-            profile, k, computed, times, constants, 2 * quad.radial_nodes, xi_max, quad
+            profile, k, computed, times, constants, 2 * quad.radial_nodes, xi_max, quad, counts
         )
         # eigen-roundoff noise scales with the total state amplitude, so
         # values far below it carry no convergent signal
@@ -398,6 +495,7 @@ def multi_norm_series(
         meta["radial_nodes"] = 2 * quad.radial_nodes
         meta["convergence_rel_change"] = worst
     meta["roundoff_floor"] = float(1e-12 * values["full_state"].max())
+    meta.update(asdict(counts))
     return {
         q: NormSeries(label=q, times=times, values=values[q], metadata=dict(meta))
         for q in wanted
@@ -422,6 +520,7 @@ class DecayReportRow:
             "target": self.target,
             "r_squared": self.fit.r_squared,
             "verdict": self.fit.verdict,
+            "floor_contaminated": self.fit.floor_contaminated,
             "window": list(self.fit.window),
             "min_regularity": self.min_regularity,
         }
@@ -438,6 +537,7 @@ def decay_report(
     quad: QuadratureSpec = QuadratureSpec(),
     profile: SpectralProfile | None = None,
     tolerance: float = 0.08,
+    metrics: dict | None = None,
 ) -> list[DecayReportRow]:
     """Fitted decay exponents of the linearized flow against their targets.
 
@@ -445,6 +545,12 @@ def decay_report(
     Lebesgue exponent p (mapped through the standard index relation).  By
     default all quantities are fitted, n_divu only with a zero background
     field; requesting n_divu explicitly with a nonzero background raises.
+    Samples within 100x of the propagation's roundoff floor mark a fit
+    ``floor_contaminated`` and fail its verdict.
+
+    When a ``metrics`` dict is given it is filled with the totals over all k:
+    the propagation counts of multi_norm_series, and the wall time spent in
+    the quadrature (``quadrature_s``) and in the fits (``fit_s``).
     """
     if (s is None) == (p is None):
         raise ValueError("give exactly one of s or p")
@@ -459,16 +565,29 @@ def decay_report(
     prof = profile or SpectralProfile.decay_class(s)
     times = np.geomspace(window[0], window[1], num_times)
     rows: list[DecayReportRow] = []
+    counts = _PropagationCounts()
+    quadrature_s = fit_s = 0.0
     for k in k_list:
         kept = list(quantities)
+        start = time.perf_counter()
         series = multi_norm_series(prof, k, kept, times, constants, quad)
+        quadrature_s += time.perf_counter() - start
+        if series:
+            meta = next(iter(series.values())).metadata
+            counts.add(meta["modes"], meta["expm_fallbacks"], meta["max_eig_cond"])
         for q in kept:
             target_info = theoretical_exponent(
                 _TARGET_QUANTITY[q], k, s, b_infty_zero=constants.b_infty_is_zero
             )
+            start = time.perf_counter()
             fit = analysis.fit_decay(
-                series[q], window=window, target=target_info.exponent, tol=tolerance
+                series[q],
+                window=window,
+                target=target_info.exponent,
+                tol=tolerance,
+                floor=series[q].metadata["roundoff_floor"],
             )
+            fit_s += time.perf_counter() - start
             rows.append(
                 DecayReportRow(
                     quantity=q,
@@ -479,4 +598,6 @@ def decay_report(
                     min_regularity=target_info.min_regularity,
                 )
             )
+    if metrics is not None:
+        metrics.update(asdict(counts), quadrature_s=quadrature_s, fit_s=fit_s)
     return rows

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from emlab import linear
 from emlab.errors import QuadratureNotConverged, RequiresBInftyZero
 from emlab.linear import (
+    QUANTITIES,
     QuadratureSpec,
     SpectralProfile,
     decay_report,
@@ -170,6 +172,101 @@ class TestWeightedNormSeries:
         assert np.allclose(reduced.values, full.values, rtol=1e-6)
 
 
+# the monitored quantities written out per mode state, as a reference for the
+# functional table QUANTITIES
+REFERENCE_QUANTITIES = {
+    "full_state": lambda st, xi: np.sum(np.abs(st) ** 2),
+    "nuE": lambda st, xi: np.sum(np.abs(st[:7]) ** 2),
+    "uE": lambda st, xi: np.sum(np.abs(st[1:7]) ** 2),
+    "n_only": lambda st, xi: np.abs(st[0]) ** 2,
+    "B_only": lambda st, xi: np.sum(np.abs(st[7:10]) ** 2),
+    "n_divu": lambda st, xi: np.abs(st[0]) ** 2 + np.abs(1j * (xi @ st[1:4])) ** 2,
+}
+
+TINY_RULE = QuadratureSpec(radial_nodes=3, xi_max=1.0, n_theta=2, n_phi=3, check_convergence=False)
+SHORT_TIMES = [0.0, 0.5, 2.0, 6.0]
+
+
+def _direct_quadrature(profile, k, quantity, times, constants, quad):
+    """The weighted norm as a plain sum over modes of evolve_mode."""
+    x, wx = np.polynomial.legendre.leggauss(quad.radial_nodes)
+    radii, radial_w = (x + 1.0) / 2.0 * quad.xi_max, wx * quad.xi_max / 2.0
+    if constants.b_infty_is_zero:
+        dirs, dir_w = [np.array([0.0, 0.0, 1.0])], [4.0 * math.pi]
+    else:
+        ct, wt = np.polynomial.legendre.leggauss(quad.n_theta)
+        phis = 2.0 * math.pi * np.arange(quad.n_phi) / quad.n_phi
+        dirs = [
+            np.array([math.sqrt(1 - c**2) * math.cos(p), math.sqrt(1 - c**2) * math.sin(p), c])
+            for c in ct
+            for p in phis
+        ]
+        dir_w = [w * 2.0 * math.pi / quad.n_phi for w in wt for _ in phis]
+    total = np.zeros(len(times))
+    for r, wr in zip(radii, radial_w):
+        for omega, wo in zip(dirs, dir_w):
+            xi = r * omega
+            mode = mode_matrix(xi, constants)
+            s0 = initial_mode_vector(profile, r, omega, constants.nu)
+            for i, t in enumerate(times):
+                st = evolve_mode(mode, t, s0)
+                total[i] += wr * wo * r ** (2 * k + 2) * REFERENCE_QUANTITIES[quantity](st, xi)
+    return np.sqrt(total)
+
+
+class TestBatchedQuadrature:
+    def test_reference_covers_every_quantity(self):
+        assert set(REFERENCE_QUANTITIES) == set(QUANTITIES)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_matches_direct_sum_over_evolve_mode(self, constants_bz, k):
+        prof = SpectralProfile.decay_class(1.5, include_n=True)
+        quantities = list(QUANTITIES)
+        series = multi_norm_series(prof, k, quantities, SHORT_TIMES, constants_bz, TINY_RULE)
+        for q in quantities:
+            direct = _direct_quadrature(prof, k, q, SHORT_TIMES, constants_bz, TINY_RULE)
+            np.testing.assert_allclose(series[q].values, direct, rtol=1e-12, err_msg=q)
+        assert series["full_state"].metadata["modes"] == 3 * 2 * 3
+
+    def test_n_divu_matches_direct_sum_at_zero_background(self, constants_b0):
+        prof = SpectralProfile.decay_class(1.5, include_n=True)
+        ser = weighted_norm_series(prof, 1, "n_divu", SHORT_TIMES, constants_b0, TINY_RULE)
+        direct = _direct_quadrature(prof, 1, "n_divu", SHORT_TIMES, constants_b0, TINY_RULE)
+        np.testing.assert_allclose(ser.values, direct, rtol=1e-12)
+
+    def test_forced_expm_fallback_matches_eig_path(self, constants_bz, monkeypatch):
+        prof = SpectralProfile.decay_class(1.5, include_n=True)
+        times = SHORT_TIMES + [20.0]
+        quantities = list(QUANTITIES)
+        eig = multi_norm_series(prof, 0, quantities, times, constants_bz, TINY_RULE)
+        assert eig["full_state"].metadata["expm_fallbacks"] == 0
+        assert eig["full_state"].metadata["max_eig_cond"] >= 1.0
+        monkeypatch.setattr(linear, "COND_LIMIT", 0.0)
+        forced = multi_norm_series(prof, 0, quantities, times, constants_bz, TINY_RULE)
+        meta = forced["full_state"].metadata
+        assert meta["expm_fallbacks"] == meta["modes"] == 3 * 2 * 3
+        for q in quantities:
+            np.testing.assert_allclose(forced[q].values, eig[q].values, rtol=1e-10, err_msg=q)
+
+    def test_failed_stacked_eig_is_retried_per_mode(self, constants_bz, monkeypatch):
+        prof = SpectralProfile.decay_class(1.5)
+        stacked = multi_norm_series(prof, 0, ["full_state"], SHORT_TIMES, constants_bz, TINY_RULE)
+        eig = np.linalg.eig
+
+        def eig_failing_on_stacks(a):
+            if len(a) > 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", eig_failing_on_stacks)
+        retried = multi_norm_series(prof, 0, ["full_state"], SHORT_TIMES, constants_bz, TINY_RULE)
+        np.testing.assert_allclose(
+            retried["full_state"].values, stacked["full_state"].values, rtol=1e-14
+        )
+        meta = retried["full_state"].metadata
+        assert (meta["modes"], meta["expm_fallbacks"]) == (3 * 2 * 3, 0)
+
+
 @pytest.fixture(scope="module")
 def report_s32(constants_b0):
     return decay_report(
@@ -203,6 +300,13 @@ class TestDecayReport:
         assert by_q[("n_only", 0)].target == pytest.approx(-1.75)
         assert by_q[("n_divu", 0)].target == pytest.approx(-3.25)
         assert by_q[("full_state", 0)].min_regularity == 4
+
+    def test_roundoff_floor_flags_collapsed_density(self, report_s32):
+        # with a zero background the density norms drop to eigen-roundoff
+        # inside the fit window; the transverse ones stay far above it
+        flagged = {r.quantity for r in report_s32 if r.fit.floor_contaminated}
+        assert flagged == {"n_only", "n_divu"}
+        assert all(r.fit.verdict == "fail" for r in report_s32 if r.quantity in flagged)
 
     def test_n_divu_requires_zero_background(self, constants_bz):
         with pytest.raises(RequiresBInftyZero):
