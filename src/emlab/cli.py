@@ -70,7 +70,6 @@ _DEFAULTS: dict = {
     "monitors": {
         "energy_orders": [3],
         "window_orders": [0],
-        "eta": 0.1,
         "eps": 0.1,
         "grad_norms": [],
     },
@@ -89,7 +88,6 @@ _DEFAULTS: dict = {
     },
     "inequalities": {"trials": 500, "grid_points": 16},
     "fit": {"window": None, "columns": None, "target": None, "tolerance": analysis.NONLINEAR_FIT_TOLERANCE},
-    "emit_plot_script": False,
 }
 
 
@@ -169,27 +167,6 @@ def _emit_resolved(cfg: dict, outdir: Path):
     _write_json(outdir / "resolved_config.json", cfg)
 
 
-_PLOT_TEMPLATE = """#!/usr/bin/env python3
-# Generated plot script; data paths are baked in.
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-import csv
-
-rows = list(csv.DictReader(open({csv_path!r})))
-t = [float(r["time"]) for r in rows]
-fig, ax = plt.subplots(figsize=(7, 5))
-for col in {columns!r}:
-    y = [float(r[col]) for r in rows]
-    ax.loglog([1 + x for x in t], y, label=col)
-ax.set_xlabel("1 + t")
-ax.set_ylabel("monitored value")
-ax.legend()
-fig.savefig({png_path!r}, dpi=150)
-print("wrote", {png_path!r})
-"""
-
-
 def run_simulate(cfg: dict, outdir: Path) -> dict:
     constants = _constants(cfg)
     grid = _grid(cfg)
@@ -223,7 +200,6 @@ def run_simulate(cfg: dict, outdir: Path) -> dict:
         constants,
         energy_orders=tuple(mon["energy_orders"]),
         window_orders=tuple(mon["window_orders"]),
-        eta=float(mon["eta"]),
         eps=float(mon["eps"]),
         grad_norms=tuple((int(k), str(w)) for k, w in mon["grad_norms"]),
     )
@@ -247,15 +223,6 @@ def run_simulate(cfg: dict, outdir: Path) -> dict:
                 np.trapezoid(np.asarray(log.columns[d_name]), np.asarray(log.times))
             )
     _write_json(outdir / "summary.json", summary)
-    if cfg["emit_plot_script"]:
-        cols = sorted(log.columns)[:4]
-        (outdir / "plot_timeseries.py").write_text(
-            _PLOT_TEMPLATE.format(
-                csv_path=str(outdir / "timeseries.csv"),
-                columns=cols,
-                png_path=str(outdir / "timeseries.png"),
-            )
-        )
     return summary
 
 

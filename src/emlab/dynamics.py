@@ -11,31 +11,28 @@ Linear terms are Fourier multipliers; products are formed pointwise in
 physical space with two-thirds dealiasing applied to both inputs and outputs.
 The advection term uses the rotation form u.grad u = grad(|u|^2/2) + (curl u) x u
 to save transforms.
-
-States are real fields, so the stepping loop works on half-spectrum (rfft)
-arrays internally; conversion to the canonical full-spectrum Fields happens
-only at monitor snapshots and at the run boundaries.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.fft as sfft
 
-from .errors import CflViolation, DensityNonpositive, SimulationDiverged
+from .errors import CflViolation, SimulationDiverged
 from .model import (
     PerturbationState,
     PhysicalConstants,
+    _transverse_project,
     closure_field,
+    density_closure,
     solve_gauss_longitudinal,
     verify_compatibility,
 )
-from .spectral import Field, GridSpec, resolved_part, divergence, l2_norm
+from .spectral import Field, GridSpec, curl, divergence, gradient, l2_norm
 
 __all__ = [
     "SolverConfig",
@@ -80,111 +77,6 @@ class SolverConfig:
             raise ValueError("gauss_projection_stride must be >= 1 or None")
 
 
-# -- half-spectrum workspace -----------------------------------------------------
-
-
-class _Workspace:
-    """Precomputed wavenumber arrays on the rfft half-spectrum layout."""
-
-    def __init__(self, grid: GridSpec, constants: PhysicalConstants, dealias: bool):
-        self.grid = grid
-        self.constants = constants
-        n = grid.n
-        self.h = n // 2 + 1
-        k1d = grid.k1d
-        self.kx = k1d.reshape(-1, 1, 1)
-        self.ky = k1d.reshape(1, -1, 1)
-        kz_half = k1d[: self.h].copy()
-        kz_half[-1] = 0.0  # Nyquist excluded from the calculus
-        self.kz = kz_half.reshape(1, 1, -1)
-        if dealias:
-            cut = math.floor(n / 3.0)
-            keep1 = np.abs(grid.modes) <= cut
-            keepz = keep1[: self.h]
-            self.mask = (
-                keep1.reshape(-1, 1, 1) & keep1.reshape(1, -1, 1) & keepz.reshape(1, 1, -1)
-            )
-        else:
-            self.mask = np.ones((n, n, self.h), dtype=bool)
-        self.shape = (n, n, self.h)
-        self.mu = constants.mu
-        self.nu = constants.nu
-        self.b_inf = constants.b_infty_vector()
-        self.gamma = constants.gamma
-
-    def to_phys(self, half: np.ndarray) -> np.ndarray:
-        n = self.grid.n
-        return sfft.irfftn(half, s=(n, n, n), axes=(-3, -2, -1), workers=-1)
-
-    def to_half(self, phys: np.ndarray) -> np.ndarray:
-        return sfft.rfftn(phys, axes=(-3, -2, -1), workers=-1)
-
-    def grad_phys(self, half: np.ndarray) -> np.ndarray:
-        out = np.empty((3, self.grid.n, self.grid.n, self.grid.n))
-        out[0] = self.to_phys(1j * self.kx * half)
-        out[1] = self.to_phys(1j * self.ky * half)
-        out[2] = self.to_phys(1j * self.kz * half)
-        return out
-
-
-_WORKSPACES: dict[tuple, _Workspace] = {}
-
-
-def _workspace(grid: GridSpec, constants: PhysicalConstants, dealias: bool) -> _Workspace:
-    key = (grid.points_per_axis, grid.box_length, constants, dealias)
-    if key not in _WORKSPACES:
-        _WORKSPACES[key] = _Workspace(grid, constants, dealias)
-    return _WORKSPACES[key]
-
-
-class _HalfState:
-    __slots__ = ("n", "u", "E", "B", "time")
-
-    def __init__(self, n, u, E, B, time):
-        self.n, self.u, self.E, self.B, self.time = n, u, E, B, time
-
-    @classmethod
-    def from_state(cls, state: PerturbationState, ws: _Workspace) -> "_HalfState":
-        h = ws.h
-        return cls(
-            state.n.coeffs[..., :h].copy(),
-            state.u.coeffs[..., :h].copy(),
-            state.E.coeffs[..., :h].copy(),
-            state.B.coeffs[..., :h].copy(),
-            state.time,
-        )
-
-    def to_state(self, ws: _Workspace) -> PerturbationState:
-        g = ws.grid
-
-        def full(half):
-            phys = ws.to_phys(half)
-            return sfft.fftn(phys, axes=(-3, -2, -1), workers=-1)
-
-        return PerturbationState(
-            n=Field(g, full(self.n)),
-            u=Field(g, full(self.u)),
-            E=Field(g, full(self.E)),
-            B=Field(g, full(self.B)),
-            time=self.time,
-        )
-
-    def blend(self, others, weights, dt, time):
-        """self + dt * sum(w_i * other_i) per component."""
-        def mix(attr):
-            acc = getattr(self, attr).copy()
-            for w, o in zip(weights, others):
-                acc += (dt * w) * getattr(o, attr)
-            return acc
-
-        return _HalfState(mix("n"), mix("u"), mix("E"), mix("B"), time)
-
-    def is_finite(self) -> bool:
-        return all(
-            bool(np.isfinite(a).all()) for a in (self.n, self.u, self.E, self.B)
-        )
-
-
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack(
         [
@@ -195,109 +87,41 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def _rhs_half(st: _HalfState, ws: _Workspace) -> _HalfState:
-    kx, ky, kz, m = ws.kx, ws.ky, ws.kz, ws.mask
-    nu, mu = ws.nu, ws.mu
-
-    n_h, u_h, e_h, b_h = st.n, st.u, st.E, st.B
-
-    # linear part, spectral
-    div_u = 1j * (kx * u_h[0] + ky * u_h[1] + kz * u_h[2])
-    ndot = -div_u.copy()
-    udot = -nu * u_h - nu * e_h
-    udot[0] -= 1j * kx * n_h
-    udot[1] -= 1j * ky * n_h
-    udot[2] -= 1j * kz * n_h
-    if not ws.constants.b_infty_is_zero:
-        bv = ws.b_inf
-        udot[0] -= u_h[1] * bv[2] - u_h[2] * bv[1]
-        udot[1] -= u_h[2] * bv[0] - u_h[0] * bv[2]
-        udot[2] -= u_h[0] * bv[1] - u_h[1] * bv[0]
-    curl_b = np.stack(
-        [
-            1j * (ky * b_h[2] - kz * b_h[1]),
-            1j * (kz * b_h[0] - kx * b_h[2]),
-            1j * (kx * b_h[1] - ky * b_h[0]),
-        ]
-    )
-    edot = nu * curl_b + nu * u_h
-    curl_e = np.stack(
-        [
-            1j * (ky * e_h[2] - kz * e_h[1]),
-            1j * (kz * e_h[0] - kx * e_h[2]),
-            1j * (kx * e_h[1] - ky * e_h[0]),
-        ]
-    )
-    bdot = -nu * curl_e
-
-    # nonlinear products on dealiased physical samples
-    n_p = ws.to_phys(m * n_h)
-    u_p = np.stack([ws.to_phys(m * u_h[a]) for a in range(3)])
-    b_p = np.stack([ws.to_phys(m * b_h[a]) for a in range(3)])
-    grad_n = ws.grad_phys(m * n_h)
-    div_u_p = ws.to_phys(m * div_u)
-    curl_u_p = np.stack(
-        [
-            ws.to_phys(m * 1j * (ky * u_h[2] - kz * u_h[1])),
-            ws.to_phys(m * 1j * (kz * u_h[0] - kx * u_h[2])),
-            ws.to_phys(m * 1j * (kx * u_h[1] - ky * u_h[0])),
-        ]
-    )
-
-    base = 1.0 + mu * n_p
-    if base.min() <= 0.0:
-        raise DensityNonpositive("1 + mu*n reached zero during evolution")
-    if ws.gamma == 1.0:
-        closure_p = np.expm1(n_p)
-    elif mu == 1.0:
-        closure_p = n_p
-    else:
-        closure_p = np.expm1(np.log1p(mu * n_p) / mu)
-
-    conv_n = (u_p * grad_n).sum(axis=0) + mu * n_p * div_u_p
-    ndot -= m * ws.to_half(conv_n)
-
-    # u.grad u = grad(|u|^2/2) + (curl u) x u
-    half_u2 = 0.5 * (u_p * u_p).sum(axis=0)
-    u2_h = m * ws.to_half(half_u2)
-    udot[0] -= 1j * kx * u2_h
-    udot[1] -= 1j * ky * u2_h
-    udot[2] -= 1j * kz * u2_h
-    nl_u = _cross(curl_u_p, u_p) + mu * n_p * grad_n + _cross(u_p, b_p)
-    for a in range(3):
-        udot[a] -= m * ws.to_half(nl_u[a])
-        edot[a] += nu * (m * ws.to_half(closure_p * u_p[a]))
-
-    return _HalfState(ndot, udot, edot, bdot, st.time)
+def _blend(base: PerturbationState, ks, weights, dt: float, time: float) -> PerturbationState:
+    """base + dt * sum(w_i * k_i) per field."""
+    fields = {}
+    for name, f in base.fields().items():
+        acc = f.coeffs.copy()
+        for w, k in zip(weights, ks):
+            acc += (dt * w) * k.fields()[name].coeffs
+        fields[name] = Field(base.grid, acc)
+    return PerturbationState(time=time, **fields)
 
 
-def _step_half(st: _HalfState, dt: float, ws: _Workspace, rhs_fn=None) -> _HalfState:
-    f = rhs_fn or _rhs_half
-    k1 = f(st, ws)
-    k2 = f(st.blend([k1], [0.5], dt, st.time + dt / 2), ws)
-    k3 = f(st.blend([k2], [0.5], dt, st.time + dt / 2), ws)
-    k4 = f(st.blend([k3], [1.0], dt, st.time + dt), ws)
-    return st.blend(
+def _is_finite(state: PerturbationState) -> bool:
+    return all(bool(np.isfinite(f.coeffs).all()) for f in state.fields().values())
+
+
+def _rk4(state: PerturbationState, dt: float, f) -> PerturbationState:
+    k1 = f(state)
+    k2 = f(_blend(state, [k1], [0.5], dt, state.time + dt / 2))
+    k3 = f(_blend(state, [k2], [0.5], dt, state.time + dt / 2))
+    k4 = f(_blend(state, [k3], [1.0], dt, state.time + dt))
+    return _blend(
+        state,
         [k1, k2, k3, k4],
         [1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0],
         dt,
-        st.time + dt,
+        state.time + dt,
     )
 
 
-def _project_gauss_half(st: _HalfState, ws: _Workspace) -> None:
+def _project_gauss(state: PerturbationState, constants: PhysicalConstants) -> PerturbationState:
     """Replace the longitudinal electric part by the constraint-consistent solve."""
-    g = ws.grid
-    n_field = Field(g, sfft.fftn(ws.to_phys(st.n), axes=(-3, -2, -1), workers=-1))
-    closure = closure_field(n_field, ws.gamma)
-    e_long_full = solve_gauss_longitudinal(closure, ws.nu)
-    h = ws.h
-    kx, ky, kz = ws.kx, ws.ky, ws.kz
-    k2 = kx**2 + ky**2 + kz**2
-    k2safe = np.where(k2 > 0, k2, 1.0)
-    kdot = kx * st.E[0] + ky * st.E[1] + kz * st.E[2]
-    for a, kk in enumerate((kx, ky, kz)):
-        st.E[a] = st.E[a] - kk * kdot / k2safe + e_long_full[a][..., :h]
+    g = state.grid
+    e_long = solve_gauss_longitudinal(closure_field(state.n, constants.gamma), constants.nu)
+    e_new = _transverse_project(state.E.coeffs, g) + e_long
+    return replace(state, E=Field(g, e_new))
 
 
 # -- public operations -------------------------------------------------------------
@@ -305,8 +129,42 @@ def _project_gauss_half(st: _HalfState, ws: _Workspace) -> None:
 
 def rhs(state: PerturbationState, constants: PhysicalConstants, dealias: bool = True) -> PerturbationState:
     """Time derivative of the state (returned as a state-shaped object)."""
-    ws = _workspace(state.grid, constants, dealias)
-    return _rhs_half(_HalfState.from_state(state, ws), ws).to_state(ws)
+    g = state.grid
+    nu, mu = constants.nu, constants.mu
+    m = g.dealias_mask if dealias else 1.0
+    n, u, E, B = state.n, state.u, state.E, state.B
+
+    def phys(coeffs):  # dealiased physical samples
+        return Field(g, m * coeffs).physical()
+
+    def spec(values):  # dealiased coefficients of physical samples
+        return m * Field.from_physical(g, values).coeffs
+
+    # linear part, spectral
+    div_u = divergence(u).coeffs
+    grad_n = gradient(n).coeffs
+    curl_u = curl(u).coeffs
+    ndot = -div_u
+    udot = -nu * u.coeffs - nu * E.coeffs - grad_n
+    if not constants.b_infty_is_zero:
+        udot -= _cross(u.coeffs, constants.b_infty_vector()[:, None, None, None])
+    edot = nu * curl(B).coeffs + nu * u.coeffs
+    bdot = -nu * curl(E).coeffs
+
+    # nonlinear products on dealiased physical samples
+    n_p, u_p, b_p = phys(n.coeffs), phys(u.coeffs), phys(B.coeffs)
+    grad_n_p, div_u_p, curl_u_p = phys(grad_n), phys(div_u), phys(curl_u)
+    closure_p = density_closure(n_p, constants.gamma)
+
+    ndot -= spec((u_p * grad_n_p).sum(axis=0) + mu * n_p * div_u_p)
+    # u.grad u = grad(|u|^2/2) + (curl u) x u
+    udot -= gradient(Field(g, spec(0.5 * (u_p * u_p).sum(axis=0)))).coeffs
+    udot -= spec(_cross(curl_u_p, u_p) + mu * n_p * grad_n_p + _cross(u_p, b_p))
+    edot += nu * spec(closure_p * u_p)
+
+    return PerturbationState(
+        n=Field(g, ndot), u=Field(g, udot), E=Field(g, edot), B=Field(g, bdot), time=state.time
+    )
 
 
 def cfl_dt(state: PerturbationState, grid: GridSpec, constants: PhysicalConstants, safety: float = 0.5) -> float:
@@ -328,7 +186,7 @@ def step(
     dealias: bool = True,
     rhs_fn: Callable | None = None,
 ) -> PerturbationState:
-    """One classical RK4 step."""
+    """One classical RK4 step; ``rhs_fn(state)`` replaces the physics if given."""
     advisory = cfl_dt(state, state.grid, constants)
     if dt > 1.0001 * advisory:
         warnings.warn(
@@ -336,18 +194,10 @@ def step(
             CflViolation,
             stacklevel=2,
         )
-    ws = _workspace(state.grid, constants, dealias)
-    half = _HalfState.from_state(state, ws)
-    wrapped = None
-    if rhs_fn is not None:
-        # custom physics hook (e.g. an isolated subsystem) in public types
-        def wrapped(st: _HalfState, w: _Workspace) -> _HalfState:
-            return _HalfState.from_state(rhs_fn(st.to_state(w)), w)
-
-    out = _step_half(half, dt, ws, rhs_fn=wrapped)
-    if not out.is_finite():
+    out = _rk4(state, dt, rhs_fn or (lambda st: rhs(st, constants, dealias)))
+    if not _is_finite(out):
         raise SimulationDiverged(f"non-finite state after step at t={state.time}")
-    return out.to_state(ws)
+    return out
 
 
 @dataclass
@@ -400,7 +250,6 @@ def simulate(
     projection so the projector cannot mask integrator drift.
     """
     grid = initial.grid
-    ws = _workspace(grid, constants, config.dealias)
     dt = cfl_dt(initial, grid, constants, config.cfl_safety) if config.dt == "auto" else float(config.dt)
     n_steps = max(0, math.ceil(config.end_time / dt - 1e-12))
     if config.max_steps is not None:
@@ -419,38 +268,39 @@ def simulate(
         }
     )
 
-    half = _HalfState.from_state(initial, ws)
+    def physics(st):
+        return rhs(st, constants, config.dealias)
 
-    def sample():
-        snap = half.to_state(ws)
+    def sample(st):
         row: dict[str, float] = {}
         for mon in monitors:
-            row.update(mon(snap))
-        log.append(half.time, row)
+            row.update(mon(st))
+        log.append(st.time, row)
         return row
 
-    sample()
+    state = initial
+    sample(state)
     max_gauss = 0.0
     for istep in range(1, n_steps + 1):
-        half = _step_half(half, dt, ws)
-        if not half.is_finite():
+        state = _rk4(state, dt, physics)
+        if not _is_finite(state):
             raise SimulationDiverged(
-                f"non-finite state at step {istep}, t={half.time:.6g}; "
+                f"non-finite state at step {istep}, t={state.time:.6g}; "
                 f"last logged time {log.times[-1]:.6g}"
             )
         if config.gauss_projection_stride and istep % config.gauss_projection_stride == 0:
             # measure before projecting so projection cannot mask drift
-            res = verify_compatibility(half.to_state(ws), constants).gauss_residual
+            res = verify_compatibility(state, constants).gauss_residual
             max_gauss = max(max_gauss, res)
-            _project_gauss_half(half, ws)
+            state = _project_gauss(state, constants)
         if istep % config.output_stride == 0 or istep == n_steps:
-            row = sample()
+            row = sample(state)
             if "gauss_residual" in row:
                 max_gauss = max(max_gauss, row["gauss_residual"])
 
-    state_scale = max(l2_norm(f) for f in half.to_state(ws).fields().values())
+    state_scale = max(l2_norm(f) for f in state.fields().values())
     budget = max(config.gauss_tol, 10.0 * dt**4 * (dt * n_steps) * max(state_scale, 1e-300))
     log.metadata["gauss_residual_max"] = max_gauss
     log.metadata["gauss_drift_budget"] = budget
     log.metadata["gauss_within_budget"] = bool(max_gauss <= budget)
-    return SimulationResult(log=log, final_state=half.to_state(ws))
+    return SimulationResult(log=log, final_state=state)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DerivativeOrderExceedsResolution, EquivalenceViolated
 from .model import PerturbationState, PhysicalConstants, verify_compatibility
-from .spectral import Field, l2_norm
+from .spectral import GridSpec, curl, divergence, gradient, homog_norm, inner_product
 
 __all__ = [
     "energy",
@@ -44,24 +44,21 @@ def _powers(state: PerturbationState) -> dict[str, np.ndarray]:
     return out
 
 
-def _weighted_sum(power: np.ndarray, k2: np.ndarray, order: int, w: float) -> float:
-    if order == 0:
-        return w * float(np.sum(power))
-    return w * float(np.sum(np.where(k2 > 0, k2, 0.0) ** order * power))
+def _weighted_sum(power: np.ndarray, grid: GridSpec, order: int) -> float:
+    """||grad^order f||^2 from the power |f_hat|^2."""
+    return float(np.sum(grid.weight(order) * power))
 
 
 def _check_resolution(state: PerturbationState, order: int):
     """Warn when the top-order weights concentrate at the top of the band."""
     g = state.grid
-    k2 = g.k_squared
-    top = k2 > (2.0 / 3.0 * g.k_max) ** 2
-    w = g.norm_weight
+    top = g.k_squared > (2.0 / 3.0 * g.k_max) ** 2
+    wk = g.weight(order)
     total = 0.0
     high = 0.0
     for p in _powers(state).values():
-        wk = np.where(k2 > 0, k2, 0.0) ** order
-        total += w * float(np.sum(wk * p))
-        high += w * float(np.sum(wk[top] * p[top]))
+        total += float(np.sum(wk * p))
+        high += float(np.sum(wk[top] * p[top]))
     if total > 0 and high > 0.5 * total:
         warnings.warn(
             f"order-{order} derivative weights are dominated by the top of the "
@@ -77,11 +74,8 @@ def energy(state: PerturbationState, order: int) -> float:
         raise ValueError("order must be nonnegative")
     _check_resolution(state, order)
     g = state.grid
-    k2, w = g.k_squared, g.norm_weight
     powers = _powers(state)
-    return sum(
-        _weighted_sum(p, k2, l, w) for p in powers.values() for l in range(order + 1)
-    )
+    return sum(_weighted_sum(p, g, l) for p in powers.values() for l in range(order + 1))
 
 
 def dissipation(state: PerturbationState, order: int) -> float:
@@ -90,11 +84,10 @@ def dissipation(state: PerturbationState, order: int) -> float:
     if order < 1:
         raise ValueError("order must be >= 1")
     g = state.grid
-    k2, w = g.k_squared, g.norm_weight
     p = _powers(state)
-    total = sum(_weighted_sum(p[f], k2, l, w) for f in ("n", "u") for l in range(order + 1))
-    total += sum(_weighted_sum(p["E"], k2, l, w) for l in range(order))
-    total += sum(_weighted_sum(p["B"], k2, l, w) for l in range(1, order))
+    total = sum(_weighted_sum(p[f], g, l) for f in ("n", "u") for l in range(order + 1))
+    total += sum(_weighted_sum(p["E"], g, l) for l in range(order))
+    total += sum(_weighted_sum(p["B"], g, l) for l in range(1, order))
     return total
 
 
@@ -108,12 +101,11 @@ def window_energy(state: PerturbationState, k: int) -> tuple[float, float]:
         raise ValueError("k must be nonnegative")
     _check_resolution(state, k + 2)
     g = state.grid
-    k2, w = g.k_squared, g.norm_weight
     p = _powers(state)
-    e = sum(_weighted_sum(p[f], k2, l, w) for f in p for l in range(k, k + 3))
-    d = sum(_weighted_sum(p[f], k2, l, w) for f in ("n", "u") for l in range(k, k + 3))
-    d += sum(_weighted_sum(p["E"], k2, l, w) for l in range(k, k + 2))
-    d += _weighted_sum(p["B"], k2, k + 1, w)
+    e = sum(_weighted_sum(p[f], g, l) for f in p for l in range(k, k + 3))
+    d = sum(_weighted_sum(p[f], g, l) for f in ("n", "u") for l in range(k, k + 3))
+    d += sum(_weighted_sum(p["E"], g, l) for l in range(k, k + 2))
+    d += _weighted_sum(p["B"], g, k + 1)
     return e, d
 
 
@@ -127,30 +119,10 @@ class InteractiveTerms:
 
 
 def interactive(state: PerturbationState, k: int) -> InteractiveTerms:
-    g = state.grid
-    k2, w = g.k_squared, g.norm_weight
-    kx, ky, kz = (g.k_axis(a) for a in range(3))
-    n_h, u_h, e_h, b_h = (state.fields()[f].coeffs for f in ("n", "u", "E", "B"))
-
-    k_dot_u = kx * u_h[0] + ky * u_h[1] + kz * u_h[2]
-    i_n = 0.0
-    i_e = 0.0
-    for l in (k, k + 1):
-        wk = np.where(k2 > 0, k2, 0.0) ** l if l else 1.0
-        # <grad^l u, grad grad^l n> = sum_k |k|^2l Re[(k . u) conj(i n)]
-        i_n += w * float(np.sum(wk * np.real(k_dot_u * np.conj(1j * n_h))))
-        i_e += w * float(
-            np.sum(wk * np.real(np.sum(u_h * np.conj(e_h), axis=0)))
-        )
-    curl_b = np.stack(
-        [
-            1j * (ky * b_h[2] - kz * b_h[1]),
-            1j * (kz * b_h[0] - kx * b_h[2]),
-            1j * (kx * b_h[1] - ky * b_h[0]),
-        ]
-    )
-    wk = np.where(k2 > 0, k2, 0.0) ** k if k else 1.0
-    i_b = -w * float(np.sum(wk * np.real(np.sum(e_h * np.conj(curl_b), axis=0))))
+    grad_n = gradient(state.n)
+    i_n = sum(inner_product(state.u, grad_n, l) for l in (k, k + 1))
+    i_e = sum(inner_product(state.u, state.E, l) for l in (k, k + 1))
+    i_b = -inner_product(state.E, curl(state.B), k)
     return InteractiveTerms(i_n, i_e, i_b)
 
 
@@ -159,17 +131,6 @@ def grad_norm(state: PerturbationState, k: int, which: str) -> float:
 
     Grouped labels sum squares: "nuE", "nuEB" (full state), "uE", "ndivu".
     """
-    g = state.grid
-    k2, w = g.k_squared, g.norm_weight
-    wk = np.where(k2 > 0, k2, 0.0) ** k if k else None
-
-    def one(power):
-        return w * float(np.sum(wk * power)) if wk is not None else w * float(np.sum(power))
-
-    p = _powers(state)
-    kx, ky, kz = (g.k_axis(a) for a in range(3))
-    u_h = state.u.coeffs
-    divu_power = np.abs(kx * u_h[0] + ky * u_h[1] + kz * u_h[2]) ** 2
     groups = {
         "n": ["n"],
         "u": ["u"],
@@ -183,9 +144,11 @@ def grad_norm(state: PerturbationState, k: int, which: str) -> float:
     }
     if which not in groups:
         raise ValueError(f"unknown norm label {which!r}")
-    total = sum(one(p[f]) for f in groups[which])
+    g = state.grid
+    p = _powers(state)
+    total = sum(_weighted_sum(p[f], g, k) for f in groups[which])
     if which in ("divu", "ndivu"):
-        total += one(divu_power)
+        total += _weighted_sum(np.abs(divergence(state.u).coeffs) ** 2, g, k)
     return math.sqrt(total)
 
 
@@ -197,13 +160,9 @@ def cross_energy_ue(state: PerturbationState, k: int, eps: float) -> float:
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    g = state.grid
-    k2, w = g.k_squared, g.norm_weight
-    wk = np.where(k2 > 0, k2, 0.0) ** k if k else 1.0
-    u_h, e_h = state.u.coeffs, state.E.coeffs
-    uu = w * float(np.sum(wk * (np.abs(u_h) ** 2).sum(axis=0)))
-    ee = w * float(np.sum(wk * (np.abs(e_h) ** 2).sum(axis=0)))
-    ue = w * float(np.sum(wk * np.real(np.sum(u_h * np.conj(e_h), axis=0))))
+    uu = homog_norm(state.u, k) ** 2
+    ee = homog_norm(state.E, k) ** 2
+    ue = inner_product(state.u, state.E, k)
     value = uu + ee + eps * ue
     base = uu + ee
     lo, hi = (1.0 - eps / 2.0) * base, (1.0 + eps / 2.0) * base
@@ -221,16 +180,10 @@ def acoustic_energy(state: PerturbationState, k: int, eps: float, constants: Phy
     nu = constants.nu
     if not 0 < eps < 2.0 * nu * min(nu, 1.0):
         raise ValueError("eps must lie in (0, 2*nu*min(nu,1))")
-    g = state.grid
-    k2, w = g.k_squared, g.norm_weight
-    wk = np.where(k2 > 0, k2, 0.0) ** k if k else 1.0
-    kx, ky, kz = (g.k_axis(a) for a in range(3))
-    u_h = state.u.coeffs
-    psi = 1j * (kx * u_h[0] + ky * u_h[1] + kz * u_h[2])
-    n_h = state.n.coeffs
-    nn = w * float(np.sum(wk * np.abs(n_h) ** 2))
-    pp = w * float(np.sum(wk * np.abs(psi) ** 2))
-    pn = w * float(np.sum(wk * np.real(psi * np.conj(n_h))))
+    psi = divergence(state.u)
+    nn = homog_norm(state.n, k) ** 2
+    pp = homog_norm(psi, k) ** 2
+    pn = inner_product(psi, state.n, k)
     value = nu**2 * nn + pp - eps * pn
     base = nu**2 * nn + pp
     slack = eps / (2.0 * nu)  # |<psi, n>| <= (nu^2||n||^2 + ||psi||^2) / (2 nu)
@@ -254,7 +207,6 @@ class FunctionalReport:
     grad_norms: dict[tuple[int, str], float] = dc_field(default_factory=dict)
     gauss_residual: float = 0.0
     divb_residual: float = 0.0
-    eta: float = 0.1  # weight of the E-curlB cross term in combined functionals
 
     def as_row(self) -> dict[str, float]:
         row: dict[str, float] = {"time": self.time}
@@ -285,7 +237,6 @@ def evaluate_report(
     constants: PhysicalConstants,
     energy_orders: tuple[int, ...] = (3,),
     window_orders: tuple[int, ...] = (0,),
-    eta: float = 0.1,
     eps: float = 0.1,
     grad_norms: tuple[tuple[int, str], ...] = (),
 ) -> FunctionalReport:
@@ -304,7 +255,6 @@ def evaluate_report(
     compat = verify_compatibility(state, constants)
     rep.gauss_residual = compat.gauss_residual
     rep.divb_residual = compat.divb_residual
-    rep.eta = eta
     return rep
 
 
@@ -312,7 +262,6 @@ def standard_monitor(
     constants: PhysicalConstants,
     energy_orders: tuple[int, ...] = (3,),
     window_orders: tuple[int, ...] = (0,),
-    eta: float = 0.1,
     eps: float = 0.1,
     grad_norms: tuple[tuple[int, str], ...] = (),
 ) -> Callable[[PerturbationState], dict[str, float]]:
@@ -324,7 +273,6 @@ def standard_monitor(
             constants,
             energy_orders=energy_orders,
             window_orders=window_orders,
-            eta=eta,
             eps=eps,
             grad_norms=grad_norms,
         )

@@ -30,10 +30,13 @@ from .errors import (
 )
 from .model import density_closure
 from .spectral import (
+    DerivativeTensor,
     Field,
     GridSpec,
     besov_norm,
+    differentiate,
     fractional,
+    gradient,
     homog_norm,
     l2_norm,
     lp_norm,
@@ -109,10 +112,7 @@ def _focusing_field(grid: GridSpec, band: int) -> Field:
     Near-extremal for sup-norm ratios, so its presence caps the records the
     random members can set.
     """
-    m = grid.modes
-    mx = m.reshape(-1, 1, 1)
-    my = m.reshape(1, -1, 1)
-    mz = m.reshape(1, 1, -1)
+    mx, my, mz = (grid.mode_axis(a) for a in range(3))
     m2 = mx * mx + my * my + mz * mz
     inside = (m2 > 0) & (m2 <= band * band)
     inside &= (np.abs(mx) <= band) & (np.abs(my) <= band) & (np.abs(mz) <= band)
@@ -255,27 +255,6 @@ def check_closure_estimates(
     )
 
 
-def _derivative_tensor_coeffs(f: Field, k: int):
-    """(multi-index, multiplicity, coefficient array) for all |alpha| = k."""
-    g = f.grid
-    out = []
-    for a in range(k, -1, -1):
-        for b in range(k - a, -1, -1):
-            c = k - a - b
-            mult = math.factorial(k) // (
-                math.factorial(a) * math.factorial(b) * math.factorial(c)
-            )
-            arr = f.coeffs
-            if a:
-                arr = arr * (1j * g.k_axis(0)) ** a
-            if b:
-                arr = arr * (1j * g.k_axis(1)) ** b
-            if c:
-                arr = arr * (1j * g.k_axis(2)) ** c
-            out.append(((a, b, c), mult, arr))
-    return out
-
-
 def check_commutator(
     k: int,
     trials: int = 100,
@@ -300,42 +279,28 @@ def check_commutator(
     for _ in range(trials):
         g_f = next(gen)
         h_f = next(gen)
-        g_p, h_p = g_f.physical(), h_f.physical()
-        gh = Field.from_physical(grid, g_p * h_p)
-        comm_sq = 0.0
-        diff_sq = 0.0
-        for alpha, mult, _arr in _derivative_tensor_coeffs(gh, k):
-            a, b, c = alpha
-            kx = (1j * grid.k_axis(0)) ** a if a else 1.0
-            ky = (1j * grid.k_axis(1)) ** b if b else 1.0
-            kz = (1j * grid.k_axis(2)) ** c if c else 1.0
-            mul = kx * ky * kz if k else 1.0
-            d_gh = mul * gh.coeffs
-            d_h = Field(grid, mul * h_f.coeffs).physical()
-            comm = Field(grid, d_gh) - Field.from_physical(grid, g_p * d_h)
+        g_p = g_f.physical()
+        gh = Field.from_physical(grid, g_p * h_f.physical())
+        # every derivative of g and h up to order k, by multi-index
+        d_g = {a: t for l in range(k + 1) for a, t in differentiate(g_f, l).entries}
+        d_h = {a: t for l in range(k + 1) for a, t in differentiate(h_f, l).entries}
+        comm, diff = [], []
+        for alpha, d_gh in differentiate(gh, k).entries:
+            c = d_gh - Field.from_physical(grid, g_p * d_h[alpha].physical())
             # Leibniz expansion: sum over beta <= alpha, beta != 0
-            leib = np.zeros_like(d_gh)
-            for ba, bb, bc in iter_product(range(a + 1), range(b + 1), range(c + 1)):
-                if (ba, bb, bc) == (0, 0, 0):
+            leib = np.zeros_like(g_p)
+            for beta in iter_product(*(range(a + 1) for a in alpha)):
+                if beta == (0, 0, 0):
                     continue
-                cmb = (
-                    math.comb(a, ba) * math.comb(b, bb) * math.comb(c, bc)
-                )
-                mg = (1j * grid.k_axis(0)) ** ba * (1j * grid.k_axis(1)) ** bb * (1j * grid.k_axis(2)) ** bc
-                mh = (
-                    (1j * grid.k_axis(0)) ** (a - ba)
-                    * (1j * grid.k_axis(1)) ** (b - bb)
-                    * (1j * grid.k_axis(2)) ** (c - bc)
-                )
-                term = Field(grid, mg * g_f.coeffs).physical() * Field(grid, mh * h_f.coeffs).physical()
-                leib += cmb * Field.from_physical(grid, term).coeffs
-            diff = comm - Field(grid, leib)
-            comm_sq += mult * l2_norm(comm) ** 2
-            diff_sq += mult * l2_norm(diff) ** 2
-        comm_norm = math.sqrt(comm_sq)
+                rest = tuple(a - b for a, b in zip(alpha, beta))
+                cmb = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
+                leib += cmb * d_g[beta].physical() * d_h[rest].physical()
+            comm.append((alpha, c))
+            diff.append((alpha, c - Field.from_physical(grid, leib)))
+        comm_norm = DerivativeTensor(k, tuple(comm)).norm()
         scale = comm_norm if comm_norm > 0 else 1.0
-        worst_identity = max(worst_identity, math.sqrt(diff_sq) / scale)
-        grad_g_inf = lp_norm(Field(grid, np.stack([1j * grid.k_axis(a2) * g_f.coeffs for a2 in range(3)])), math.inf)
+        worst_identity = max(worst_identity, DerivativeTensor(k, tuple(diff)).norm() / scale)
+        grad_g_inf = lp_norm(gradient(g_f), math.inf)
         h_inf = lp_norm(h_f, math.inf)
         bound = grad_g_inf * homog_norm(h_f, k - 1) + homog_norm(g_f, k) * h_inf
         if bound > 0:

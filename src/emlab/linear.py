@@ -335,7 +335,6 @@ class QuadratureSpec:
     xi_max: float | None = None  # None: from the envelope tail
     n_theta: int = 32
     n_phi: int = 64
-    tail_fraction: float = 1e-9
     check_convergence: bool = True
     convergence_tol: float = 5e-3
 
@@ -405,7 +404,8 @@ def _norm_series_values(
         i, j = np.divmod(np.arange(lo, min(lo + _MODE_BLOCK, n_modes)), len(dirs))
         r, omega = radii[i], dirs[j]
         if profile.shell_radius is not None:
-            w = r ** (2 * k)  # collapse: report the per-shell amplitude itself
+            # collapse: report the per-shell amplitude, averaged over directions
+            w = r ** (2 * k) * dir_ws[j] / (4.0 * math.pi)
         else:
             w = radial_ws[i] * dir_ws[j] * r ** (2 * k + 2)
         xi = r[:, None] * omega

@@ -3,16 +3,23 @@
 Conventions used throughout the package:
 
 * A field lives on a periodic cube of side ``box_length`` sampled at
-  ``points_per_axis`` points per axis.  Its canonical representation is the
-  full complex FFT coefficient array (numpy ``fftn`` layout); real fields
-  have conjugate-symmetric coefficients.
+  ``points_per_axis`` = n points per axis.  Fields are real, so their
+  canonical representation is the rfft half-spectrum: coefficients of shape
+  (n, n, n//2+1), kx and ky in FFT order and kz = 0..n/2.  The modes with
+  kz < 0 are the complex conjugates of stored ones and are not kept.
+* Every sum over the spectrum counts each stored mode with its Hermitian
+  multiplicity: the interior kz planes stand for themselves and their
+  mirror images and count twice; the kz = 0 plane and the kz = n/2
+  (Nyquist) plane are their own mirrors and count once.  Only this module
+  knows the layout; other modules broadcast against ``GridSpec.k_axis`` and
+  take sums through ``GridSpec.weight``.
 * Wavenumbers are ``k = 2*pi*m/box_length`` with integer ``m`` in the
   symmetric FFT range.  The Nyquist plane is excluded from every derivative
   and multiplier (its odd multipliers cannot stay conjugate-symmetric), so
   spectral calculus silently treats fields as band-limited below Nyquist.
 * All L2-type norms use box-measure quadrature: ``||f||^2 = w * sum|f_hat|^2``
-  with ``w = box_length^3 / points^6``, matching the continuum scaling of
-  norms with the box size.
+  over the full spectrum, with ``w = box_length^3 / points^6``, matching the
+  continuum scaling of norms with the box size.
 * Homogeneous norms of negative order are defined modulo constants; the zero
   mode is excluded, and applying a negative power to a field with
   non-negligible mean is an error.
@@ -25,6 +32,7 @@ the truncation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterator
@@ -58,12 +66,12 @@ __all__ = [
 ]
 
 
-def _fftn(values: np.ndarray) -> np.ndarray:
-    return sfft.fftn(values, axes=(-3, -2, -1), workers=-1)
+def _rfftn(values: np.ndarray) -> np.ndarray:
+    return sfft.rfftn(values, axes=(-3, -2, -1), workers=-1)
 
 
-def _ifftn(coeffs: np.ndarray) -> np.ndarray:
-    return sfft.ifftn(coeffs, axes=(-3, -2, -1), workers=-1)
+def _irfftn(coeffs: np.ndarray, n: int) -> np.ndarray:
+    return sfft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), workers=-1)
 
 
 @dataclass(frozen=True)
@@ -101,7 +109,8 @@ class GridSpec:
 
     @property
     def norm_weight(self) -> float:
-        """Weight w with ||f||_{L2}^2 = w * sum |f_hat|^2."""
+        """Weight w with ||f||_{L2}^2 = w * sum |f_hat|^2 over the full spectrum
+        (sums over the stored half-spectrum go through ``weight``)."""
         return self.box_length**3 / self.n**6
 
     @property
@@ -116,12 +125,21 @@ class GridSpec:
 
     @property
     def modes(self) -> np.ndarray:
-        """Integer mode numbers per axis in FFT order."""
+        """Integer mode numbers of a full axis in FFT order."""
         return self._cache("_modes", lambda: np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64))
+
+    def mode_axis(self, axis: int) -> np.ndarray:
+        """Integer mode numbers broadcastable along a spatial axis (0, 1, 2) of
+        the half-spectrum; the kz axis keeps 0..n/2 (its Nyquist entry is
+        -n/2, the same mode up to sign)."""
+        shape = [1, 1, 1]
+        shape[axis] = -1
+        m = self.modes if axis < 2 else self.modes[: self.n // 2 + 1]
+        return m.reshape(shape)
 
     @property
     def k1d(self) -> np.ndarray:
-        """Per-axis wavenumbers with the Nyquist entry zeroed."""
+        """Per-axis wavenumbers (full axis, FFT order) with the Nyquist entry zeroed."""
 
         def build():
             k = 2.0 * math.pi * np.fft.fftfreq(self.n, d=self.spacing)
@@ -131,10 +149,11 @@ class GridSpec:
         return self._cache("_k1d", build)
 
     def k_axis(self, axis: int) -> np.ndarray:
-        """Wavenumber array broadcastable along the given spatial axis (0, 1, 2)."""
+        """Wavenumber array broadcastable along a spatial axis (0, 1, 2) of the half-spectrum."""
         shape = [1, 1, 1]
-        shape[axis] = self.n
-        return self.k1d.reshape(shape)
+        shape[axis] = -1
+        k = self.k1d if axis < 2 else self.k1d[: self.n // 2 + 1]
+        return k.reshape(shape)
 
     @property
     def k_squared(self) -> np.ndarray:
@@ -149,32 +168,46 @@ class GridSpec:
 
     @property
     def mode_squared(self) -> np.ndarray:
-        """Integer |m|^2 with the Nyquist plane forced to 0, for exact-dedup tricks."""
+        """Integer |m|^2 with the Nyquist planes forced to 0, for exact-dedup tricks."""
 
         def build():
-            m = self.modes.copy()
-            m[self.n // 2] = 0
-            mx = m.reshape(-1, 1, 1)
-            my = m.reshape(1, -1, 1)
-            mz = m.reshape(1, 1, -1)
-            return (mx * mx + my * my + mz * mz).astype(np.int64)
+            ny = self.n // 2
+            m2 = [np.where(np.abs(m) == ny, 0, m) ** 2 for m in map(self.mode_axis, range(3))]
+            return (m2[0] + m2[1] + m2[2]).astype(np.int64)
 
         return self._cache("_m2", build)
 
-    def dealias_mask(self, fraction: float = 2.0 / 3.0) -> np.ndarray:
-        def build():
-            cut = math.floor(self.n * fraction / 2.0)
-            keep = np.abs(self.modes) <= cut
-            return (
-                keep.reshape(-1, 1, 1) & keep.reshape(1, -1, 1) & keep.reshape(1, 1, -1)
-            )
+    def weight(self, order: float) -> np.ndarray:
+        """Per-mode weight of every spectral sum: the box weight ``norm_weight``
+        times the Hermitian multiplicity times |k|^(2*order).
 
-        return self._cache(f"_dealias_{fraction}", build)
+        ``sum(weight(l) * |f_hat|^2)`` over the half-spectrum is
+        ||grad^l f||_{L2}^2.  For order != 0 the modes with k = 0 (the zero
+        mode and the axis-pure Nyquist combinations) get weight zero.
+        """
+
+        def build():
+            mult = np.full(self.n // 2 + 1, 2.0)
+            mult[0] = mult[-1] = 1.0  # kz = 0 and kz = n/2 are their own mirrors
+            base = self.norm_weight * mult.reshape(1, 1, -1)
+            if order == 0:
+                return np.broadcast_to(base, self.k_squared.shape).copy()
+            k2 = self.k_squared
+            with np.errstate(divide="ignore"):
+                power = np.where(k2 > 0, k2, 1.0) ** order
+            return np.where(k2 > 0, power, 0.0) * base
+
+        return self._cache(f"_weight_{float(order)!r}", build)
 
     @property
-    def reverse_index(self) -> np.ndarray:
-        """Index array r with r[i] = (-i) mod n, mapping k to -k per axis."""
-        return self._cache("_rev", lambda: (-np.arange(self.n)) % self.n)
+    def dealias_mask(self) -> np.ndarray:
+        """Two-thirds rule: keep |m_i| <= floor(n/3) on every axis."""
+
+        def build():
+            keep = [np.abs(self.mode_axis(a)) <= self.n // 3 for a in range(3)]
+            return keep[0] & keep[1] & keep[2]
+
+        return self._cache("_dealias", build)
 
     def coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         x = np.arange(self.n) * self.spacing
@@ -183,10 +216,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Field:
-    """Scalar or 3-vector field in canonical Fourier representation.
+    """Real scalar or 3-vector field in canonical Fourier representation.
 
-    ``coeffs`` has shape (n, n, n) for scalars and (3, n, n, n) for vectors.
-    Fields are immutable; operations return new instances.
+    ``coeffs`` holds the rfft half-spectrum: shape (n, n, n//2+1) for scalars
+    and (3, n, n, n//2+1) for vectors.  Fields are immutable; operations
+    return new instances.
     """
 
     grid: GridSpec
@@ -194,9 +228,9 @@ class Field:
 
     def __post_init__(self):
         c = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
-        n = self.grid.n
-        if c.shape not in {(n, n, n), (3, n, n, n)}:
-            raise ValueError(f"coefficient shape {c.shape} does not match grid {n}^3")
+        n, h = self.grid.n, self.grid.n // 2 + 1
+        if c.shape not in {(n, n, h), (3, n, n, h)}:
+            raise ValueError(f"coefficient shape {c.shape} is not the half-spectrum of grid {n}^3")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -205,12 +239,12 @@ class Field:
     @classmethod
     def from_physical(cls, grid: GridSpec, values: np.ndarray) -> "Field":
         values = np.asarray(values, dtype=float)
-        return cls(grid, _fftn(values))
+        return cls(grid, _rfftn(values))
 
     @classmethod
     def zeros(cls, grid: GridSpec, vector: bool = False) -> "Field":
         n = grid.n
-        shape = (3, n, n, n) if vector else (n, n, n)
+        shape = (3, n, n, n // 2 + 1) if vector else (n, n, n // 2 + 1)
         return cls(grid, np.zeros(shape, dtype=np.complex128))
 
     # -- basic queries ----------------------------------------------------
@@ -220,9 +254,9 @@ class Field:
         return self.coeffs.ndim == 4
 
     def physical(self) -> np.ndarray:
-        """Real-space samples (cached; real part of the inverse transform)."""
+        """Real-space samples (cached)."""
         if "_phys" not in self.__dict__:
-            phys = np.real(_ifftn(self.coeffs))
+            phys = _irfftn(self.coeffs, self.grid.n)
             phys.setflags(write=False)
             object.__setattr__(self, "_phys", phys)
         return self.__dict__["_phys"]
@@ -230,19 +264,10 @@ class Field:
     def mean(self) -> complex | np.ndarray:
         return self.coeffs[..., 0, 0, 0] / self.grid.n**3
 
-    def coefficient_scale(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) or 1.0
-
     def is_mean_zero(self, rel_tol: float = 1e-12) -> bool:
-        scale = math.sqrt(float(np.sum(np.abs(self.coeffs) ** 2))) or 1.0
+        """Zero-mode coefficient small against the root-sum-square of all of them."""
+        scale = l2_norm(self) / math.sqrt(self.grid.norm_weight) or 1.0
         return float(np.max(np.abs(np.atleast_1d(self.coeffs[..., 0, 0, 0])))) <= rel_tol * scale
-
-    def conjugate_symmetry_error(self) -> float:
-        """Relative deviation from Hermitian symmetry (0 for real fields)."""
-        r = self.grid.reverse_index
-        mirrored = np.conj(self.coeffs[..., r[:, None, None], r[None, :, None], r[None, None, :]])
-        scale = self.coefficient_scale()
-        return float(np.max(np.abs(self.coeffs - mirrored))) / scale
 
     def component(self, i: int) -> "Field":
         if not self.is_vector:
@@ -261,9 +286,6 @@ class Field:
         return Field(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
-
-    def with_coeffs(self, coeffs: np.ndarray) -> "Field":
-        return Field(self.grid, coeffs)
 
 
 # -- differential operators ----------------------------------------------------
@@ -394,29 +416,26 @@ def fractional(f: Field, s: float) -> Field:
 
 
 def _power(f: Field) -> np.ndarray:
-    """|f_hat|^2 summed over vector components; shape (n, n, n)."""
+    """|f_hat|^2 summed over vector components; shape (n, n, n//2+1)."""
     p = np.abs(f.coeffs) ** 2
     return p.sum(axis=0) if f.is_vector else p
 
 
 def l2_norm(f: Field) -> float:
-    return math.sqrt(f.grid.norm_weight * float(np.sum(_power(f))))
+    return homog_norm(f, 0)
 
 
-def inner_product(f: Field, g: Field) -> float:
-    """Real L2 inner product over the box."""
-    prod = np.sum(f.coeffs * np.conj(g.coeffs))
-    return float(np.real(prod)) * f.grid.norm_weight
+def inner_product(f: Field, g: Field, order: float = 0) -> float:
+    """Real inner product <grad^l f, grad^l g> over the box (order l; 0 is L2)."""
+    prod = np.real(f.coeffs * np.conj(g.coeffs))
+    if f.is_vector:
+        prod = prod.sum(axis=0)
+    return float(np.sum(f.grid.weight(order) * prod))
 
 
 def homog_norm(f: Field, order: float) -> float:
     """Homogeneous norm ||grad^l f||_{L2} via the |k|^{2l} weighted sum."""
-    if order == 0:
-        return l2_norm(f)
-    g = f.grid
-    w = np.where(g.k_squared > 0, g.k_squared, 1.0) ** order
-    w = np.where(g.k_squared > 0, w, 0.0)
-    return math.sqrt(g.norm_weight * float(np.sum(w * _power(f))))
+    return math.sqrt(float(np.sum(f.grid.weight(order) * _power(f))))
 
 
 def sobolev_norm(f: Field, k: int) -> float:
@@ -438,12 +457,12 @@ def neg_sobolev_norm(f: Field, s: float, with_info: bool = False):
         raise NegativePowerOnNonzeroMean("negative-order norm requires a mean-zero field")
     g = f.grid
     k2 = g.k_squared
-    w = np.where(k2 > 0, k2, 1.0) ** (-s)
-    w = np.where(k2 > 0, w, 0.0)
-    value = math.sqrt(g.norm_weight * float(np.sum(w * _power(f))))
+    # the zero mode is excluded at every s, including s = 0
+    w = g.weight(-s) if s > 0 else np.where(k2 > 0, g.weight(0), 0.0)
+    power = _power(f)
+    value = math.sqrt(float(np.sum(w * power)))
     if not with_info:
         return value
-    power = _power(f)
     active = power > (power.max() * 1e-28 if power.max() > 0 else np.inf)
     active &= k2 > 0
     kmin = float(np.sqrt(k2[active].min())) if active.any() else math.inf
@@ -541,14 +560,9 @@ class LPFamily:
         return float(np.max(np.abs(total[mask] - 1.0)))
 
 
-_FAMILIES: dict[tuple[int, float], LPFamily] = {}
-
-
+@functools.lru_cache(maxsize=4)
 def lp_family(grid: GridSpec) -> LPFamily:
-    key = (grid.points_per_axis, grid.box_length)
-    if key not in _FAMILIES:
-        _FAMILIES[key] = LPFamily(grid)
-    return _FAMILIES[key]
+    return LPFamily(grid)
 
 
 def lp_block(f: Field, j: int, family: LPFamily | None = None) -> Field:
@@ -564,11 +578,10 @@ def besov_norm(f: Field, s: float, family: LPFamily | None = None, with_info: bo
     if not f.is_mean_zero():
         raise NegativePowerOnNonzeroMean("Besov norm of negative order requires a mean-zero field")
     fam = family or lp_family(f.grid)
-    power = _power(f)
-    w = f.grid.norm_weight
+    power = f.grid.weight(0) * _power(f)
     best, best_j = 0.0, fam.j_min
     for j in fam.indices():
-        val = 2.0 ** (-s * j) * math.sqrt(w * float(np.sum(fam.ring_weights(j) * power)))
+        val = 2.0 ** (-s * j) * math.sqrt(float(np.sum(fam.ring_weights(j) * power)))
         if val > best:
             best, best_j = val, j
     if not with_info:
@@ -595,10 +608,10 @@ def random_band_limited(
     n = grid.n
     shape = (3, n, n, n) if vector else (n, n, n)
     white = rng.standard_normal(shape)
-    coeffs = _fftn(white)
+    coeffs = _rfftn(white)
     cut = math.floor(n * band_fraction)
-    keep = np.abs(grid.modes) <= cut
-    mask = keep.reshape(-1, 1, 1) & keep.reshape(1, -1, 1) & keep.reshape(1, 1, -1)
+    keep = [np.abs(grid.mode_axis(a)) <= cut for a in range(3)]
+    mask = keep[0] & keep[1] & keep[2]
     kmag = grid.k_mag
     envelope = np.where(kmag > 0, np.where(kmag > 0, kmag, 1.0) ** slope, 0.0)
     coeffs = coeffs * mask * envelope
@@ -621,7 +634,7 @@ def random_phase_field(
     """
     n = grid.n
     shape = (3, n, n, n) if vector else (n, n, n)
-    white = _fftn(rng.standard_normal(shape))
+    white = _rfftn(rng.standard_normal(shape))
     mag = np.abs(white)
     phase = np.where(mag > 1e-300, white / np.where(mag > 1e-300, mag, 1.0), 1.0)
     env = envelope(grid.k_mag)

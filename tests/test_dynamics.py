@@ -156,10 +156,13 @@ class TestStep:
         assert order == pytest.approx(4.0, abs=0.1)
 
     def test_conjugate_symmetry_preserved(self, grid16, constants_bz):
+        # a stepped state is still the half-spectrum of real samples: the
+        # implied full spectrum stays conjugate-symmetric
         st = make_initial_data("flat_low", 1e-2, 3, grid16, constants_bz)
         out = step(st, 0.5 * cfl_dt(st, grid16, constants_bz), constants_bz)
         for f in out.fields().values():
-            assert f.conjugate_symmetry_error() <= 1e-12
+            back = Field.from_physical(grid16, f.physical())
+            assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-12 * np.max(np.abs(f.coeffs))
 
     def test_divb_preserved_many_steps(self, grid16, constants_b0):
         st = make_initial_data("flat_low", 1e-2, 3, grid16, constants_b0)

@@ -58,7 +58,7 @@ class TestEnergyAndDissipation:
         assert energy(st, 0) == pytest.approx(total, rel=1e-12)
 
     def test_constant_b_excluded_from_dissipation(self, grid16):
-        vec = np.zeros((3, 16, 16, 16), dtype=complex)
+        vec = np.zeros((3, 16, 16, 9), dtype=complex)  # half-spectrum, kz = 0..8
         vec[2, 0, 0, 0] = 16**3  # constant field: physical value 1
         st = PerturbationState(
             n=Field.zeros(grid16),

@@ -153,6 +153,18 @@ class TestWeightedNormSeries:
         direct = [0.8 * np.linalg.norm(evolve_mode(m, t, s0)) for t in times]
         assert np.allclose(ser.values, direct, rtol=1e-12)
 
+    @pytest.mark.parametrize("n_theta, n_phi", [(2, 3), (4, 8)])
+    def test_single_shell_averages_over_directions(self, constants_b0, n_theta, n_phi):
+        # the shell amplitude is a direction average: a vanishing background
+        # field must reproduce the isotropic value whatever the angular rule
+        prof = SpectralProfile.single_shell(0.8)
+        quad = QuadratureSpec(n_theta=n_theta, n_phi=n_phi, check_convergence=False)
+        times = [0.0, 2.0, 7.0]
+        isotropic = weighted_norm_series(prof, 1, "full_state", times, constants_b0, quad)
+        tiny_b = PhysicalConstants(b_infty=(0.0, 0.0, 1e-12))
+        averaged = weighted_norm_series(prof, 1, "full_state", times, tiny_b, quad)
+        assert np.allclose(averaged.values, isotropic.values, rtol=1e-9, atol=0.0)
+
     def test_quadrature_convergence_guard(self, constants_b0):
         prof = SpectralProfile.decay_class(1.5)
         quad = QuadratureSpec(radial_nodes=4, check_convergence=True)

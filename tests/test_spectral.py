@@ -18,6 +18,7 @@ from emlab.spectral import (
     fractional,
     gradient,
     homog_norm,
+    inner_product,
     l2_norm,
     laplacian,
     lp_block,
@@ -28,6 +29,13 @@ from emlab.spectral import (
     random_phase_field,
     sobolev_norm,
 )
+
+
+def half_multiplicity(n):
+    """Hermitian multiplicity of the kz planes 0..n/2 of an rfft half-spectrum."""
+    mult = np.full(n // 2 + 1, 2.0)
+    mult[0] = mult[-1] = 1.0
+    return mult
 
 
 def single_mode(grid, mode, amp=1.0, phase=0.0):
@@ -48,8 +56,11 @@ class TestGridAndField:
         assert np.max(np.abs(f.physical() - values)) <= 1e-12 * np.max(np.abs(values))
 
     def test_conjugate_symmetry_of_real_fields(self, grid16, rng):
+        # the half-spectrum of real samples round-trips through physical space
         f = Field.from_physical(grid16, rng.standard_normal((16, 16, 16)))
-        assert f.conjugate_symmetry_error() <= 1e-12
+        assert f.coeffs.shape == (16, 16, 9)
+        back = Field.from_physical(grid16, f.physical())
+        assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-12 * np.max(np.abs(f.coeffs))
 
     def test_parseval(self, grid32, rng):
         values = rng.standard_normal((32, 32, 32))
@@ -152,25 +163,30 @@ class TestNorms:
 
     def test_sobolev_norm_by_direct_summation(self, grid16, rng):
         f = random_band_limited(grid16, rng)
-        # independent loop over coefficients
+        # independent loop over the half-spectrum, interior kz planes twice
         w = grid16.norm_weight
-        k2 = grid16.k_squared
+        k = 2.0 * np.pi * np.fft.fftfreq(16, d=grid16.spacing)
+        k[8] = 0.0  # Nyquist excluded from the calculus
+        mult = half_multiplicity(16)
         total = 0.0
-        for l in range(3):
-            wk = np.where(k2 > 0, k2, 0.0) ** l if l else np.ones_like(k2)
-            total += w * np.sum(wk * np.abs(f.coeffs) ** 2)
+        for i in range(16):
+            for j in range(16):
+                for m in range(9):
+                    k2 = k[i] ** 2 + k[j] ** 2 + k[m] ** 2
+                    wk = sum(k2**l for l in range(3)) if k2 > 0 else 1.0
+                    total += w * mult[m] * wk * abs(f.coeffs[i, j, m]) ** 2
         assert sobolev_norm(f, 2) == pytest.approx(math.sqrt(total), rel=1e-10)
 
     def test_neg_sobolev_flat_profile_direct_sum(self, grid16):
-        # flat coefficients on 0 < |k| <= 1: norm^2 = w * sum |k|^-2s
-        coeffs = np.zeros((16, 16, 16), dtype=complex)
-        k2 = grid16.k_squared
-        pick = (k2 > 0) & (k2 <= 1.0 + 1e-12)
-        coeffs[pick] = 1.0
-        # hermitian symmetrization: |k|<=1 set is symmetric and real
+        # flat coefficients on 0 < |k| <= 1 (the six unit modes, stored as
+        # (+-1,0,0), (0,+-1,0) and (0,0,1) in the half-spectrum): since
+        # |k| = 1 there, norm^2 = w * 6 whatever s is
+        coeffs = np.zeros((16, 16, 9), dtype=complex)
+        for idx in [(1, 0, 0), (15, 0, 0), (0, 1, 0), (0, 15, 0), (0, 0, 1)]:
+            coeffs[idx] = 1.0
         f = Field(grid16, coeffs)
         s = 0.7
-        direct = math.sqrt(grid16.norm_weight * np.sum(k2[pick] ** -s))
+        direct = math.sqrt(grid16.norm_weight * 6.0)
         assert neg_sobolev_norm(f, s) == pytest.approx(direct, rel=1e-12)
 
     def test_neg_sobolev_info(self, grid16):
@@ -283,20 +299,27 @@ class TestRandomFactories:
     def test_phase_field_has_exact_modulus(self, grid16, rng):
         env = lambda r: np.where(r > 0, np.exp(-r), 0.0)
         f = random_phase_field(grid16, rng, env)
-        kmag = grid16.k_mag
-        active = (grid16.mode_squared > 0)
-        ny = grid16.n // 2
-        active[ny, :, :] = active[:, ny, :] = active[:, :, ny] = False
+        # half-spectrum axes: kx, ky in FFT order, kz = 0..8
+        m = np.fft.fftfreq(16, d=1.0 / 16)
+        mx, my, mz = m.reshape(-1, 1, 1), m.reshape(1, -1, 1), np.abs(m[:9]).reshape(1, 1, -1)
+        kmag = np.sqrt(mx**2 + my**2 + mz**2) * grid16.k_min
+        active = np.ones((16, 16, 9), dtype=bool)
+        active[0, 0, 0] = False
+        active[8, :, :] = active[:, 8, :] = active[:, :, 8] = False
         got = np.abs(f.coeffs[active])
         want = env(kmag[active])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
-        assert f.conjugate_symmetry_error() <= 1e-12
+        assert np.max(np.abs(f.coeffs[~active])) == 0.0
+        back = Field.from_physical(grid16, f.physical())
+        assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-12 * np.max(np.abs(f.coeffs))
 
     def test_band_limited_band(self, grid16, rng):
         f = random_band_limited(grid16, rng, band_fraction=0.25)
-        m = np.abs(grid16.modes)
-        outside = (m.reshape(-1, 1, 1) > 4) | (m.reshape(1, -1, 1) > 4) | (m.reshape(1, 1, -1) > 4)
+        assert f.coeffs.shape == (16, 16, 9)
+        m = np.abs(np.fft.fftfreq(16, d=1.0 / 16))
+        outside = (m.reshape(-1, 1, 1) > 4) | (m.reshape(1, -1, 1) > 4) | (m[:9].reshape(1, 1, -1) > 4)
         assert np.max(np.abs(f.coeffs[outside])) == 0.0
+        assert np.max(np.abs(f.coeffs[~outside])) > 0.0
 
 
 @settings(max_examples=20, deadline=None)
@@ -313,3 +336,129 @@ def test_fractional_inverse_property(s, seed):
     scale = np.max(np.abs(expected))
     if scale > 0:
         assert np.max(np.abs(g.coeffs - expected)) <= 1e-11 * scale
+
+
+# -- the half layout against an independent full-spectrum reference -------------
+
+
+def full_spectrum(f):
+    """Full complex FFT of a field's samples, built without the half layout."""
+    return np.fft.fftn(f.physical(), axes=(-3, -2, -1))
+
+
+def full_wavenumbers(grid):
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
+    k[grid.n // 2] = 0.0  # Nyquist excluded from the calculus
+    return k.reshape(-1, 1, 1), k.reshape(1, -1, 1), k.reshape(1, 1, -1)
+
+
+def full_sum(grid, order, a, b=None):
+    """w * sum over the full spectrum of |k|^(2 order) Re<a, b>; order 0 keeps every mode."""
+    kx, ky, kz = full_wavenumbers(grid)
+    k2 = kx**2 + ky**2 + kz**2
+    wk = np.ones_like(k2) if order == 0 else np.where(k2 > 0, np.where(k2 > 0, k2, 1.0) ** order, 0.0)
+    prod = np.real(a * np.conj(a if b is None else b))
+    if prod.ndim == 4:
+        prod = prod.sum(axis=0)
+    return grid.norm_weight * float(np.sum(wk * prod))
+
+
+def full_gradient(grid, c):
+    return np.stack([1j * k * c for k in full_wavenumbers(grid)])
+
+
+def full_curl(grid, v):
+    kx, ky, kz = full_wavenumbers(grid)
+    return 1j * np.stack([ky * v[2] - kz * v[1], kz * v[0] - kx * v[2], kx * v[1] - ky * v[0]])
+
+
+def full_besov(grid, c, s):
+    from emlab.spectral import cutoff_profile
+
+    m = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    m[grid.n // 2] = 0.0
+    r = np.sqrt(m.reshape(-1, 1, 1) ** 2 + m.reshape(1, -1, 1) ** 2 + m.reshape(1, 1, -1) ** 2) * grid.k_min
+    power = np.abs(c) ** 2
+    vals = []
+    for j in lp_family(grid).indices():
+        ring = cutoff_profile(r * 2.0**-j) - cutoff_profile(r * 2.0 ** (-j + 1))
+        vals.append(2.0 ** (-s * j) * math.sqrt(grid.norm_weight * np.sum(ring * power)))
+    return max(vals)
+
+
+def white_field(grid, rng, vector=False):
+    """Mean-zero white noise: content on every mode, the Nyquist planes included."""
+    shape = ((3,) if vector else ()) + (grid.n,) * 3
+    values = rng.standard_normal(shape)
+    return Field.from_physical(grid, values - values.mean(axis=(-3, -2, -1), keepdims=True))
+
+
+def stepped_state(grid):
+    from emlab.dynamics import cfl_dt, step
+    from emlab.model import PhysicalConstants, make_initial_data
+
+    constants = PhysicalConstants(b_infty=(0.0, 0.0, 1.0))
+    st = make_initial_data("flat_low", 1e-2, 3, grid, constants, include_transverse_e=True)
+    return step(st, cfl_dt(st, grid, constants), constants)
+
+
+def white_state(grid, rng):
+    from emlab.model import PerturbationState
+
+    return PerturbationState(
+        n=white_field(grid, rng),
+        u=white_field(grid, rng, vector=True),
+        E=white_field(grid, rng, vector=True),
+        B=white_field(grid, rng, vector=True),
+    )
+
+
+class TestHalfLayoutAgainstFullSpectrum:
+    def test_norms_of_random_real_fields(self, grid16, rng):
+        g = grid16
+        for vector in (False, True):
+            f = white_field(g, rng, vector)
+            h = f + white_field(g, rng, vector)  # correlated: <f, h> is O(||f||^2)
+            F, H = full_spectrum(f), full_spectrum(h)
+            assert l2_norm(f) == pytest.approx(math.sqrt(full_sum(g, 0, F)), rel=1e-12)
+            for order in range(4):
+                assert homog_norm(f, order) == pytest.approx(math.sqrt(full_sum(g, order, F)), rel=1e-12)
+            assert neg_sobolev_norm(f, 0.7) == pytest.approx(math.sqrt(full_sum(g, -0.7, F)), rel=1e-12)
+            assert besov_norm(f, 1.2) == pytest.approx(full_besov(g, F, 1.2), rel=1e-12)
+            assert inner_product(f, h) == pytest.approx(full_sum(g, 0, F, H), rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::emlab.errors.DerivativeOrderExceedsResolution")
+    @pytest.mark.parametrize("which", ["stepped", "white"])
+    def test_functionals(self, grid16, rng, which):
+        from emlab.energetics import dissipation, energy, interactive, window_energy
+
+        g = grid16
+        st = stepped_state(g) if which == "stepped" else white_state(g, rng)
+        full = {name: full_spectrum(f) for name, f in st.fields().items()}
+
+        def orders(names, lo, hi):
+            return sum(full_sum(g, l, full[f]) for f in names for l in range(lo, hi + 1))
+
+        N = 3
+        assert energy(st, N) == pytest.approx(orders("nuEB", 0, N), rel=1e-12)
+        d_ref = orders("nu", 0, N) + orders("E", 0, N - 1) + orders("B", 1, N - 1)
+        assert dissipation(st, N) == pytest.approx(d_ref, rel=1e-12)
+        k = 1
+        e_win, d_win = window_energy(st, k)
+        assert e_win == pytest.approx(orders("nuEB", k, k + 2), rel=1e-12)
+        d_ref = orders("nu", k, k + 2) + orders("E", k, k + 1) + orders("B", k + 1, k + 1)
+        assert d_win == pytest.approx(d_ref, rel=1e-12)
+
+        it = interactive(st, k)
+        grad_n, curl_b = full_gradient(g, full["n"]), full_curl(g, full["B"])
+        refs = [
+            (it.n_coupling, [(full["u"], grad_n, l) for l in (k, k + 1)]),
+            (it.e_coupling, [(full["u"], full["E"], l) for l in (k, k + 1)]),
+            (-it.b_coupling, [(full["E"], curl_b, k)]),
+        ]
+        for got, terms in refs:
+            want = sum(full_sum(g, l, a, b) for a, b, l in terms)
+            # signed sums: relative to the Cauchy-Schwarz bound of their terms
+            bound = sum(math.sqrt(full_sum(g, l, a) * full_sum(g, l, b)) for a, b, l in terms)
+            assert abs(got - want) <= 1e-12 * bound
+            assert abs(want) > 1e-3 * bound  # the reference is not cancellation noise
