@@ -11,12 +11,36 @@ Linear terms are Fourier multipliers; products are formed pointwise in
 physical space with two-thirds dealiasing applied to both inputs and outputs.
 The advection term uses the rotation form u.grad u = grad(|u|^2/2) + (curl u) x u
 to save transforms.
+
+Packed layout.  The stepper works on one contiguous complex array of shape
+(10, n, n, n//2+1): the rfft half-spectra of n, u (3), E (3) and B (3)
+stacked in that order.  A state is packed once on entry to ``simulate`` or
+``step`` and again only after a Gauss projection; every state the solver
+hands out (to monitors, to ``verify_compatibility``, as ``final_state`` or
+from ``step``) has four fields that are zero-copy views of such an array.
+
+Who writes where.  The solver never writes into an array that a handed-out
+state views: each RK4 step writes its result into a fresh array, and the
+stage and slope buffers are scratch owned by one ``simulate`` (or ``step``)
+call.  A custom ``rhs_fn`` of ``step`` sees a copy of each stage.
+
+Transforms per RHS.  The 14 masked product inputs (n, u, B, grad n, div u,
+curl u) are transformed back in 4 stacked ``irfftn`` calls, grouped so that
+pocketfft's internal temporary stays small; the 8 products are transformed
+forward in 1 stacked ``rfftn`` call.
+
+Threads.  Between the transforms, the elementwise work of the RHS and the
+RK4 stage sums runs on x-slabs of the grid, one slab per CPU, from a thread
+pool that one ``simulate``, ``step`` or ``rhs`` call owns.  The slabs are
+disjoint, so the numbers do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Sequence
 
@@ -32,7 +56,7 @@ from .model import (
     solve_gauss_longitudinal,
     verify_compatibility,
 )
-from .spectral import Field, GridSpec, curl, divergence, gradient, l2_norm
+from .spectral import Field, GridSpec, _irfftn, _rfftn, l2_norm
 
 __all__ = [
     "SolverConfig",
@@ -43,6 +67,11 @@ __all__ = [
     "RunLog",
     "SimulationResult",
 ]
+
+_SLOTS = 10  # scalar fields of the packed state: n, u (3), E (3), B (3)
+# x-planes per thread slab at least; thinner slabs lose more to thread
+# hand-offs than they gain (N=16: 12 ms per RK4 step on one thread, 19 ms on two)
+_MIN_SLAB = 16
 
 
 @dataclass(frozen=True)
@@ -77,51 +106,272 @@ class SolverConfig:
             raise ValueError("gauss_projection_stride must be >= 1 or None")
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.stack(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
+def _pack(state: PerturbationState, out: np.ndarray | None = None) -> np.ndarray:
+    """The four fields stacked in the packed (10, n, n, n//2+1) layout."""
+    if out is None:
+        out = np.empty((_SLOTS,) + state.n.coeffs.shape, dtype=np.complex128)
+    out[0] = state.n.coeffs
+    out[1:4] = state.u.coeffs
+    out[4:7] = state.E.coeffs
+    out[7:10] = state.B.coeffs
+    return out
+
+
+def _view(y: np.ndarray, grid: GridSpec, time: float) -> PerturbationState:
+    """State whose fields are zero-copy views of the packed array ``y``."""
+    return PerturbationState(
+        n=Field(grid, y[0]), u=Field(grid, y[1:4]), E=Field(grid, y[4:7]), B=Field(grid, y[7:10]), time=time
     )
 
 
-def _blend(base: PerturbationState, ks, weights, dt: float, time: float) -> PerturbationState:
-    """base + dt * sum(w_i * k_i) per field."""
-    fields = {}
-    for name, f in base.fields().items():
-        acc = f.coeffs.copy()
-        for w, k in zip(weights, ks):
-            acc += (dt * w) * k.fields()[name].coeffs
-        fields[name] = Field(base.grid, acc)
-    return PerturbationState(time=time, **fields)
+def _curl(v: np.ndarray, ik, out: np.ndarray, scratch: np.ndarray):
+    """out = curl v for vector coefficients v, with i*k multipliers ik."""
+    for a in range(3):
+        i, j = (a + 1) % 3, (a + 2) % 3
+        np.multiply(ik[i], v[j], out=out[a])
+        np.multiply(ik[j], v[i], out=scratch)
+        out[a] -= scratch
 
 
-def _is_finite(state: PerturbationState) -> bool:
-    return all(bool(np.isfinite(f.coeffs).all()) for f in state.fields().values())
+class _Slabs:
+    """Runs an elementwise job on x-slabs of the grid: by default one slab
+    per CPU, each at least ``_MIN_SLAB`` planes thick.
+
+    numpy releases the interpreter lock inside its loops, so the slabs run
+    in parallel, and each slab gives the same numbers as one whole-array
+    pass.  Jobs write only into preallocated arrays: memory that a worker
+    thread allocates stays in that thread's malloc arena and raises the
+    peak memory of the process.  The thread pool lives until ``close``.
+    """
+
+    def __init__(self, n: int, workers: int | None = None):
+        if workers is None:
+            workers = max(1, min(os.cpu_count() or 1, n // _MIN_SLAB))
+        cut = [n * i // workers for i in range(workers + 1)]
+        self.slabs = [slice(lo, hi) for lo, hi in zip(cut, cut[1:])]
+        self._pool = ThreadPoolExecutor(workers) if workers > 1 else None
+
+    def run(self, job: Callable[[slice], None]):
+        """``job(slab)`` for every slab; returns when all are done."""
+        if self._pool is None:
+            job(self.slabs[0])
+            return
+        futures = [self._pool.submit(job, slab) for slab in self.slabs]
+        wait(futures)
+        for f in futures:
+            f.result()
+
+    def close(self):
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def __enter__(self) -> "_Slabs":
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
-def _rk4(state: PerturbationState, dt: float, f) -> PerturbationState:
-    k1 = f(state)
-    k2 = f(_blend(state, [k1], [0.5], dt, state.time + dt / 2))
-    k3 = f(_blend(state, [k2], [0.5], dt, state.time + dt / 2))
-    k4 = f(_blend(state, [k3], [1.0], dt, state.time + dt))
-    return _blend(
-        state,
-        [k1, k2, k3, k4],
-        [1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0],
-        dt,
-        state.time + dt,
-    )
+def _x(slab: slice) -> tuple:
+    """Index of an x-slab in any stack of spectral or physical fields."""
+    return (Ellipsis, slab, slice(None), slice(None))
 
 
-def _project_gauss(state: PerturbationState, constants: PhysicalConstants) -> PerturbationState:
-    """Replace the longitudinal electric part by the constraint-consistent solve."""
+class _Rhs:
+    """The fused right-hand side on packed arrays.
+
+    Holds the i*k multipliers, the dealias mask and the work buffers of one
+    grid and one set of constants; ``rhs(y, time, out)`` writes the time
+    derivative of the packed state ``y`` into ``out`` (the system is
+    autonomous, so ``time`` is unused).  It writes nothing else outside its
+    own buffers.  The elementwise stages run on the x-slabs of ``slabs``;
+    the transforms between them run on whole stacks.
+    """
+
+    # slots of the spectral and physical work stacks: the product inputs
+    _GROUPS = ((0, 4), (4, 7), (7, 11), (11, 14))  # n u | B | grad n, div u | curl u
+
+    def __init__(self, grid: GridSpec, constants: PhysicalConstants, dealias: bool, slabs: _Slabs):
+        n, h = grid.n, grid.n // 2 + 1
+        self.n = n
+        self.slabs = slabs
+        self.nu, self.mu, self.gamma = constants.nu, constants.mu, constants.gamma
+        self.b_infty = None if constants.b_infty_is_zero else constants.b_infty_vector()
+        self.ik = [1j * grid.k_axis(a) for a in range(3)]
+        self.mask = grid.dealias_mask if dealias else None
+        self.spec = np.empty((14, n, n, h), dtype=np.complex128)
+        self.phys = np.empty((14, n, n, n))
+        self.tmp = np.empty((4, n, n, h), dtype=np.complex128)  # a vector and a scalar
+        self.work = np.empty((2, n, n, n))
+
+    def __call__(self, y: np.ndarray, time: float, out: np.ndarray):
+        self.slabs.run(lambda slab: self._linear(y, out, slab))
+        for lo, hi in self._GROUPS:
+            self.phys[lo:hi] = _irfftn(self.spec[lo:hi], self.n)
+        closure = density_closure(self.phys[0], self.gamma)
+        self.slabs.run(lambda slab: self._products(closure, slab))
+        # [0] |u|^2/2, [1:4] the vector term, [4] the density term, [5:8] closure(n) u
+        prods = _rfftn(self.phys[6:14])
+        self.slabs.run(lambda slab: self._accumulate(prods, out, slab))
+
+    def _multipliers(self, slab: slice):
+        ik = (self.ik[0][slab], self.ik[1], self.ik[2])
+        return ik, None if self.mask is None else self.mask[slab]
+
+    def _linear(self, y: np.ndarray, out: np.ndarray, slab: slice):
+        """The linear part into ``out`` and the masked product inputs into ``spec``."""
+        nu = self.nu
+        ik, m = self._multipliers(slab)
+        x = _x(slab)
+        y, out, spec, tmp = y[x], out[x], self.spec[x], self.tmp[x]
+        n, u, e, b = y[0], y[1:4], y[4:7], y[7:10]
+        dn, du, de, db = out[0], out[1:4], out[4:7], out[7:10]
+        grad_n, div_u = spec[7:10], spec[10]
+        tmp, s = tmp[:3], tmp[3]
+
+        # linear part, unmasked, with grad n and div u left in the input stack
+        for a in range(3):
+            np.multiply(ik[a], n, out=grad_n[a])
+        np.multiply(ik[0], u[0], out=div_u)
+        for a in (1, 2):
+            np.multiply(ik[a], u[a], out=s)
+            div_u += s
+        np.negative(div_u, out=dn)
+        np.multiply(u, -nu, out=du)
+        np.multiply(e, nu, out=tmp)
+        du -= tmp
+        du -= grad_n
+        if self.b_infty is not None:  # u x B_inf
+            bv = self.b_infty
+            for a in range(3):
+                i, j = (a + 1) % 3, (a + 2) % 3
+                np.multiply(u[i], bv[j], out=tmp[a])
+                np.multiply(u[j], bv[i], out=s)
+                tmp[a] -= s
+            du -= tmp
+        _curl(b, ik, de, s)
+        de *= nu
+        np.multiply(u, nu, out=tmp)
+        de += tmp
+        _curl(e, ik, db, s)
+        db *= -nu
+
+        # masked product inputs: n, u, B, grad n, div u, curl u
+        _curl(u, ik, spec[11:14], s)
+        if m is None:
+            spec[0:4] = y[0:4]
+            spec[4:7] = b
+        else:
+            np.multiply(y[0:4], m, out=spec[0:4])
+            np.multiply(b, m, out=spec[4:7])
+            spec[7:14] *= m
+
+    def _products(self, closure: np.ndarray, slab: slice):
+        """The 8 products into slots 6-13 of ``phys``, each written into a slot
+        whose input is dead; the operand order of every sum is that of the
+        plain formula."""
+        x = _x(slab)
+        phys = self.phys[x]
+        acc, prod = self.work[x]
+        pn, pu, pb, pg, pd, pw = phys[0], phys[1:4], phys[4:7], phys[7:10], phys[10], phys[11:14]
+        pn *= self.mu  # mu n
+        # slot 10: u.grad n + mu n div u
+        pd *= pn
+        np.multiply(pu[0], pg[0], out=acc)
+        for a in (1, 2):
+            np.multiply(pu[a], pg[a], out=prod)
+            acc += prod
+        pd += acc
+        # slots 7-9: (curl u) x u + mu n grad n + u x B
+        for a in range(3):
+            i, j = (a + 1) % 3, (a + 2) % 3
+            np.multiply(pw[i], pu[j], out=acc)
+            np.multiply(pw[j], pu[i], out=prod)
+            acc -= prod
+            pg[a] *= pn
+            pg[a] += acc
+            np.multiply(pu[i], pb[j], out=acc)
+            np.multiply(pu[j], pb[i], out=prod)
+            acc -= prod
+            pg[a] += acc
+        # slot 6: |u|^2 / 2, whose gradient completes u.grad u
+        ke = pb[2]
+        np.multiply(pu[0], pu[0], out=ke)
+        for a in (1, 2):
+            np.multiply(pu[a], pu[a], out=prod)
+            ke += prod
+        ke *= 0.5
+        # slots 11-13: closure(n) u
+        np.multiply(closure[slab], pu, out=pw)
+
+    def _accumulate(self, prods: np.ndarray, out: np.ndarray, slab: slice):
+        """The masked transformed products into ``out``."""
+        ik, m = self._multipliers(slab)
+        x = _x(slab)
+        prods, out, tmp = prods[x], out[x], self.tmp[x][:3]
+        dn, du, de = out[0], out[1:4], out[4:7]
+        if m is not None:
+            prods *= m
+        dn -= prods[4]
+        for a in range(3):
+            np.multiply(ik[a], prods[0], out=tmp[a])
+        du -= tmp
+        du -= prods[1:4]
+        prods[5:8] *= self.nu
+        de += prods[5:8]
+
+
+def _hook(rhs_fn: Callable, grid: GridSpec):
+    """Adapt a state-to-state ``rhs_fn`` to the packed kernel interface.
+
+    The hook sees a copy of each stage, so no state it keeps is overwritten.
+    """
+
+    def f(y: np.ndarray, time: float, out: np.ndarray):
+        _pack(rhs_fn(_view(y.copy(), grid, time)), out)
+
+    return f
+
+
+def _rk4(f, y: np.ndarray, time: float, dt: float, k: np.ndarray, stage: np.ndarray, slabs: _Slabs) -> np.ndarray:
+    """One classical RK4 step of the packed state ``y`` into a fresh array.
+
+    ``f(y, time, out)`` writes dy/dt into ``out``; ``k`` and ``stage`` are
+    scratch of y's shape.  Each stage is y + c*k and the result accumulates
+    y + sum (dt*w_i) k_i in stage order.
+    """
+    out = np.empty_like(y)
+
+    def combine(w: float, c: float, first: bool):
+        def job(slab):  # out (+)= (dt*w) k, then stage = y + (dt*c) k
+            x = _x(slab)
+            np.multiply(k[x], dt * w, out=stage[x])
+            if first:
+                np.add(stage[x], y[x], out=out[x])
+            else:
+                out[x] += stage[x]
+            if c:
+                np.multiply(k[x], dt * c, out=stage[x])
+                stage[x] += y[x]
+
+        return job
+
+    f(y, time, k)
+    slabs.run(combine(1.0 / 6.0, 0.5, True))
+    half = time + dt / 2
+    for t, w, c in ((half, 1.0 / 3.0, 0.5), (half, 1.0 / 3.0, 1.0), (time + dt, 1.0 / 6.0, 0.0)):
+        f(stage, t, k)
+        slabs.run(combine(w, c, False))
+    return out
+
+
+def _project_gauss(state: PerturbationState, constants: PhysicalConstants) -> np.ndarray:
+    """The packed state with its longitudinal electric part replaced by the
+    constraint-consistent solve."""
     g = state.grid
     e_long = solve_gauss_longitudinal(closure_field(state.n, constants.gamma), constants.nu)
     e_new = _transverse_project(state.E.coeffs, g) + e_long
-    return replace(state, E=Field(g, e_new))
+    return _pack(replace(state, E=Field(g, e_new)))
 
 
 # -- public operations -------------------------------------------------------------
@@ -129,42 +379,16 @@ def _project_gauss(state: PerturbationState, constants: PhysicalConstants) -> Pe
 
 def rhs(state: PerturbationState, constants: PhysicalConstants, dealias: bool = True) -> PerturbationState:
     """Time derivative of the state (returned as a state-shaped object)."""
-    g = state.grid
-    nu, mu = constants.nu, constants.mu
-    m = g.dealias_mask if dealias else 1.0
-    n, u, E, B = state.n, state.u, state.E, state.B
+    y = _pack(state)
+    out = np.empty_like(y)
+    with _Slabs(state.grid.n) as slabs:
+        _Rhs(state.grid, constants, dealias, slabs)(y, state.time, out)
+    return _view(out, state.grid, state.time)
 
-    def phys(coeffs):  # dealiased physical samples
-        return Field(g, m * coeffs).physical()
 
-    def spec(values):  # dealiased coefficients of physical samples
-        return m * Field.from_physical(g, values).coeffs
-
-    # linear part, spectral
-    div_u = divergence(u).coeffs
-    grad_n = gradient(n).coeffs
-    curl_u = curl(u).coeffs
-    ndot = -div_u
-    udot = -nu * u.coeffs - nu * E.coeffs - grad_n
-    if not constants.b_infty_is_zero:
-        udot -= _cross(u.coeffs, constants.b_infty_vector()[:, None, None, None])
-    edot = nu * curl(B).coeffs + nu * u.coeffs
-    bdot = -nu * curl(E).coeffs
-
-    # nonlinear products on dealiased physical samples
-    n_p, u_p, b_p = phys(n.coeffs), phys(u.coeffs), phys(B.coeffs)
-    grad_n_p, div_u_p, curl_u_p = phys(grad_n), phys(div_u), phys(curl_u)
-    closure_p = density_closure(n_p, constants.gamma)
-
-    ndot -= spec((u_p * grad_n_p).sum(axis=0) + mu * n_p * div_u_p)
-    # u.grad u = grad(|u|^2/2) + (curl u) x u
-    udot -= gradient(Field(g, spec(0.5 * (u_p * u_p).sum(axis=0)))).coeffs
-    udot -= spec(_cross(curl_u_p, u_p) + mu * n_p * grad_n_p + _cross(u_p, b_p))
-    edot += nu * spec(closure_p * u_p)
-
-    return PerturbationState(
-        n=Field(g, ndot), u=Field(g, udot), E=Field(g, edot), B=Field(g, bdot), time=state.time
-    )
+def _sup(f: Field) -> float:
+    """max |samples| of a field, without caching the samples on it."""
+    return float(np.max(np.abs(_irfftn(f.coeffs, f.grid.n)))) if f.coeffs.any() else 0.0
 
 
 def cfl_dt(state: PerturbationState, grid: GridSpec, constants: PhysicalConstants, safety: float = 0.5) -> float:
@@ -173,10 +397,20 @@ def cfl_dt(state: PerturbationState, grid: GridSpec, constants: PhysicalConstant
     The 1 covers the unit sound and light speeds of the rescaled system.
     """
     kmax = math.pi * grid.n / grid.box_length
-    u_inf = float(np.max(np.abs(state.u.physical()))) if state.u.coeffs.any() else 0.0
-    n_inf = float(np.max(np.abs(state.n.physical()))) if state.n.coeffs.any() else 0.0
-    speed = 1.0 + constants.nu + u_inf + n_inf
+    speed = 1.0 + constants.nu + _sup(state.u) + _sup(state.n)
     return safety / (kmax * speed)
+
+
+def _cfl_margin(state: PerturbationState, dt: float, constants: PhysicalConstants, safety: float, stacklevel: int) -> float:
+    """advisory / dt for the state; warns CflViolation when dt exceeds the advisory step by over 1e-4."""
+    advisory = cfl_dt(state, state.grid, constants, safety)
+    if dt > 1.0001 * advisory:
+        warnings.warn(
+            f"dt={dt:.3e} exceeds advisory CFL step {advisory:.3e} at t={state.time:.6g}",
+            CflViolation,
+            stacklevel=stacklevel,
+        )
+    return advisory / dt
 
 
 def step(
@@ -187,17 +421,15 @@ def step(
     rhs_fn: Callable | None = None,
 ) -> PerturbationState:
     """One classical RK4 step; ``rhs_fn(state)`` replaces the physics if given."""
-    advisory = cfl_dt(state, state.grid, constants)
-    if dt > 1.0001 * advisory:
-        warnings.warn(
-            f"dt={dt:.3e} exceeds advisory CFL step {advisory:.3e}",
-            CflViolation,
-            stacklevel=2,
-        )
-    out = _rk4(state, dt, rhs_fn or (lambda st: rhs(st, constants, dealias)))
-    if not _is_finite(out):
+    _cfl_margin(state, dt, constants, 0.5, stacklevel=3)
+    g = state.grid
+    y = _pack(state)
+    with _Slabs(g.n) as slabs:
+        f = _Rhs(g, constants, dealias, slabs) if rhs_fn is None else _hook(rhs_fn, g)
+        out = _rk4(f, y, state.time, dt, np.empty_like(y), np.empty_like(y), slabs)
+    if not np.isfinite(out).all():
         raise SimulationDiverged(f"non-finite state after step at t={state.time}")
-    return out
+    return _view(out, g, state.time + dt)
 
 
 @dataclass
@@ -248,6 +480,11 @@ def simulate(
     wave speeds) approximate free-space evolution; the horizon is recorded in
     the log metadata.  The electrostatic residual is always logged before any
     projection so the projector cannot mask integrator drift.
+
+    dt is fixed from the initial state, so at every sample it is compared
+    with the advisory ``cfl_dt`` of the current state: a step above 1.0001x
+    the advisory one warns ``CflViolation``, and the smallest ratio
+    advisory / dt is recorded as ``cfl_margin_min``.
     """
     grid = initial.grid
     dt = cfl_dt(initial, grid, constants, config.cfl_safety) if config.dt == "auto" else float(config.dt)
@@ -267,40 +504,47 @@ def simulate(
             "gauss_projection_stride": config.gauss_projection_stride,
         }
     )
-
-    def physics(st):
-        return rhs(st, constants, config.dealias)
+    cfl_margin_min = math.inf
 
     def sample(st):
+        nonlocal cfl_margin_min
+        cfl_margin_min = min(cfl_margin_min, _cfl_margin(st, dt, constants, config.cfl_safety, stacklevel=4))
         row: dict[str, float] = {}
         for mon in monitors:
             row.update(mon(st))
         log.append(st.time, row)
         return row
 
-    state = initial
-    sample(state)
-    max_gauss = 0.0
-    for istep in range(1, n_steps + 1):
-        state = _rk4(state, dt, physics)
-        if not _is_finite(state):
-            raise SimulationDiverged(
-                f"non-finite state at step {istep}, t={state.time:.6g}; "
-                f"last logged time {log.times[-1]:.6g}"
-            )
-        if config.gauss_projection_stride and istep % config.gauss_projection_stride == 0:
-            # measure before projecting so projection cannot mask drift
-            res = verify_compatibility(state, constants).gauss_residual
-            max_gauss = max(max_gauss, res)
-            state = _project_gauss(state, constants)
-        if istep % config.output_stride == 0 or istep == n_steps:
-            row = sample(state)
-            if "gauss_residual" in row:
-                max_gauss = max(max_gauss, row["gauss_residual"])
+    y = _pack(initial)
+    with _Slabs(grid.n) as slabs:
+        kernel = _Rhs(grid, constants, config.dealias, slabs)
+        k, stage = np.empty_like(y), np.empty_like(y)
+        state = _view(y, grid, initial.time)
+        sample(state)
+        max_gauss = 0.0
+        for istep in range(1, n_steps + 1):
+            y = _rk4(kernel, y, state.time, dt, k, stage, slabs)
+            if not np.isfinite(y).all():
+                raise SimulationDiverged(
+                    f"non-finite state at step {istep}, t={state.time + dt:.6g}; "
+                    f"last logged time {log.times[-1]:.6g}"
+                )
+            state = _view(y, grid, state.time + dt)
+            if config.gauss_projection_stride and istep % config.gauss_projection_stride == 0:
+                # measure before projecting so projection cannot mask drift
+                res = verify_compatibility(state, constants).gauss_residual
+                max_gauss = max(max_gauss, res)
+                y = _project_gauss(state, constants)
+                state = _view(y, grid, state.time)
+            if istep % config.output_stride == 0 or istep == n_steps:
+                row = sample(state)
+                if "gauss_residual" in row:
+                    max_gauss = max(max_gauss, row["gauss_residual"])
 
     state_scale = max(l2_norm(f) for f in state.fields().values())
     budget = max(config.gauss_tol, 10.0 * dt**4 * (dt * n_steps) * max(state_scale, 1e-300))
     log.metadata["gauss_residual_max"] = max_gauss
     log.metadata["gauss_drift_budget"] = budget
     log.metadata["gauss_within_budget"] = bool(max_gauss <= budget)
+    log.metadata["cfl_margin_min"] = cfl_margin_min
     return SimulationResult(log=log, final_state=state)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DerivativeOrderExceedsResolution, EquivalenceViolated
 from .model import PerturbationState, PhysicalConstants, verify_compatibility
-from .spectral import GridSpec, curl, divergence, gradient, homog_norm, inner_product
+from .spectral import GridSpec, _power, curl, divergence, gradient, homog_norm, inner_product
 
 __all__ = [
     "energy",
@@ -35,13 +35,9 @@ __all__ = [
 ]
 
 
-def _powers(state: PerturbationState) -> dict[str, np.ndarray]:
-    """|f_hat|^2 per field, vector components summed."""
-    out = {}
-    for name, f in state.fields().items():
-        p = np.abs(f.coeffs) ** 2
-        out[name] = p.sum(axis=0) if f.is_vector else p
-    return out
+def _field_powers(state: PerturbationState) -> dict[str, np.ndarray]:
+    """|f_hat|^2 of each field; one sample's functionals all read these."""
+    return {name: _power(f) for name, f in state.fields().items()}
 
 
 def _weighted_sum(power: np.ndarray, grid: GridSpec, order: int) -> float:
@@ -49,14 +45,13 @@ def _weighted_sum(power: np.ndarray, grid: GridSpec, order: int) -> float:
     return float(np.sum(grid.weight(order) * power))
 
 
-def _check_resolution(state: PerturbationState, order: int):
+def _check_resolution(powers: dict[str, np.ndarray], grid: GridSpec, order: int):
     """Warn when the top-order weights concentrate at the top of the band."""
-    g = state.grid
-    top = g.k_squared > (2.0 / 3.0 * g.k_max) ** 2
-    wk = g.weight(order)
+    top = grid.k_squared > (2.0 / 3.0 * grid.k_max) ** 2
+    wk = grid.weight(order)
     total = 0.0
     high = 0.0
-    for p in _powers(state).values():
+    for p in powers.values():
         total += float(np.sum(wk * p))
         high += float(np.sum(wk[top] * p[top]))
     if total > 0 and high > 0.5 * total:
@@ -64,31 +59,46 @@ def _check_resolution(state: PerturbationState, order: int):
             f"order-{order} derivative weights are dominated by the top of the "
             "resolved band; the value is aliasing-limited",
             DerivativeOrderExceedsResolution,
-            stacklevel=3,
+            stacklevel=4,
         )
+
+
+def _energy(powers: dict[str, np.ndarray], grid: GridSpec, order: int) -> float:
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    _check_resolution(powers, grid, order)
+    return sum(_weighted_sum(p, grid, l) for p in powers.values() for l in range(order + 1))
+
+
+def _dissipation(p: dict[str, np.ndarray], grid: GridSpec, order: int) -> float:
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    total = sum(_weighted_sum(p[f], grid, l) for f in ("n", "u") for l in range(order + 1))
+    total += sum(_weighted_sum(p["E"], grid, l) for l in range(order))
+    total += sum(_weighted_sum(p["B"], grid, l) for l in range(1, order))
+    return total
+
+
+def _window_energy(p: dict[str, np.ndarray], grid: GridSpec, k: int) -> tuple[float, float]:
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    _check_resolution(p, grid, k + 2)
+    e = sum(_weighted_sum(p[f], grid, l) for f in p for l in range(k, k + 3))
+    d = sum(_weighted_sum(p[f], grid, l) for f in ("n", "u") for l in range(k, k + 3))
+    d += sum(_weighted_sum(p["E"], grid, l) for l in range(k, k + 2))
+    d += _weighted_sum(p["B"], grid, k + 1)
+    return e, d
 
 
 def energy(state: PerturbationState, order: int) -> float:
     """Sum over derivative orders 0..N of the squared norms of all four fields."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    _check_resolution(state, order)
-    g = state.grid
-    powers = _powers(state)
-    return sum(_weighted_sum(p, g, l) for p in powers.values() for l in range(order + 1))
+    return _energy(_field_powers(state), state.grid, order)
 
 
 def dissipation(state: PerturbationState, order: int) -> float:
     """Dissipation rate matching ``energy``: E enters only to order N-1 and
     B only from 1 to N-1 (the regularity-loss index ranges)."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    g = state.grid
-    p = _powers(state)
-    total = sum(_weighted_sum(p[f], g, l) for f in ("n", "u") for l in range(order + 1))
-    total += sum(_weighted_sum(p["E"], g, l) for l in range(order))
-    total += sum(_weighted_sum(p["B"], g, l) for l in range(1, order))
-    return total
+    return _dissipation(_field_powers(state), state.grid, order)
 
 
 def window_energy(state: PerturbationState, k: int) -> tuple[float, float]:
@@ -97,16 +107,7 @@ def window_energy(state: PerturbationState, k: int) -> tuple[float, float]:
     The window dissipation keeps (n, u) over the whole window, E over
     k..k+1, and only the single order k+1 of B.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    _check_resolution(state, k + 2)
-    g = state.grid
-    p = _powers(state)
-    e = sum(_weighted_sum(p[f], g, l) for f in p for l in range(k, k + 3))
-    d = sum(_weighted_sum(p[f], g, l) for f in ("n", "u") for l in range(k, k + 3))
-    d += sum(_weighted_sum(p["E"], g, l) for l in range(k, k + 2))
-    d += _weighted_sum(p["B"], g, k + 1)
-    return e, d
+    return _window_energy(_field_powers(state), state.grid, k)
 
 
 @dataclass(frozen=True)
@@ -126,11 +127,7 @@ def interactive(state: PerturbationState, k: int) -> InteractiveTerms:
     return InteractiveTerms(i_n, i_e, i_b)
 
 
-def grad_norm(state: PerturbationState, k: int, which: str) -> float:
-    """|| grad^k X ||_{L2} for X one of n, u, E, B, divu, or grouped labels.
-
-    Grouped labels sum squares: "nuE", "nuEB" (full state), "uE", "ndivu".
-    """
+def _grad_norm(p: dict[str, np.ndarray], state: PerturbationState, k: int, which: str) -> float:
     groups = {
         "n": ["n"],
         "u": ["u"],
@@ -145,11 +142,18 @@ def grad_norm(state: PerturbationState, k: int, which: str) -> float:
     if which not in groups:
         raise ValueError(f"unknown norm label {which!r}")
     g = state.grid
-    p = _powers(state)
     total = sum(_weighted_sum(p[f], g, k) for f in groups[which])
     if which in ("divu", "ndivu"):
-        total += _weighted_sum(np.abs(divergence(state.u).coeffs) ** 2, g, k)
+        total += _weighted_sum(_power(divergence(state.u)), g, k)
     return math.sqrt(total)
+
+
+def grad_norm(state: PerturbationState, k: int, which: str) -> float:
+    """|| grad^k X ||_{L2} for X one of n, u, E, B, divu, or grouped labels.
+
+    Grouped labels sum squares: "nuE", "nuEB" (full state), "uE", "ndivu".
+    """
+    return _grad_norm(_field_powers(state), state, k, which)
 
 
 def cross_energy_ue(state: PerturbationState, k: int, eps: float) -> float:
@@ -241,17 +245,19 @@ def evaluate_report(
     grad_norms: tuple[tuple[int, str], ...] = (),
 ) -> FunctionalReport:
     rep = FunctionalReport(time=state.time)
+    g = state.grid
+    powers = _field_powers(state)
     for n in energy_orders:
-        rep.energies[n] = energy(state, n)
+        rep.energies[n] = _energy(powers, g, n)
         if n >= 1:
-            rep.dissipations[n] = dissipation(state, n)
+            rep.dissipations[n] = _dissipation(powers, g, n)
     for k in window_orders:
-        rep.windows[k] = window_energy(state, k)
+        rep.windows[k] = _window_energy(powers, g, k)
         rep.interactions[k] = interactive(state, k)
         rep.cross_ue[k] = cross_energy_ue(state, k, eps)
         rep.acoustic[k] = acoustic_energy(state, k, eps, constants)
     for k, which in grad_norms:
-        rep.grad_norms[(k, which)] = grad_norm(state, k, which)
+        rep.grad_norms[(k, which)] = _grad_norm(powers, state, k, which)
     compat = verify_compatibility(state, constants)
     rep.gauss_residual = compat.gauss_residual
     rep.divb_residual = compat.divb_residual

@@ -1,20 +1,100 @@
 """Right-hand side, RK4 stepping, constraint preservation, simulation driver."""
 
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
+import scipy.fft
 
+from emlab import dynamics
 from emlab.dynamics import RunLog, SolverConfig, cfl_dt, rhs, simulate, step
 from emlab.energetics import standard_monitor
 from emlab.errors import CflViolation, SimulationDiverged
 from emlab.model import (
     PerturbationState,
     PhysicalConstants,
+    density_closure,
     make_initial_data,
     verify_compatibility,
 )
-from emlab.spectral import Field, curl, l2_norm, random_band_limited
+from emlab.spectral import Field, curl, divergence, gradient, l2_norm, random_band_limited
+
+
+def reference_rhs(state, constants, dealias=True):
+    """The plain per-field right-hand side: one transform per field, each
+    product formed from whole arrays, the 2/3 mask on product inputs and outputs."""
+    g = state.grid
+    nu, mu = constants.nu, constants.mu
+    m = g.dealias_mask if dealias else 1.0
+    n, u, E, B = state.n, state.u, state.E, state.B
+
+    def phys(coeffs):
+        return Field(g, m * coeffs).physical()
+
+    def spec(values):
+        return m * Field.from_physical(g, values).coeffs
+
+    def cross(a, b):
+        return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
+
+    div_u, grad_n, curl_u = divergence(u).coeffs, gradient(n).coeffs, curl(u).coeffs
+    ndot = -div_u
+    udot = -nu * u.coeffs - nu * E.coeffs - grad_n
+    udot -= cross(u.coeffs, constants.b_infty_vector()[:, None, None, None])
+    edot = nu * curl(B).coeffs + nu * u.coeffs
+    bdot = -nu * curl(E).coeffs
+
+    n_p, u_p, b_p = phys(n.coeffs), phys(u.coeffs), phys(B.coeffs)
+    grad_n_p, div_u_p, curl_u_p = phys(grad_n), phys(div_u), phys(curl_u)
+    ndot -= spec((u_p * grad_n_p).sum(axis=0) + mu * n_p * div_u_p)
+    udot -= gradient(Field(g, spec(0.5 * (u_p * u_p).sum(axis=0)))).coeffs
+    udot -= spec(cross(curl_u_p, u_p) + mu * n_p * grad_n_p + cross(u_p, b_p))
+    edot += nu * spec(density_closure(n_p, constants.gamma) * u_p)
+    return PerturbationState(
+        n=Field(g, ndot), u=Field(g, udot), E=Field(g, edot), B=Field(g, bdot), time=state.time
+    )
+
+
+def reference_rk4(state, dt, f):
+    """Classical RK4 on states, one field at a time."""
+
+    def stage(base, terms, time):
+        fields = {}
+        for name, fld in base.fields().items():
+            acc = fld
+            for c, k in terms:
+                acc = acc + c * k.fields()[name]
+            fields[name] = acc
+        return PerturbationState(time=time, **fields)
+
+    t = state.time
+    k1 = f(state)
+    k2 = f(stage(state, [(dt * 0.5, k1)], t + dt / 2))
+    k3 = f(stage(state, [(dt * 0.5, k2)], t + dt / 2))
+    k4 = f(stage(state, [(dt, k3)], t + dt))
+    weights = [dt * (1.0 / 6.0), dt * (1.0 / 3.0), dt * (1.0 / 3.0), dt * (1.0 / 6.0)]
+    return stage(state, list(zip(weights, [k1, k2, k3, k4])), t + dt)
+
+
+def random_state(grid, seed, amplitude=0.05):
+    """Mean-zero random fields over the whole band, so the 2/3 mask matters."""
+    rng = np.random.default_rng(seed)
+
+    def field(vector):
+        f = random_band_limited(grid, rng, band_fraction=0.5, vector=vector)
+        return (amplitude / max(float(np.max(np.abs(f.physical()))), 1e-300)) * f
+
+    return PerturbationState(n=field(False), u=field(True), E=field(True), B=field(True))
+
+
+def max_rel_diff(a, b):
+    """Largest coefficient difference of each field, relative to that field's largest coefficient."""
+    return max(
+        float(np.max(np.abs(fa.coeffs - fb.coeffs))) / max(float(np.max(np.abs(fb.coeffs))), 1e-300)
+        for fa, fb in zip(a.fields().values(), b.fields().values())
+    )
 
 
 def mode_matrix_action(state, constants):
@@ -91,6 +171,135 @@ class TestRhs:
         assert np.max(np.abs(got[2])) <= 1e-14 * a
 
 
+class TestFusedRhs:
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("b_infty", [(0, 0, 0), (0, 0, 1)])
+    def test_matches_per_field_reference(self, grid16, b_infty, dealias):
+        constants = PhysicalConstants(b_infty=b_infty)
+        for seed in (1, 2):
+            st = random_state(grid16, seed)
+            assert max_rel_diff(rhs(st, constants, dealias), reference_rhs(st, constants, dealias)) <= 1e-13
+
+    @pytest.mark.parametrize("b_infty", [(0, 0, 0), (0, 0, 1)])
+    def test_simulate_matches_reference_rk4(self, grid16, b_infty):
+        constants = PhysicalConstants(b_infty=b_infty)
+        st = random_state(grid16, 3)
+        dt = 0.5 * cfl_dt(st, grid16, constants)
+        cfg = SolverConfig(dt=dt, end_time=3 * dt, gauss_projection_stride=None, output_stride=1)
+        got = simulate(st, cfg, constants).final_state
+        want = st
+        for _ in range(3):
+            want = reference_rk4(want, dt, lambda s: reference_rhs(s, constants))
+        assert got.time == want.time
+        assert max_rel_diff(got, want) <= 1e-13
+
+    def test_transform_count(self, grid16, constants_bz, monkeypatch):
+        # 14 product inputs in 4 stacked inverse calls, 8 products in 1 forward call
+        st = random_state(grid16, 4)
+        calls = {"rfftn": 0, "irfftn": 0}
+        for name in calls:
+            original = getattr(scipy.fft, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.fft, name, counting)
+        rhs(st, constants_bz)
+        assert calls == {"rfftn": 1, "irfftn": 4}
+
+
+class TestSlabs:
+    def test_worker_count_does_not_change_the_numbers(self, grid16, constants_bz):
+        # the slabs are disjoint: any number of worker threads, more than the
+        # CPUs and with frequent thread switches, gives the same bits
+        y = dynamics._pack(random_state(grid16, 6))
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3, 5):
+                with dynamics._Slabs(grid16.n, workers) as slabs:
+                    kernel = dynamics._Rhs(grid16, constants_bz, True, slabs)
+                    k, stage = np.empty_like(y), np.empty_like(y)
+                    results.append(dynamics._rk4(kernel, y, 0.0, 0.01, k, stage, slabs))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 4
+        for got in results[1:]:
+            assert np.array_equal(got, results[0])
+
+    def test_a_failing_slab_raises_after_all_slabs_finish(self):
+        finished = []
+
+        def job(slab):
+            if slab.start == 0:
+                raise ValueError("first slab")
+            time.sleep(0.05)
+            finished.append(slab)
+
+        with dynamics._Slabs(16, 2) as slabs:
+            with pytest.raises(ValueError, match="first slab"):
+                slabs.run(job)
+            assert finished == [slice(8, 16)]
+
+
+class TestWhoWritesWhere:
+    def test_handed_out_states_are_never_overwritten(self, grid16, constants_bz):
+        kept = []
+
+        def keeper(state):
+            copies = {name: f.coeffs.copy() for name, f in state.fields().items()}
+            kept.append((state, copies, state.n.physical().copy()))
+            return {}
+
+        st = make_initial_data("flat_low", 1e-2, 3, grid16, constants_bz)
+        cfg = SolverConfig(end_time=0.3, output_stride=1, gauss_projection_stride=2)
+        res = simulate(st, cfg, constants_bz, monitors=[keeper])
+        assert len(kept) == res.log.metadata["steps"] + 1
+        for state, copies, n_phys in kept:
+            for name, f in state.fields().items():
+                assert np.array_equal(f.coeffs, copies[name]), name
+            assert np.array_equal(state.n.physical(), n_phys)
+
+        final = res.final_state
+        assert final is kept[-1][0]
+        before = {name: f.coeffs.copy() for name, f in final.fields().items()}
+        step(final, res.log.metadata["dt"], constants_bz)
+        for name, f in final.fields().items():
+            assert np.array_equal(f.coeffs, before[name]), name
+
+    def test_states_view_one_packed_array(self, grid16, constants_bz):
+        st = make_initial_data("flat_low", 1e-2, 3, grid16, constants_bz)
+        for out in (step(st, 0.01, constants_bz), simulate(st, SolverConfig(end_time=0.05), constants_bz).final_state):
+            base = out.n.coeffs.base
+            assert base.shape == (10, 16, 16, 9)
+            assert all(f.coeffs.base is base for f in out.fields().values())
+
+    def test_rhs_fn_states_are_never_overwritten(self, grid16, constants_b0, rng):
+        nu = constants_b0.nu
+        kept = []
+
+        def maxwell_only(state):
+            kept.append((state, state.E.coeffs.copy()))
+            return PerturbationState(
+                n=Field.zeros(state.grid),
+                u=Field.zeros(state.grid, vector=True),
+                E=nu * curl(state.B),
+                B=(-nu) * curl(state.E),
+                time=state.time,
+            )
+
+        zero = Field.zeros(grid16, vector=True)
+        st = PerturbationState(
+            n=Field.zeros(grid16), u=zero, E=random_band_limited(grid16, rng, vector=True), B=zero
+        )
+        step(st, 0.01, constants_b0, rhs_fn=maxwell_only)
+        assert [s.time for s, _ in kept] == [0.0, 0.005, 0.005, 0.01]
+        for state, e in kept:
+            assert np.array_equal(state.E.coeffs, e)
+
+
 class TestCfl:
     def test_zero_state_formula(self, constants_bz):
         from emlab.spectral import GridSpec
@@ -123,6 +332,32 @@ class TestCfl:
         dt = cfl_dt(st, grid16, constants_bz)
         with pytest.warns(CflViolation):
             step(st, 3.0 * dt, constants_bz)
+
+    def test_leaves_no_samples_cached(self, grid16, constants_bz):
+        st = random_state(grid16, 5)
+        assert "_phys" not in vars(st.u) and "_phys" not in vars(st.n)
+        cfl_dt(st, grid16, constants_bz)
+        assert "_phys" not in vars(st.u) and "_phys" not in vars(st.n)
+
+    def test_simulate_rechecks_every_sample(self, grid16, constants_bz, rng):
+        # a transverse E drives u from rest, so |u|_inf grows and a dt fixed
+        # at the initial advisory step falls behind the later ones
+        zero = Field.zeros(grid16, vector=True)
+        a = curl(random_band_limited(grid16, rng, vector=True))
+        e = (0.5 / float(np.max(np.abs(a.physical())))) * a
+        st = PerturbationState(n=Field.zeros(grid16), u=zero, E=e, B=zero)
+        dt = cfl_dt(st, grid16, constants_bz)
+        margins = []
+
+        def margin(state):
+            margins.append(cfl_dt(state, grid16, constants_bz) / dt)
+            return {}
+
+        cfg = SolverConfig(dt=dt, end_time=20 * dt, output_stride=4)
+        with pytest.warns(CflViolation):
+            res = simulate(st, cfg, constants_bz, monitors=[margin])
+        assert len(margins) == 6 and margins[0] == 1.0
+        assert res.log.metadata["cfl_margin_min"] == min(margins) < 0.99
 
 
 class TestStep:

@@ -250,6 +250,30 @@ class TestReportsAndMonitors:
                     "acoustic_0", "grad0_B", "gauss_residual", "divB_residual"):
             assert key in row
 
+    def test_report_takes_powers_once_per_sample(self, grid16, constants_bz, monkeypatch):
+        import emlab.energetics as en
+
+        st = make_initial_data("flat_low", 1e-2, 4, grid16, constants_bz)
+        calls = []
+        original = en._power
+        monkeypatch.setattr(en, "_power", lambda f: calls.append(f) or original(f))
+        rep = evaluate_report(
+            st,
+            constants_bz,
+            energy_orders=(1, 2, 3),
+            window_orders=(0, 1, 2),
+            grad_norms=((1, "u"), (2, "E")),
+        )
+        assert len(calls) == 4  # |f_hat|^2 of n, u, E and B, shared by every functional
+        monkeypatch.undo()
+        for n in (1, 2, 3):
+            assert rep.energies[n] == energy(st, n)
+            assert rep.dissipations[n] == dissipation(st, n)
+        for k in (0, 1, 2):
+            assert rep.windows[k] == window_energy(st, k)
+        assert rep.grad_norms[(1, "u")] == grad_norm(st, 1, "u")
+        assert rep.grad_norms[(2, "E")] == grad_norm(st, 2, "E")
+
     def test_window_energy_decay_balance_on_linear_run(self, grid16, constants_b0):
         # d/dt(window E) + lambda (window D) <= 0 for some lambda in (0, 1]
         st = make_initial_data("flat_low", 1e-8, 5, grid16, constants_b0)
