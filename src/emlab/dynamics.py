@@ -7,8 +7,9 @@ The evolved system, in perturbation variables:
     dE/dt = nu curl B + nu u + nu closure(n) u
     dB/dt = -nu curl E
 
-Linear terms are Fourier multipliers; products are formed pointwise in
-physical space with two-thirds dealiasing applied to both inputs and outputs.
+Linear terms are Fourier multipliers read off model.linear_generator, the
+generator the mode analyzer in ``linear`` uses; products are formed pointwise
+in physical space with two-thirds dealiasing applied to both inputs and outputs.
 The advection term uses the rotation form u.grad u = grad(|u|^2/2) + (curl u) x u
 to save transforms.
 
@@ -53,6 +54,7 @@ from .model import (
     _transverse_project,
     closure_field,
     density_closure,
+    linear_generator,
     solve_gauss_longitudinal,
     verify_compatibility,
 )
@@ -90,7 +92,6 @@ class SolverConfig:
     output_stride: int = 10
     gauss_tol: float = 1e-6
     cfl_safety: float = 0.5
-    max_steps: int | None = None
 
     def __post_init__(self):
         if isinstance(self.dt, str):
@@ -122,15 +123,6 @@ def _view(y: np.ndarray, grid: GridSpec, time: float) -> PerturbationState:
     return PerturbationState(
         n=Field(grid, y[0]), u=Field(grid, y[1:4]), E=Field(grid, y[4:7]), B=Field(grid, y[7:10]), time=time
     )
-
-
-def _curl(v: np.ndarray, ik, out: np.ndarray, scratch: np.ndarray):
-    """out = curl v for vector coefficients v, with i*k multipliers ik."""
-    for a in range(3):
-        i, j = (a + 1) % 3, (a + 2) % 3
-        np.multiply(ik[i], v[j], out=out[a])
-        np.multiply(ik[j], v[i], out=scratch)
-        out[a] -= scratch
 
 
 class _Slabs:
@@ -180,12 +172,16 @@ def _x(slab: slice) -> tuple:
 class _Rhs:
     """The fused right-hand side on packed arrays.
 
-    Holds the i*k multipliers, the dealias mask and the work buffers of one
-    grid and one set of constants; ``rhs(y, time, out)`` writes the time
-    derivative of the packed state ``y`` into ``out`` (the system is
-    autonomous, so ``time`` is unused).  It writes nothing else outside its
-    own buffers.  The elementwise stages run on the x-slabs of ``slabs``;
-    the transforms between them run on whole stacks.
+    Holds the linear terms, the i*k multipliers, the dealias mask and the
+    work buffers of one grid and one set of constants; ``rhs(y, time, out)``
+    writes the time derivative of the packed state ``y`` into ``out`` (the
+    system is autonomous, so ``time`` is unused).  It writes nothing else
+    outside its own buffers.  The elementwise stages run on the x-slabs of
+    ``slabs``; the transforms between them run on whole stacks.
+
+    The linear part is read off ``model.linear_generator``: row r of
+    A(k) = A0 + i sum_a k_a A1[a] is a list of nonzero terms (a, column,
+    coefficient), taken times i*k_a, or times 1 for a = 3 (the A0 entries).
     """
 
     # slots of the spectral and physical work stacks: the product inputs
@@ -196,12 +192,14 @@ class _Rhs:
         self.n = n
         self.slabs = slabs
         self.nu, self.mu, self.gamma = constants.nu, constants.mu, constants.gamma
-        self.b_infty = None if constants.b_infty_is_zero else constants.b_infty_vector()
         self.ik = [1j * grid.k_axis(a) for a in range(3)]
+        a0, a1 = linear_generator(constants)
+        table = np.concatenate([a1, a0[None]])
+        self.terms = [[(a, c, table[a, r, c]) for a, c in zip(*np.nonzero(table[:, r]))] for r in range(_SLOTS)]
         self.mask = grid.dealias_mask if dealias else None
         self.spec = np.empty((14, n, n, h), dtype=np.complex128)
         self.phys = np.empty((14, n, n, n))
-        self.tmp = np.empty((4, n, n, h), dtype=np.complex128)  # a vector and a scalar
+        self.tmp = np.empty((n, n, h), dtype=np.complex128)
         self.work = np.empty((2, n, n, n))
 
     def __call__(self, y: np.ndarray, time: float, out: np.ndarray):
@@ -220,50 +218,34 @@ class _Rhs:
 
     def _linear(self, y: np.ndarray, out: np.ndarray, slab: slice):
         """The linear part into ``out`` and the masked product inputs into ``spec``."""
-        nu = self.nu
         ik, m = self._multipliers(slab)
         x = _x(slab)
-        y, out, spec, tmp = y[x], out[x], self.spec[x], self.tmp[x]
-        n, u, e, b = y[0], y[1:4], y[4:7], y[7:10]
-        dn, du, de, db = out[0], out[1:4], out[4:7], out[7:10]
-        grad_n, div_u = spec[7:10], spec[10]
-        tmp, s = tmp[:3], tmp[3]
-
-        # linear part, unmasked, with grad n and div u left in the input stack
-        for a in range(3):
-            np.multiply(ik[a], n, out=grad_n[a])
-        np.multiply(ik[0], u[0], out=div_u)
-        for a in (1, 2):
-            np.multiply(ik[a], u[a], out=s)
-            div_u += s
-        np.negative(div_u, out=dn)
-        np.multiply(u, -nu, out=du)
-        np.multiply(e, nu, out=tmp)
-        du -= tmp
-        du -= grad_n
-        if self.b_infty is not None:  # u x B_inf
-            bv = self.b_infty
-            for a in range(3):
-                i, j = (a + 1) % 3, (a + 2) % 3
-                np.multiply(u[i], bv[j], out=tmp[a])
-                np.multiply(u[j], bv[i], out=s)
-                tmp[a] -= s
-            du -= tmp
-        _curl(b, ik, de, s)
-        de *= nu
-        np.multiply(u, nu, out=tmp)
-        de += tmp
-        _curl(e, ik, db, s)
-        db *= -nu
+        y, out, spec, tmp = y[x], out[x], self.spec[x], self.tmp[slab]
+        mults = (*ik, 1.0)
+        for r, terms in enumerate(self.terms):
+            for i, (a, c, coeff) in enumerate(terms):
+                np.multiply(y[c], coeff * mults[a], out=tmp if i else out[r])
+                if i:
+                    out[r] += tmp
 
         # masked product inputs: n, u, B, grad n, div u, curl u
-        _curl(u, ik, spec[11:14], s)
+        u, grad_n, div_u, curl_u = y[1:4], spec[7:10], spec[10], spec[11:14]
+        np.multiply(ik[0], u[0], out=div_u)
+        for a in (1, 2):
+            np.multiply(ik[a], u[a], out=tmp)
+            div_u += tmp
+        for a in range(3):
+            i, j = (a + 1) % 3, (a + 2) % 3
+            np.multiply(ik[a], y[0], out=grad_n[a])
+            np.multiply(ik[i], u[j], out=curl_u[a])
+            np.multiply(ik[j], u[i], out=tmp)
+            curl_u[a] -= tmp
         if m is None:
             spec[0:4] = y[0:4]
-            spec[4:7] = b
+            spec[4:7] = y[7:10]
         else:
             np.multiply(y[0:4], m, out=spec[0:4])
-            np.multiply(b, m, out=spec[4:7])
+            np.multiply(y[7:10], m, out=spec[4:7])
             spec[7:14] *= m
 
     def _products(self, closure: np.ndarray, slab: slice):
@@ -308,14 +290,14 @@ class _Rhs:
         """The masked transformed products into ``out``."""
         ik, m = self._multipliers(slab)
         x = _x(slab)
-        prods, out, tmp = prods[x], out[x], self.tmp[x][:3]
+        prods, out, tmp = prods[x], out[x], self.tmp[slab]
         dn, du, de = out[0], out[1:4], out[4:7]
         if m is not None:
             prods *= m
         dn -= prods[4]
         for a in range(3):
-            np.multiply(ik[a], prods[0], out=tmp[a])
-        du -= tmp
+            np.multiply(ik[a], prods[0], out=tmp)
+            du[a] -= tmp
         du -= prods[1:4]
         prods[5:8] *= self.nu
         de += prods[5:8]
@@ -489,8 +471,6 @@ def simulate(
     grid = initial.grid
     dt = cfl_dt(initial, grid, constants, config.cfl_safety) if config.dt == "auto" else float(config.dt)
     n_steps = max(0, math.ceil(config.end_time / dt - 1e-12))
-    if config.max_steps is not None:
-        n_steps = min(n_steps, config.max_steps)
 
     log = RunLog()
     log.metadata.update(

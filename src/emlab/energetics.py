@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DerivativeOrderExceedsResolution, EquivalenceViolated
 from .model import PerturbationState, PhysicalConstants, verify_compatibility
-from .spectral import GridSpec, _power, curl, divergence, gradient, homog_norm, inner_product
+from .spectral import GridSpec, _cross_power, _power, curl, divergence
 
 __all__ = [
     "energy",
@@ -35,25 +35,39 @@ __all__ = [
 ]
 
 
-def _field_powers(state: PerturbationState) -> dict[str, np.ndarray]:
+# per-mode spectra of one sample, by name
+_Spectra = dict[str, np.ndarray]
+
+
+def _field_powers(state: PerturbationState) -> _Spectra:
     """|f_hat|^2 of each field; one sample's functionals all read these."""
     return {name: _power(f) for name, f in state.fields().items()}
 
 
+def _cross_spectra(state: PerturbationState) -> _Spectra:
+    """The cross spectra of the interactive and equivalent energies, and
+    |div u_hat|^2; one sample's cross terms all read these."""
+    div_u = divergence(state.u)
+    return {
+        "uE": _cross_power(state.u, state.E),
+        "E_curlB": _cross_power(state.E, curl(state.B)),
+        "divu_n": _cross_power(div_u, state.n),
+        "divu": _cross_power(div_u, div_u),
+    }
+
+
 def _weighted_sum(power: np.ndarray, grid: GridSpec, order: int) -> float:
-    """||grad^order f||^2 from the power |f_hat|^2."""
+    """||grad^order f||^2 from the power |f_hat|^2, or <grad^order f,
+    grad^order g> from the cross spectrum Re(f_hat . conj g_hat)."""
     return float(np.sum(grid.weight(order) * power))
 
 
-def _check_resolution(powers: dict[str, np.ndarray], grid: GridSpec, order: int):
+def _check_resolution(powers: _Spectra, grid: GridSpec, order: int):
     """Warn when the top-order weights concentrate at the top of the band."""
     top = grid.k_squared > (2.0 / 3.0 * grid.k_max) ** 2
     wk = grid.weight(order)
-    total = 0.0
-    high = 0.0
-    for p in powers.values():
-        total += float(np.sum(wk * p))
-        high += float(np.sum(wk[top] * p[top]))
+    total = sum(_weighted_sum(p, grid, order) for p in powers.values())
+    high = sum(float(np.sum(wk[top] * p[top])) for p in powers.values())
     if total > 0 and high > 0.5 * total:
         warnings.warn(
             f"order-{order} derivative weights are dominated by the top of the "
@@ -63,14 +77,14 @@ def _check_resolution(powers: dict[str, np.ndarray], grid: GridSpec, order: int)
         )
 
 
-def _energy(powers: dict[str, np.ndarray], grid: GridSpec, order: int) -> float:
+def _energy(powers: _Spectra, grid: GridSpec, order: int) -> float:
     if order < 0:
         raise ValueError("order must be nonnegative")
     _check_resolution(powers, grid, order)
     return sum(_weighted_sum(p, grid, l) for p in powers.values() for l in range(order + 1))
 
 
-def _dissipation(p: dict[str, np.ndarray], grid: GridSpec, order: int) -> float:
+def _dissipation(p: _Spectra, grid: GridSpec, order: int) -> float:
     if order < 1:
         raise ValueError("order must be >= 1")
     total = sum(_weighted_sum(p[f], grid, l) for f in ("n", "u") for l in range(order + 1))
@@ -79,7 +93,7 @@ def _dissipation(p: dict[str, np.ndarray], grid: GridSpec, order: int) -> float:
     return total
 
 
-def _window_energy(p: dict[str, np.ndarray], grid: GridSpec, k: int) -> tuple[float, float]:
+def _window_energy(p: _Spectra, grid: GridSpec, k: int) -> tuple[float, float]:
     if k < 0:
         raise ValueError("k must be nonnegative")
     _check_resolution(p, grid, k + 2)
@@ -119,32 +133,28 @@ class InteractiveTerms:
     b_coupling: float  # -<grad^k E, curl grad^k B>
 
 
-def interactive(state: PerturbationState, k: int) -> InteractiveTerms:
-    grad_n = gradient(state.n)
-    i_n = sum(inner_product(state.u, grad_n, l) for l in (k, k + 1))
-    i_e = sum(inner_product(state.u, state.E, l) for l in (k, k + 1))
-    i_b = -inner_product(state.E, curl(state.B), k)
+def _interactive(cross: _Spectra, grid: GridSpec, k: int) -> InteractiveTerms:
+    # <u, grad n> = -<div u, n> mode by mode
+    i_n = -sum(_weighted_sum(cross["divu_n"], grid, l) for l in (k, k + 1))
+    i_e = sum(_weighted_sum(cross["uE"], grid, l) for l in (k, k + 1))
+    i_b = -_weighted_sum(cross["E_curlB"], grid, k)
     return InteractiveTerms(i_n, i_e, i_b)
 
 
-def _grad_norm(p: dict[str, np.ndarray], state: PerturbationState, k: int, which: str) -> float:
-    groups = {
-        "n": ["n"],
-        "u": ["u"],
-        "E": ["E"],
-        "B": ["B"],
-        "divu": [],
-        "uE": ["u", "E"],
-        "nuE": ["n", "u", "E"],
-        "nuEB": ["n", "u", "E", "B"],
-        "ndivu": ["n"],
-    }
-    if which not in groups:
+def interactive(state: PerturbationState, k: int) -> InteractiveTerms:
+    return _interactive(_cross_spectra(state), state.grid, k)
+
+
+# a label names its fields one letter each, plus div u
+_NORM_LABELS = ("n", "u", "E", "B", "divu", "uE", "nuE", "nuEB", "ndivu")
+
+
+def _grad_norm(p: _Spectra, cross: _Spectra, grid: GridSpec, k: int, which: str) -> float:
+    if which not in _NORM_LABELS:
         raise ValueError(f"unknown norm label {which!r}")
-    g = state.grid
-    total = sum(_weighted_sum(p[f], g, k) for f in groups[which])
-    if which in ("divu", "ndivu"):
-        total += _weighted_sum(_power(divergence(state.u)), g, k)
+    total = sum(_weighted_sum(p[f], grid, k) for f in which.removesuffix("divu"))
+    if which.endswith("divu"):
+        total += _weighted_sum(cross["divu"], grid, k)
     return math.sqrt(total)
 
 
@@ -153,7 +163,22 @@ def grad_norm(state: PerturbationState, k: int, which: str) -> float:
 
     Grouped labels sum squares: "nuE", "nuEB" (full state), "uE", "ndivu".
     """
-    return _grad_norm(_field_powers(state), state, k, which)
+    return _grad_norm(_field_powers(state), _cross_spectra(state), state.grid, k, which)
+
+
+def _certified(value: float, base: float, slack: float, what: str) -> float:
+    """value, checked to lie in the equivalence band (1 -+ slack) * base."""
+    tol = 1e-12 * max(1.0, base)
+    if not ((1.0 - slack) * base - tol <= value <= (1.0 + slack) * base + tol):
+        raise EquivalenceViolated(f"{what} left its certified equivalence band")
+    return value
+
+
+def _cross_energy_ue(p: _Spectra, cross: _Spectra, grid: GridSpec, k: int, eps: float) -> float:
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0, 1)")
+    base = _weighted_sum(p["u"], grid, k) + _weighted_sum(p["E"], grid, k)
+    return _certified(base + eps * _weighted_sum(cross["uE"], grid, k), base, eps / 2.0, "cross energy")
 
 
 def cross_energy_ue(state: PerturbationState, k: int, eps: float) -> float:
@@ -162,17 +187,16 @@ def cross_energy_ue(state: PerturbationState, k: int, eps: float) -> float:
     Cauchy-Schwarz forces the value between (1 -+ eps/2) times the plain norm
     square; a violation can only come from an implementation bug.
     """
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    uu = homog_norm(state.u, k) ** 2
-    ee = homog_norm(state.E, k) ** 2
-    ue = inner_product(state.u, state.E, k)
-    value = uu + ee + eps * ue
-    base = uu + ee
-    lo, hi = (1.0 - eps / 2.0) * base, (1.0 + eps / 2.0) * base
-    if not (lo - 1e-12 * max(1.0, base) <= value <= hi + 1e-12 * max(1.0, base)):
-        raise EquivalenceViolated("cross energy left its certified equivalence band")
-    return value
+    return _cross_energy_ue(_field_powers(state), _cross_spectra(state), state.grid, k, eps)
+
+
+def _acoustic_energy(p: _Spectra, cross: _Spectra, grid: GridSpec, k: int, eps: float, nu: float) -> float:
+    if not 0 < eps < 2.0 * nu * min(nu, 1.0):
+        raise ValueError("eps must lie in (0, 2*nu*min(nu,1))")
+    base = nu**2 * _weighted_sum(p["n"], grid, k) + _weighted_sum(cross["divu"], grid, k)
+    value = base - eps * _weighted_sum(cross["divu_n"], grid, k)
+    # |<psi, n>| <= (nu^2||n||^2 + ||psi||^2) / (2 nu) with psi = div u
+    return _certified(value, base, eps / (2.0 * nu), "acoustic energy")
 
 
 def acoustic_energy(state: PerturbationState, k: int, eps: float, constants: PhysicalConstants) -> float:
@@ -181,20 +205,7 @@ def acoustic_energy(state: PerturbationState, k: int, eps: float, constants: Phy
     Equivalent to the plain sum for eps below 2*nu*min(nu, 1); certified per
     evaluation.
     """
-    nu = constants.nu
-    if not 0 < eps < 2.0 * nu * min(nu, 1.0):
-        raise ValueError("eps must lie in (0, 2*nu*min(nu,1))")
-    psi = divergence(state.u)
-    nn = homog_norm(state.n, k) ** 2
-    pp = homog_norm(psi, k) ** 2
-    pn = inner_product(psi, state.n, k)
-    value = nu**2 * nn + pp - eps * pn
-    base = nu**2 * nn + pp
-    slack = eps / (2.0 * nu)  # |<psi, n>| <= (nu^2||n||^2 + ||psi||^2) / (2 nu)
-    lo, hi = (1.0 - slack) * base, (1.0 + slack) * base
-    if not (lo - 1e-12 * max(1.0, base) <= value <= hi + 1e-12 * max(1.0, base)):
-        raise EquivalenceViolated("acoustic energy left its certified equivalence band")
-    return value
+    return _acoustic_energy(_field_powers(state), _cross_spectra(state), state.grid, k, eps, constants.nu)
 
 
 @dataclass
@@ -247,17 +258,18 @@ def evaluate_report(
     rep = FunctionalReport(time=state.time)
     g = state.grid
     powers = _field_powers(state)
+    cross = _cross_spectra(state)
     for n in energy_orders:
         rep.energies[n] = _energy(powers, g, n)
         if n >= 1:
             rep.dissipations[n] = _dissipation(powers, g, n)
     for k in window_orders:
         rep.windows[k] = _window_energy(powers, g, k)
-        rep.interactions[k] = interactive(state, k)
-        rep.cross_ue[k] = cross_energy_ue(state, k, eps)
-        rep.acoustic[k] = acoustic_energy(state, k, eps, constants)
+        rep.interactions[k] = _interactive(cross, g, k)
+        rep.cross_ue[k] = _cross_energy_ue(powers, cross, g, k, eps)
+        rep.acoustic[k] = _acoustic_energy(powers, cross, g, k, eps, constants.nu)
     for k, which in grad_norms:
-        rep.grad_norms[(k, which)] = _grad_norm(powers, state, k, which)
+        rep.grad_norms[(k, which)] = _grad_norm(powers, cross, g, k, which)
     compat = verify_compatibility(state, constants)
     rep.gauss_residual = compat.gauss_residual
     rep.divb_residual = compat.divb_residual

@@ -1,11 +1,12 @@
 """Exact analysis of the linearized system: per-mode evolution and decay fits.
 
 For each wavenumber xi the linearized equations close into a 10x10 constant
-system on S = (n, u, E, B).  Weighted norms over continuous xi (no box
-truncation) are computed by radial Gauss-Legendre quadrature times a
-spherical rule; with zero background magnetic field the flow is rotation
-equivariant, so a single direction per radius suffices and the angular
-integral is analytic.
+system on S = (n, u, E, B), A(xi) = A0 + i sum_a xi_a A1[a] with the tables
+of model.linear_generator (the solver's linear part reads the same tables).
+Weighted norms over continuous xi (no box truncation) are computed by radial
+Gauss-Legendre quadrature times a spherical rule; with zero background
+magnetic field the flow is rotation equivariant, so a single direction per
+radius suffices and the angular integral is analytic.
 
 The quadrature runs in blocks of _MODE_BLOCK (radius, direction) modes.  A
 block assembles its generators and initial vectors as stacks (the direction
@@ -15,8 +16,8 @@ monitored quantity is a sum of squared moduli of linear functionals of the
 mode state (QUANTITIES): state components by index, plus the xi-dependent
 row i xi . u of n_divu.  One einsum reduces every functional at every time
 over the block's modes.  Blocks are generated from mode indices, so peak
-memory does not grow with the quadrature.  mode_matrix, initial_mode_vector
-and the direction frame are the one-mode case of the same builders.
+memory does not grow with the quadrature.  mode_matrix and
+initial_mode_vector are the one-mode case of the same builders.
 
 No fallback is silent.  A mode whose eigenvector condition number exceeds
 COND_LIMIT is propagated by a dense expm instead; a block whose stacked
@@ -49,7 +50,7 @@ import scipy.linalg
 from . import analysis
 from .analysis import DecayFit, NormSeries, theoretical_exponent
 from .errors import IllConditioned, QuadratureNotConverged, RequiresBInftyZero
-from .model import PhysicalConstants
+from .model import PhysicalConstants, _direction_frame, linear_generator
 
 __all__ = [
     "ModeSystem",
@@ -72,16 +73,6 @@ COND_LIMIT = 1e8
 _MODE_BLOCK = 16
 
 
-def _cross_matrix(a) -> np.ndarray:
-    """Matrix of v -> a x v for a vector or a stack of vectors (..., 3)."""
-    a = np.asarray(a, dtype=float)
-    m = np.zeros(a.shape[:-1] + (3, 3), dtype=complex)
-    m[..., 0, 1], m[..., 0, 2] = -a[..., 2], a[..., 1]
-    m[..., 1, 0], m[..., 1, 2] = a[..., 2], -a[..., 0]
-    m[..., 2, 0], m[..., 2, 1] = -a[..., 1], a[..., 0]
-    return m
-
-
 @dataclass(frozen=True)
 class ModeSystem:
     """The 10x10 constant-coefficient system at one wavenumber."""
@@ -102,28 +93,12 @@ def _mode_matrices(xi, constants: PhysicalConstants) -> np.ndarray:
     """The linearized generators at a wavenumber or a stack of them (..., 3),
     shape (..., 10, 10); see mode_matrix."""
     xi = np.asarray(xi, dtype=float)
-    nu = constants.nu
-    eye = np.eye(3)
-    A = np.zeros(xi.shape[:-1] + (10, 10), dtype=complex)
-    A[..., 0, 1:4] = -1j * xi
-    A[..., 1:4, 0] = -1j * xi
-    A[..., 1:4, 1:4] = -nu * eye + _cross_matrix(constants.b_infty_vector())
-    A[..., 1:4, 4:7] = -nu * eye
-    A[..., 4:7, 1:4] = nu * eye
-    A[..., 4:7, 7:10] = 1j * nu * _cross_matrix(xi)
-    A[..., 7:10, 4:7] = -1j * nu * _cross_matrix(xi)
-    return A
+    a0, a1 = linear_generator(constants)
+    return a0 + 1j * (xi @ a1.reshape(3, 100)).reshape(xi.shape[:-1] + (10, 10))
 
 
 def mode_matrix(xi, constants: PhysicalConstants) -> ModeSystem:
-    """Assemble the linearized generator at wavenumber xi.
-
-    Rows follow S = (n, u, E, B): the density couples to div u, the velocity
-    relaxes and feels the pressure gradient, the background rotation and the
-    electric field, and the fields close the Maxwell block through curls.
-    Only the three velocity diagonal entries are nonzero on the diagonal, so
-    trace(A) = -3*nu identically.
-    """
+    """The linearized generator at wavenumber xi, from model.linear_generator."""
     xi = np.asarray(xi, dtype=float)
     return ModeSystem(xi=xi, matrix=_mode_matrices(xi, constants), constants=constants)
 
@@ -248,17 +223,6 @@ class SpectralProfile:
             label=f"shell(r={radius})",
             **kwargs,
         )
-
-
-def _direction_frame(omega) -> tuple[np.ndarray, np.ndarray]:
-    """Unit vectors (e1, e2) completing a direction, or each of a stack of
-    directions (..., 3), to an orthonormal frame."""
-    omega = np.asarray(omega, dtype=float)
-    trial = np.where(np.abs(omega[..., 2:]) < 0.9, [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-    e1 = np.cross(omega, trial)
-    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
-    e2 = np.cross(omega, e1)
-    return e1, e2
 
 
 def _initial_vectors(

@@ -10,6 +10,7 @@ density deviation, and the electrostatic constraint reads
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -33,6 +34,7 @@ __all__ = [
     "density_closure",
     "density_closure_inverse",
     "closure_field",
+    "linear_generator",
     "to_perturbation",
     "from_perturbation",
     "make_initial_data",
@@ -159,6 +161,46 @@ def density_closure_inverse(y, gamma: float):
 def closure_field(n: Field, gamma: float) -> Field:
     """The closure applied pointwise in physical space."""
     return Field.from_physical(n.grid, density_closure(n.physical(), gamma))
+
+
+# -- the linearization -------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=4)
+def linear_generator(constants: PhysicalConstants) -> tuple[np.ndarray, np.ndarray]:
+    """The linearized generator A(xi) = A0 + i sum_a xi_a A1[a] on S = (n, u, E, B).
+
+    Returns the read-only real tables A0 (10, 10) and A1 (3, 10, 10).  The
+    density couples to div u; the velocity relaxes and feels the pressure
+    gradient, the background rotation -u x B_inf and the electric field; the
+    fields close the Maxwell block through curls.  Only the three velocity
+    diagonal entries are nonzero on the diagonal, so trace(A) = -3*nu.
+    """
+    nu = constants.nu
+    eye = np.eye(3)
+    a0 = np.zeros((10, 10))
+    a0[1:4, 1:4] = -nu * eye + np.cross(constants.b_infty, eye).T  # v -> B_inf x v
+    a0[1:4, 4:7] = -nu * eye
+    a0[4:7, 1:4] = nu * eye
+    a1 = np.zeros((3, 10, 10))
+    for a in range(3):
+        a1[a, 0, 1 + a] = a1[a, 1 + a, 0] = -1.0
+        a1[a, 4:7, 7:10] = nu * np.cross(eye[a], eye).T  # v -> e_a x v, the curl
+        a1[a, 7:10, 4:7] = -nu * np.cross(eye[a], eye).T
+    a0.setflags(write=False)
+    a1.setflags(write=False)
+    return a0, a1
+
+
+def _direction_frame(omega) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vectors (e1, e2) completing a direction, or each of a stack of
+    directions (..., 3), to an orthonormal frame (the polarizations)."""
+    omega = np.asarray(omega, dtype=float)
+    trial = np.where(np.abs(omega[..., 2:]) < 0.9, [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+    e1 = np.cross(omega, trial)
+    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
+    e2 = np.cross(omega, e1)
+    return e1, e2
 
 
 # -- change of variables ---------------------------------------------------------
@@ -359,10 +401,7 @@ def make_initial_data(
         n_phys = amplitude * np.cos(phase)
         # polarizations orthogonal to the mode for u and B
         khat = kvec / np.linalg.norm(kvec)
-        trial = np.array([0.0, 0.0, 1.0]) if abs(khat[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-        e1 = np.cross(khat, trial)
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(khat, e1)
+        e1, e2 = _direction_frame(khat)
         u_phys = amplitude * (e1[:, None, None, None] * np.cos(phase) + khat[:, None, None, None] * np.sin(phase))
         b_phys = amplitude * e2[:, None, None, None] * np.cos(phase)
         n0 = Field.from_physical(grid, _shift_to_zero_closure_mean(n_phys, ga))

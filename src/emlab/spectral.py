@@ -425,12 +425,15 @@ def l2_norm(f: Field) -> float:
     return homog_norm(f, 0)
 
 
+def _cross_power(f: Field, g: Field) -> np.ndarray:
+    """Re(f_hat . conj g_hat) summed over vector components; shape (n, n, n//2+1)."""
+    prod = np.real(f.coeffs * np.conj(g.coeffs))
+    return prod.sum(axis=0) if f.is_vector else prod
+
+
 def inner_product(f: Field, g: Field, order: float = 0) -> float:
     """Real inner product <grad^l f, grad^l g> over the box (order l; 0 is L2)."""
-    prod = np.real(f.coeffs * np.conj(g.coeffs))
-    if f.is_vector:
-        prod = prod.sum(axis=0)
-    return float(np.sum(f.grid.weight(order) * prod))
+    return float(np.sum(f.grid.weight(order) * _cross_power(f, g)))
 
 
 def homog_norm(f: Field, order: float) -> float:

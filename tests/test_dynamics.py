@@ -131,7 +131,7 @@ class TestRhs:
         for f in d.fields().values():
             assert np.max(np.abs(f.coeffs)) == 0.0
 
-    @pytest.mark.parametrize("b_infty", [(0, 0, 0), (0, 0, 1)])
+    @pytest.mark.parametrize("b_infty", [(0, 0, 0), (0, 0, 1), (0.3, -0.2, 0.9)])
     def test_linear_regime_matches_mode_matrix(self, grid16, b_infty):
         constants = PhysicalConstants(b_infty=b_infty)
         st = make_initial_data(
@@ -173,7 +173,7 @@ class TestRhs:
 
 class TestFusedRhs:
     @pytest.mark.parametrize("dealias", [True, False])
-    @pytest.mark.parametrize("b_infty", [(0, 0, 0), (0, 0, 1)])
+    @pytest.mark.parametrize("b_infty", [(0, 0, 0), (0, 0, 1), (0.3, -0.2, 0.9)])
     def test_matches_per_field_reference(self, grid16, b_infty, dealias):
         constants = PhysicalConstants(b_infty=b_infty)
         for seed in (1, 2):

@@ -274,6 +274,32 @@ class TestReportsAndMonitors:
         assert rep.grad_norms[(1, "u")] == grad_norm(st, 1, "u")
         assert rep.grad_norms[(2, "E")] == grad_norm(st, 2, "E")
 
+    def test_report_takes_cross_spectra_once_per_sample(self, grid16, constants_bz, monkeypatch):
+        import emlab.energetics as en
+
+        st = make_initial_data("flat_low", 1e-2, 4, grid16, constants_bz)
+        calls = []
+        original = en._cross_spectra
+        monkeypatch.setattr(en, "_cross_spectra", lambda s: calls.append(s) or original(s))
+        norms = ((0, "divu"), (1, "ndivu"), (2, "u"))
+        rep = evaluate_report(st, constants_bz, window_orders=(0, 1, 2), eps=0.1, grad_norms=norms)
+        assert len(calls) == 1  # the cross terms of every window order, and div u
+        monkeypatch.undo()
+
+        def close(got, want):
+            return abs(got - want) <= 1e-14 * max(abs(want), 1e-300)
+
+        for k in (0, 1, 2):
+            want = interactive(st, k)
+            got = rep.interactions[k]
+            assert close(got.n_coupling, want.n_coupling)
+            assert close(got.e_coupling, want.e_coupling)
+            assert close(got.b_coupling, want.b_coupling)
+            assert close(rep.cross_ue[k], cross_energy_ue(st, k, 0.1))
+            assert close(rep.acoustic[k], acoustic_energy(st, k, 0.1, constants_bz))
+        for k, which in norms:
+            assert close(rep.grad_norms[(k, which)], grad_norm(st, k, which))
+
     def test_window_energy_decay_balance_on_linear_run(self, grid16, constants_b0):
         # d/dt(window E) + lambda (window D) <= 0 for some lambda in (0, 1]
         st = make_initial_data("flat_low", 1e-8, 5, grid16, constants_b0)

@@ -18,7 +18,57 @@ from emlab.linear import (
     multi_norm_series,
     weighted_norm_series,
 )
-from emlab.model import PhysicalConstants
+from emlab.model import PhysicalConstants, linear_generator
+
+
+def _hand_cross_matrix(a):
+    """Matrix of v -> a x v for a vector or a stack of vectors (..., 3)."""
+    a = np.asarray(a, dtype=float)
+    m = np.zeros(a.shape[:-1] + (3, 3), dtype=complex)
+    m[..., 0, 1], m[..., 0, 2] = -a[..., 2], a[..., 1]
+    m[..., 1, 0], m[..., 1, 2] = a[..., 2], -a[..., 0]
+    m[..., 2, 0], m[..., 2, 1] = -a[..., 1], a[..., 0]
+    return m
+
+
+def hand_mode_matrices(xi, constants):
+    """The linearized generator written out block by block, independently of
+    model.linear_generator."""
+    xi = np.asarray(xi, dtype=float)
+    nu = constants.nu
+    eye = np.eye(3)
+    A = np.zeros(xi.shape[:-1] + (10, 10), dtype=complex)
+    A[..., 0, 1:4] = -1j * xi
+    A[..., 1:4, 0] = -1j * xi
+    A[..., 1:4, 1:4] = -nu * eye + _hand_cross_matrix(constants.b_infty_vector())
+    A[..., 1:4, 4:7] = -nu * eye
+    A[..., 4:7, 1:4] = nu * eye
+    A[..., 4:7, 7:10] = 1j * nu * _hand_cross_matrix(xi)
+    A[..., 7:10, 4:7] = -1j * nu * _hand_cross_matrix(xi)
+    return A
+
+
+class TestLinearGenerator:
+    @pytest.mark.parametrize("b_infty", [(0, 0, 0), (0, 0, 1), (0.3, -0.2, 0.9)])
+    def test_mode_matrix_equals_hand_written_generator(self, b_infty, rng):
+        constants = PhysicalConstants(b_infty=b_infty)
+        xi = rng.normal(size=(50, 3)) * rng.uniform(0.01, 20.0, size=(50, 1))
+        for x in xi:
+            assert np.array_equal(mode_matrix(x, constants).matrix, hand_mode_matrices(x, constants))
+        assert np.array_equal(linear._mode_matrices(xi, constants), hand_mode_matrices(xi, constants))
+        stacked = xi.reshape(5, 10, 3)
+        assert np.array_equal(linear._mode_matrices(stacked, constants), hand_mode_matrices(stacked, constants))
+
+    def test_tables_are_read_only_and_cached(self):
+        constants = PhysicalConstants(b_infty=(0.3, -0.2, 0.9))
+        a0, a1 = linear_generator(constants)
+        assert a0.shape == (10, 10) and a1.shape == (3, 10, 10)
+        assert a0.dtype == a1.dtype == np.float64
+        for table in (a0, a1):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+        assert linear_generator(PhysicalConstants(b_infty=(0.3, -0.2, 0.9))) is linear_generator(constants)
+        assert linear_generator(PhysicalConstants(b_infty=(0, 0, 1))) is not linear_generator(constants)
 
 
 class TestModeMatrix:

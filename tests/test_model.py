@@ -9,6 +9,7 @@ from emlab.errors import AmplitudeTooLarge, DensityNonpositive, OutOfRange
 from emlab.model import (
     PerturbationState,
     PhysicalConstants,
+    _direction_frame,
     density_closure,
     density_closure_inverse,
     from_perturbation,
@@ -170,6 +171,22 @@ class TestInitialData:
         assert rep.gauss_residual <= 1e-10 * amp
         assert rep.divb_residual <= 1e-12
         assert rep.positivity_margin > 0.9
+
+    @pytest.mark.parametrize("mode", [(2, 0, 1), (0, 0, 3)])
+    def test_single_mode_polarizations_follow_the_direction_frame(self, grid16, constants_b0, mode):
+        # u carries e1 cos + khat sin and B carries e2 cos; (0, 0, 3) takes
+        # the other trial vector of the frame
+        amp = 1e-3
+        st = make_initial_data("single_mode", amp, 0, grid16, constants_b0, mode=mode)
+        kvec = np.asarray(mode, dtype=float)
+        khat = kvec / np.linalg.norm(kvec)
+        e1, e2 = _direction_frame(khat)
+        x, y, z = grid16.coordinates()
+        phase = 2.0 * math.pi / grid16.box_length * (kvec[0] * x + kvec[1] * y + kvec[2] * z)
+        u_want = amp * (e1[:, None, None, None] * np.cos(phase) + khat[:, None, None, None] * np.sin(phase))
+        b_want = amp * e2[:, None, None, None] * np.cos(phase)
+        assert np.max(np.abs(st.u.physical() - u_want)) <= 1e-15
+        assert np.max(np.abs(st.B.physical() - b_want)) <= 1e-15
 
     @pytest.mark.parametrize("kind", ["flat_low", "low_freq", "bump"])
     def test_generated_data_compatible(self, kind, grid32, constants_b0):
