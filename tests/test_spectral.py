@@ -80,6 +80,29 @@ class TestGridAndField:
         assert v.is_vector
         assert not v.component(0).is_vector
 
+    def test_thread_count_by_transform_size(self, grid32, rng, monkeypatch):
+        # one field at N=32 stays on the calling thread; a stack of four is
+        # threaded, and the bits do not depend on that choice
+        import scipy.fft as sfft
+
+        from emlab import spectral
+
+        seen = []
+        for name in ("rfftn", "irfftn"):
+            real = getattr(sfft, name)
+            monkeypatch.setattr(sfft, name, lambda *a, _f=real, **kw: seen.append(kw["workers"]) or _f(*a, **kw))
+        one, four = rng.standard_normal((32, 32, 32)), rng.standard_normal((4, 32, 32, 32))
+        f = Field.from_physical(grid32, one)
+        back = f.physical()
+        stacked = spectral._rfftn(four)
+        assert seen == [1, 1, -1]
+        monkeypatch.setattr(spectral, "_THREADED_MIN_POINTS", 0)
+        assert np.array_equal(Field.from_physical(grid32, one).coeffs, f.coeffs)
+        assert np.array_equal(Field(grid32, f.coeffs).physical(), back)
+        monkeypatch.setattr(spectral, "_THREADED_MIN_POINTS", 1 << 30)
+        assert np.array_equal(spectral._rfftn(four), stacked)
+        assert seen[3:] == [-1, -1, 1]
+
 
 class TestDifferentialOperators:
     def test_derivative_of_constant_is_zero(self, grid16):
