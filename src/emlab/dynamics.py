@@ -11,7 +11,8 @@ Linear terms are Fourier multipliers read off model.linear_generator, the
 generator the mode analyzer in ``linear`` uses; products are formed pointwise
 in physical space with two-thirds dealiasing applied to both inputs and outputs.
 The advection term uses the rotation form u.grad u = grad(|u|^2/2) + (curl u) x u
-to save transforms.
+to save transforms, and (curl u) x u + u x B = u x (B - curl u) takes the
+difference in spectral space, so one product input serves both terms.
 
 Packed layout.  The stepper works on one contiguous complex array of shape
 (10, n, n, n//2+1): the rfft half-spectra of n, u (3), E (3) and B (3)
@@ -25,10 +26,10 @@ state views: each RK4 step writes its result into a fresh array, and the
 stage and slope buffers are scratch owned by one ``simulate`` (or ``step``)
 call.  A custom ``rhs_fn`` of ``step`` sees a copy of each stage.
 
-Transforms per RHS.  The 14 masked product inputs (n, u, B, grad n, div u,
-curl u) are transformed back in 4 stacked ``irfftn`` calls, grouped so that
-pocketfft's internal temporary stays small; the 8 products are transformed
-forward in 1 stacked ``rfftn`` call.
+Transforms per RHS.  The 11 masked product inputs (n, u, grad n, div u,
+B - curl u) are transformed back in 3 stacked ``irfftn`` calls of at most 4
+fields, grouped so that pocketfft's internal temporary stays small; the 8
+products are transformed forward in 1 stacked ``rfftn`` call.
 
 Threads.  Between the transforms, the elementwise work of the RHS and the
 RK4 stage sums runs on x-slabs of the grid, one slab per CPU, from a thread
@@ -185,7 +186,7 @@ class _Rhs:
     """
 
     # slots of the spectral and physical work stacks: the product inputs
-    _GROUPS = ((0, 4), (4, 7), (7, 11), (11, 14))  # n u | B | grad n, div u | curl u
+    _GROUPS = ((0, 4), (4, 7), (7, 11))  # n u | grad n | div u, B - curl u
 
     def __init__(self, grid: GridSpec, constants: PhysicalConstants, dealias: bool, slabs: _Slabs):
         n, h = grid.n, grid.n // 2 + 1
@@ -197,8 +198,8 @@ class _Rhs:
         table = np.concatenate([a1, a0[None]])
         self.terms = [[(a, c, table[a, r, c]) for a, c in zip(*np.nonzero(table[:, r]))] for r in range(_SLOTS)]
         self.mask = grid.dealias_mask if dealias else None
-        self.spec = np.empty((14, n, n, h), dtype=np.complex128)
-        self.phys = np.empty((14, n, n, n))
+        self.spec = np.empty((11, n, n, h), dtype=np.complex128)
+        self.phys = np.empty((11, n, n, n))
         self.tmp = np.empty((n, n, h), dtype=np.complex128)
         self.work = np.empty((2, n, n, n))
 
@@ -208,8 +209,8 @@ class _Rhs:
             self.phys[lo:hi] = _irfftn(self.spec[lo:hi], self.n)
         closure = density_closure(self.phys[0], self.gamma)
         self.slabs.run(lambda slab: self._products(closure, slab))
-        # [0] |u|^2/2, [1:4] the vector term, [4] the density term, [5:8] closure(n) u
-        prods = _rfftn(self.phys[6:14])
+        # [0] |u|^2/2, [1:4] closure(n) u, [4:7] the vector term, [7] the density term
+        prods = _rfftn(self.phys[0:8])
         self.slabs.run(lambda slab: self._accumulate(prods, out, slab))
 
     def _multipliers(self, slab: slice):
@@ -228,8 +229,8 @@ class _Rhs:
                 if i:
                     out[r] += tmp
 
-        # masked product inputs: n, u, B, grad n, div u, curl u
-        u, grad_n, div_u, curl_u = y[1:4], spec[7:10], spec[10], spec[11:14]
+        # masked product inputs: n, u, grad n, div u, B - curl u
+        u, grad_n, div_u, w = y[1:4], spec[4:7], spec[7], spec[8:11]
         np.multiply(ik[0], u[0], out=div_u)
         for a in (1, 2):
             np.multiply(ik[a], u[a], out=tmp)
@@ -237,54 +238,48 @@ class _Rhs:
         for a in range(3):
             i, j = (a + 1) % 3, (a + 2) % 3
             np.multiply(ik[a], y[0], out=grad_n[a])
-            np.multiply(ik[i], u[j], out=curl_u[a])
+            np.multiply(ik[i], u[j], out=w[a])
             np.multiply(ik[j], u[i], out=tmp)
-            curl_u[a] -= tmp
+            w[a] -= tmp
+            np.subtract(y[7 + a], w[a], out=w[a])
         if m is None:
             spec[0:4] = y[0:4]
-            spec[4:7] = y[7:10]
         else:
             np.multiply(y[0:4], m, out=spec[0:4])
-            np.multiply(y[7:10], m, out=spec[4:7])
-            spec[7:14] *= m
+            spec[4:11] *= m
 
     def _products(self, closure: np.ndarray, slab: slice):
-        """The 8 products into slots 6-13 of ``phys``, each written into a slot
-        whose input is dead; the operand order of every sum is that of the
-        plain formula."""
+        """The 8 products into slots 0-7 of ``phys``, each written into a slot
+        whose input is dead."""
         x = _x(slab)
         phys = self.phys[x]
         acc, prod = self.work[x]
-        pn, pu, pb, pg, pd, pw = phys[0], phys[1:4], phys[4:7], phys[7:10], phys[10], phys[11:14]
+        pn, pu, pg, pd, pw = phys[0], phys[1:4], phys[4:7], phys[7], phys[8:11]
         pn *= self.mu  # mu n
-        # slot 10: u.grad n + mu n div u
+        # slot 7: u.grad n + mu n div u
         pd *= pn
         np.multiply(pu[0], pg[0], out=acc)
         for a in (1, 2):
             np.multiply(pu[a], pg[a], out=prod)
             acc += prod
         pd += acc
-        # slots 7-9: (curl u) x u + mu n grad n + u x B
+        # slots 4-6: mu n grad n + u x (B - curl u)
         for a in range(3):
             i, j = (a + 1) % 3, (a + 2) % 3
-            np.multiply(pw[i], pu[j], out=acc)
-            np.multiply(pw[j], pu[i], out=prod)
+            np.multiply(pu[i], pw[j], out=acc)
+            np.multiply(pu[j], pw[i], out=prod)
             acc -= prod
             pg[a] *= pn
             pg[a] += acc
-            np.multiply(pu[i], pb[j], out=acc)
-            np.multiply(pu[j], pb[i], out=prod)
-            acc -= prod
-            pg[a] += acc
-        # slot 6: |u|^2 / 2, whose gradient completes u.grad u
-        ke = pb[2]
+        # slot 0: |u|^2 / 2, whose gradient completes u.grad u
+        ke = pn
         np.multiply(pu[0], pu[0], out=ke)
         for a in (1, 2):
             np.multiply(pu[a], pu[a], out=prod)
             ke += prod
         ke *= 0.5
-        # slots 11-13: closure(n) u
-        np.multiply(closure[slab], pu, out=pw)
+        # slots 1-3: closure(n) u
+        pu *= closure[slab]
 
     def _accumulate(self, prods: np.ndarray, out: np.ndarray, slab: slice):
         """The masked transformed products into ``out``."""
@@ -294,13 +289,13 @@ class _Rhs:
         dn, du, de = out[0], out[1:4], out[4:7]
         if m is not None:
             prods *= m
-        dn -= prods[4]
+        dn -= prods[7]
         for a in range(3):
             np.multiply(ik[a], prods[0], out=tmp)
             du[a] -= tmp
-        du -= prods[1:4]
-        prods[5:8] *= self.nu
-        de += prods[5:8]
+        du -= prods[4:7]
+        prods[1:4] *= self.nu
+        de += prods[1:4]
 
 
 def _hook(rhs_fn: Callable, grid: GridSpec):

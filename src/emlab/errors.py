@@ -29,6 +29,10 @@ class AmplitudeTooLarge(EmlabError):
     """Requested perturbation amplitude violates pointwise positivity."""
 
 
+class ClosureShiftNotConverged(EmlabError):
+    """The zero-mean closure shift of the initial density did not converge."""
+
+
 # -- dynamics -----------------------------------------------------------------
 
 class CflViolation(UserWarning):

@@ -20,12 +20,13 @@ memory does not grow with the quadrature.  mode_matrix and
 initial_mode_vector are the one-mode case of the same builders.
 
 No fallback is silent.  A mode whose eigenvector condition number exceeds
-COND_LIMIT is propagated by a dense expm instead; a block whose stacked
-decomposition raises LinAlgError is retried one mode at a time.  The number
-of modes, of expm fallbacks and the worst eigenvector condition number seen
-are carried in each NormSeries' metadata.  evolve_mode is the one-mode
-reference for all of this, and the tests compare the batched quadrature
-against it.
+COND_LIMIT is propagated by a dense expm instead; scipy.linalg, which
+provides it, is imported on the first fallback, not with this module.  A
+block whose stacked decomposition raises LinAlgError is retried one mode at
+a time.  The number of modes, of expm fallbacks and the worst eigenvector
+condition number seen are carried in each NormSeries' metadata.
+evolve_mode is the one-mode reference for all of this, and the tests
+compare the batched quadrature against it.
 
 Structure worth knowing before reading fits: on the constraint manifold the
 longitudinal (acoustic/electrostatic) sector is uniformly exponentially
@@ -45,7 +46,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import analysis
 from .analysis import DecayFit, NormSeries, theoretical_exponent
@@ -115,7 +115,7 @@ def evolve_mode(mode: ModeSystem, t: float, s0: np.ndarray) -> np.ndarray:
         c = np.linalg.solve(vec, s0)
         return vec @ (np.exp(lam * t) * c)
     except (IllConditioned, np.linalg.LinAlgError):
-        return scipy.linalg.expm(mode.matrix * t) @ s0
+        return _expm(mode.matrix * t) @ s0
 
 
 @dataclass
@@ -132,8 +132,16 @@ class _PropagationCounts:
         self.max_eig_cond = max(self.max_eig_cond, max_cond)
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Dense matrix exponential.  scipy.linalg is imported here, so only a run
+    that takes the fallback pays for loading it."""
+    import scipy.linalg
+
+    return scipy.linalg.expm(a)
+
+
 def _expm_states(A: np.ndarray, s0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    return np.stack([scipy.linalg.expm(A * t) @ s0 for t in times], axis=1)
+    return np.stack([_expm(A * t) @ s0 for t in times], axis=1)
 
 
 def _propagate(

@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import AmplitudeTooLarge, DensityNonpositive, OutOfRange
+from .errors import AmplitudeTooLarge, ClosureShiftNotConverged, DensityNonpositive, OutOfRange
 from .spectral import (
     Field,
     GridSpec,
@@ -297,11 +296,23 @@ def _transverse_project(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
+# Newton steps with bisection fallback; bisection alone narrows the initial
+# bracket to the tolerance in about 60
+_SHIFT_MAX_STEPS = 100
+
+
 def _shift_to_zero_closure_mean(n_phys: np.ndarray, gamma: float) -> np.ndarray:
     """Shift n by a constant so the pointwise closure has zero spatial mean.
 
     Needed because div E has zero mean on the torus; the closure is strictly
-    increasing, so the shift is unique and small (O(amplitude^2))."""
+    increasing, so the shift is unique and small (O(amplitude^2)).
+
+    The shift c solves f(c) = mean closure(n + c) = 0 by Newton's method from
+    c = 0, with f'(c) = mean (1 + closure(n + c))^(1 - mu) (also at gamma = 1).
+    Each evaluation narrows a sign-change bracket, and a Newton step that
+    leaves the bracket is replaced by bisection.  The iteration stops at the
+    first step |dc| <= 1e-16 + 8.9e-16 |c|; after _SHIFT_MAX_STEPS steps it
+    raises ClosureShiftNotConverged."""
     if not np.any(n_phys):
         return n_phys
     mu = (gamma - 1.0) / 2.0
@@ -310,19 +321,25 @@ def _shift_to_zero_closure_mean(n_phys: np.ndarray, gamma: float) -> np.ndarray:
     span = 2.0 * float(np.max(np.abs(n_phys))) + 1e-12
     # shifts must keep 1 + mu*(n + c) positive
     c_floor = -math.inf if mu == 0 else 0.5 * (-(1.0 + mu * float(n_phys.min())) / mu)
-
-    def mean_closure(c):
-        return float(np.mean(density_closure(n_phys + c, gamma)))
-
+    # f(b) > 0 because n + b > 0 everywhere; f(a) < 0 unless a is the floor
     a, b = max(-span, c_floor), span
-    fa, fb = mean_closure(a), mean_closure(b)
-    for _ in range(60):
-        if fa * fb <= 0:
-            break
-        a, b = max(a - span, c_floor), b + span
-        fa, fb = mean_closure(a), mean_closure(b)
-    c = brentq(mean_closure, a, b, xtol=1e-16, rtol=8.9e-16)
-    return n_phys + c
+    if float(np.mean(density_closure(n_phys + a, gamma))) > 0.0:
+        raise AmplitudeTooLarge("no zero-mean shift keeps 1 + mu*n positive")
+    c = 0.0
+    for _ in range(_SHIFT_MAX_STEPS):
+        closure = density_closure(n_phys + c, gamma)
+        f = float(np.mean(closure))
+        if f < 0.0:
+            a = c
+        else:
+            b = c
+        dc = -f / float(np.mean((1.0 + closure) ** (1.0 - mu)))
+        if not a <= c + dc <= b:
+            dc = 0.5 * (a + b) - c
+        c += dc
+        if abs(dc) <= 1e-16 + 8.9e-16 * abs(c):
+            return n_phys + c
+    raise ClosureShiftNotConverged(f"closure shift did not converge in {_SHIFT_MAX_STEPS} steps")
 
 
 def _envelope_flat_low(rolloff_width: float):

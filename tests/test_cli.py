@@ -2,7 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import emlab
 from emlab import cli
 
 # 8 radial nodes x 2 x 3 directions: fast, converged enough to fit every row
@@ -95,3 +101,29 @@ class TestInequalities:
         commutators = [r for r in payload["reports"] if r["lemma"] == "commutator"]
         assert len(commutators) == 2
         assert all(r["params"]["identity_residual"] <= 1e-10 for r in commutators)
+
+
+class TestImports:
+    def test_cli_path_loads_neither_scipy_optimize_nor_linalg(self):
+        # a fresh interpreter: this test process may have loaded them already
+        script = textwrap.dedent("""
+            import math, sys
+            import emlab.cli
+            from emlab import linear
+            from emlab.model import PhysicalConstants, make_initial_data
+            from emlab.spectral import GridSpec
+            constants = PhysicalConstants()
+            make_initial_data("flat_low", 1e-2, 0, GridSpec(16, 2.0 * math.pi), constants)
+            quad = linear.QuadratureSpec(radial_nodes=4, n_theta=2, n_phi=3, check_convergence=False)
+            metrics = {}
+            linear.decay_report(constants, s=1.5, k_list=[0], quantities=["full_state"], quad=quad,
+                                num_times=8, metrics=metrics)
+            assert metrics["modes"] == 4 * 2 * 3 and metrics["expm_fallbacks"] == 0
+            print(sorted(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules))
+        """)
+        src = str(Path(emlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from emlab.errors import AmplitudeTooLarge, DensityNonpositive, OutOfRange
+from emlab import model
+from emlab.errors import AmplitudeTooLarge, ClosureShiftNotConverged, DensityNonpositive, OutOfRange
 from emlab.model import (
     PerturbationState,
     PhysicalConstants,
@@ -232,3 +233,49 @@ class TestInitialData:
         b = make_initial_data("flat_low", 1e-2, 42, grid16, constants_b0)
         for fa, fb in zip(a.fields().values(), b.fields().values()):
             assert np.array_equal(fa.coeffs, fb.coeffs)
+
+
+def _brentq_shift(n_phys, gamma):
+    """The zero-mean closure shift by scipy's brentq on the same bracket."""
+    from scipy.optimize import brentq
+
+    mu = (gamma - 1.0) / 2.0
+    span = 2.0 * float(np.max(np.abs(n_phys))) + 1e-12
+    c_floor = -math.inf if mu == 0 else 0.5 * (-(1.0 + mu * float(n_phys.min())) / mu)
+
+    def mean_closure(c):
+        return float(np.mean(density_closure(n_phys + c, gamma)))
+
+    return brentq(mean_closure, max(-span, c_floor), span, xtol=1e-16, rtol=8.9e-16)
+
+
+def _skewed_noise(amplitude, seed=3):
+    # exponential noise has a nonzero mean and skew, so the shift is not ~0
+    noise = np.random.default_rng(seed).standard_exponential((16, 16, 16)) - 0.8
+    return amplitude * noise / np.max(np.abs(noise))
+
+
+class TestClosureShift:
+    @pytest.mark.parametrize("gamma", [1.0, 1.4, 5.0 / 3.0, 2.0, 3.0, 4.0, 7.0])
+    @pytest.mark.parametrize("amplitude", [1e-4, 1e-2, 0.1, 0.5])
+    def test_newton_matches_brentq(self, gamma, amplitude, monkeypatch):
+        # Newton converges quadratically: at most 4 steps on these cases
+        monkeypatch.setattr(model, "_SHIFT_MAX_STEPS", 6)
+        n_phys = _skewed_noise(amplitude)
+        assert float(np.min(1.0 + (gamma - 1.0) / 2.0 * n_phys)) > 0.0  # every case is admissible
+        c = float(np.mean(model._shift_to_zero_closure_mean(n_phys, gamma) - n_phys))
+        c_ref = _brentq_shift(n_phys, gamma)
+        assert c != 0.0
+        assert abs(c - c_ref) <= 1e-16 + 1e-15 * abs(c)
+
+    def test_unconverged_iteration_raises(self, monkeypatch):
+        monkeypatch.setattr(model, "_SHIFT_MAX_STEPS", 1)
+        with pytest.raises(ClosureShiftNotConverged):
+            model._shift_to_zero_closure_mean(_skewed_noise(0.1), 5.0 / 3.0)
+
+    def test_no_admissible_shift_raises(self):
+        # the zero-mean shift would push the lowest point past 1 + mu*n > 0
+        n_phys = np.full((4, 4, 4), 0.3)
+        n_phys[0, 0, 0] = -0.33
+        with pytest.raises(AmplitudeTooLarge):
+            model._shift_to_zero_closure_mean(n_phys, 7.0)
