@@ -12,6 +12,22 @@ One inequality is constant-free on the discrete grid: the interpolation of
 an intermediate derivative between the next derivative and a negative-order
 norm follows from Hoelder's inequality applied to the Fourier sums, so its
 ratio can never exceed one; the oracle asserts this on every trial.
+
+Ensembles are evaluated in blocks of consecutive trials, each holding about
+_BLOCK_POINTS real grid points in its largest stack (eight 16^3 fields), so
+peak memory does not grow with the trial count.  A block draws its random
+members from the generator in trial order, so every trial sees the same
+random numbers as a one-at-a-time sweep would.  It makes one stacked
+transform per quantity and takes every L2-type norm as one product of the
+block's power spectra with a matrix of per-mode weights (the |k|^(2l)
+weights of GridSpec.weight, or the dyadic rings); L^p norms are sums over
+the stacked physical samples.  The two-mode field and the focusing spike
+(and the canonical bump of the embedding ensemble) are the same field in
+every cycle: each is evaluated once per oracle and its values are repeated
+at its place in the trial sequence, so the ratio sequence that the plateau
+test reads, and the first trial that violates an exact bound, are those of
+the one-at-a-time sweep.  All members are mean-zero by construction, which
+the negative-order norms require.
 """
 
 from __future__ import annotations
@@ -31,18 +47,16 @@ from .errors import (
 from .model import density_closure
 from .spectral import (
     DerivativeTensor,
-    Field,
     GridSpec,
-    besov_norm,
-    differentiate,
-    fractional,
-    gradient,
-    homog_norm,
-    l2_norm,
-    lp_norm,
-    neg_sobolev_norm,
-    random_band_limited,
-    sobolev_norm,
+    _band_limited_block,
+    _derivative_multiplier,
+    _fractional_coeffs,
+    _irfftn,
+    _lp_of_magnitude,
+    _multi_indices,
+    _neg_sobolev_weight,
+    _rfftn,
+    lp_family,
 )
 
 __all__ = [
@@ -54,6 +68,13 @@ __all__ = [
     "check_exact_interpolation",
     "default_suite",
 ]
+
+# real grid points in the largest stack of one block of trials
+_BLOCK_POINTS = 8 * 16**3
+
+# cycle positions 0-2 of the main ensemble are random fields with these
+# spectral slopes; 3 is one random mode, 4 the two-mode field, 5 the spike
+_SLOPES = (0.0, -1.0, -2.0)
 
 
 @dataclass(frozen=True)
@@ -78,7 +99,7 @@ class InequalityReport:
         }
 
 
-def _plateau_ok(ratios: list[float]) -> bool:
+def _plateau_ok(ratios) -> bool:
     """First-half max within 5% of the global max.
 
     Detects growing ratios (bugged exponents leave the extremizers still
@@ -94,54 +115,143 @@ def _plateau_ok(ratios: list[float]) -> bool:
     return (global_max - first_half) <= 0.05 * global_max
 
 
-def _single_mode_field(grid: GridSpec, mode, amp: float = 1.0) -> Field:
-    x, y, z = grid.coordinates()
-    kv = 2.0 * math.pi / grid.box_length * np.asarray(mode, dtype=float)
-    return Field.from_physical(grid, amp * np.cos(kv[0] * x + kv[1] * y + kv[2] * z))
+# -- stacked norms -------------------------------------------------------------------
 
 
-def _two_mode_field(grid: GridSpec, m1, m2, w1=1.0, w2=0.5) -> Field:
-    a = _single_mode_field(grid, m1, w1)
-    b = _single_mode_field(grid, m2, w2)
-    return Field(grid, a.coeffs + b.coeffs)
+def _power(coeffs: np.ndarray) -> np.ndarray:
+    return coeffs.real**2 + coeffs.imag**2
 
 
-def _focusing_field(grid: GridSpec, band: int) -> Field:
-    """All-in-phase coefficients over a spectral ball: a spike in space.
+def _weights(grid: GridSpec, orders) -> np.ndarray:
+    """GridSpec.weight of each order as the columns of a (modes, orders) matrix."""
+    return np.stack([grid.weight(o).ravel() for o in orders], axis=1)
 
-    Near-extremal for sup-norm ratios, so its presence caps the records the
-    random members can set.
+
+def _sums(power: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted spectral sums of a stack of power spectra: shape (..., columns).
+
+    einsum keeps the product on the calling thread; as a matmul, OpenBLAS
+    threads the one-column 32^3 products and the larger stacks, and its
+    spinning workers doubled the CPU time of the embedding oracles (2-vCPU
+    guest).
     """
-    mx, my, mz = (grid.mode_axis(a) for a in range(3))
-    m2 = mx * mx + my * my + mz * mz
-    inside = (m2 > 0) & (m2 <= band * band)
-    inside &= (np.abs(mx) <= band) & (np.abs(my) <= band) & (np.abs(mz) <= band)
-    return Field(grid, np.where(inside, 1.0 + 0.0j, 0.0))
+    lead = power.shape[:-3]
+    return np.einsum("bi,iq->bq", power.reshape(-1, weights.shape[0]), weights).reshape(lead + (-1,))
 
 
-def _ensemble(grid: GridSpec, rng: np.random.Generator, trials: int):
+def _negative_weights(grid: GridSpec, s: float, kind: str) -> np.ndarray:
+    """Columns whose largest weighted sum is the squared negative-order norm:
+    the single neg_sobolev_norm weight, or 2^(-2sj) times each dyadic ring of
+    besov_norm."""
+    if kind == "sobolev":
+        return _neg_sobolev_weight(grid, s).reshape(-1, 1)
+    fam = lp_family(grid)
+    rings = [2.0 ** (-2.0 * s * j) * fam.ring_weights(j) * grid.weight(0) for j in fam.indices()]
+    return np.stack([r.ravel() for r in rings], axis=1)
+
+
+def _fractional(grid: GridSpec, coeffs: np.ndarray, s: float) -> np.ndarray:
+    """The oracles' grad^s: the identity at s = 0, else spectral.fractional."""
+    return _fractional_coeffs(grid, coeffs, s) if s else coeffs
+
+
+def _ratio(num: np.ndarray, den: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """num / den where keep holds, NaN (a skipped trial) elsewhere."""
+    return np.divide(num, den, out=np.full(np.shape(num), np.nan), where=keep)
+
+
+def _kept(values: np.ndarray) -> np.ndarray:
+    return values[~np.isnan(values)]
+
+
+# -- ensembles ------------------------------------------------------------------------
+
+
+def _block_size(grid: GridSpec, fields: int) -> int:
+    """Trials per block when one trial stacks `fields` real fields."""
+    return max(1, _BLOCK_POINTS // (fields * grid.n**3))
+
+
+def _trial_values(trials: int, block: int, period: int, fixed: dict, evaluate_drawn) -> np.ndarray:
+    """Values of every trial in trial order, shape (trials, q); NaN marks a
+    value the oracle skips.
+
+    Trial i sits at position i % period of its ensemble's cycle.  ``fixed``
+    maps the positions of deterministic members to their rows, evaluated
+    once by the caller.  The other trials are evaluated ``block`` trials at
+    a time by evaluate_drawn(positions), which draws their members in order.
+    """
+    out = np.empty((trials, len(next(iter(fixed.values())))))
+    for lo in range(0, trials, block):
+        pos = np.arange(lo, min(lo + block, trials)) % period
+        drawn = np.array([p not in fixed for p in pos])
+        if drawn.any():
+            out[lo + np.flatnonzero(drawn)] = evaluate_drawn(pos[drawn])
+        for i in np.flatnonzero(~drawn):
+            out[lo + i] = fixed[pos[i]]
+    return out
+
+
+class _Members:
     """Cycled mix of random slopes and adversarial nearly-extremal cases.
 
     Bands are capped so that pairwise products stay strictly below Nyquist,
     keeping grid products of two ensemble members exact for the calculus.
     """
-    band = (grid.n // 2 - 1) // 2
-    cases = ["flat", -1.0, -2.0, "single", "two", "focus"]
-    for i in range(trials):
-        kind = cases[i % len(cases)]
-        if kind == "single":
-            m = rng.integers(1, max(2, band), size=3)
-            m[rng.integers(0, 3)] = 0
-            if not m.any():
-                m[0] = 1
-            yield _single_mode_field(grid, m)
-        elif kind == "two":
-            yield _two_mode_field(grid, (1, 0, 0), (0, 2, 1))
-        elif kind == "focus":
-            yield _focusing_field(grid, band)
-        else:
-            slope = 0.0 if kind == "flat" else float(kind)
-            yield random_band_limited(grid, rng, slope=slope, band_fraction=band / grid.n)
+
+    def __init__(self, grid: GridSpec, rng: np.random.Generator):
+        self.grid, self.rng = grid, rng
+        self.band = (grid.n // 2 - 1) // 2
+        x = np.arange(grid.n) * grid.spacing
+        self.axes = (x.reshape(-1, 1, 1), x.reshape(1, -1, 1), x.reshape(1, 1, -1))
+
+    def cosine(self, mode, amp: float = 1.0) -> np.ndarray:
+        kv = 2.0 * math.pi / self.grid.box_length * np.asarray(mode, dtype=float)
+        x, y, z = self.axes
+        return amp * np.cos(kv[0] * x + kv[1] * y + kv[2] * z)
+
+    def fixed(self) -> np.ndarray:
+        """Half-spectra of positions 4 and 5: the two-mode field and the spike.
+
+        The spike has all-in-phase coefficients over a spectral ball, which
+        is near-extremal for sup-norm ratios, so its presence caps the
+        records the random members can set.
+        """
+        g, band = self.grid, self.band
+        a, b = _rfftn(np.stack([self.cosine((1, 0, 0)), self.cosine((0, 2, 1), 0.5)]))
+        mx, my, mz = (g.mode_axis(i) for i in range(3))
+        m2 = mx * mx + my * my + mz * mz
+        inside = (m2 > 0) & (m2 <= band * band)
+        inside &= (np.abs(mx) <= band) & (np.abs(my) <= band) & (np.abs(mz) <= band)
+        return np.stack([a + b, np.where(inside, 1.0 + 0.0j, 0.0)])
+
+    def draw(self, positions) -> np.ndarray:
+        """Half-spectra of random members at cycle positions 0-3, drawn in order."""
+        n, rng, band = self.grid.n, self.rng, self.band
+        phys = np.empty((len(positions), n, n, n))
+        for row, pos in zip(phys, positions):
+            if pos == 3:
+                m = rng.integers(1, max(2, band), size=3)
+                m[rng.integers(0, 3)] = 0
+                if not m.any():
+                    m[0] = 1
+                row[...] = self.cosine(m)
+            else:
+                rng.standard_normal(out=row)
+        slopes = [None if pos == 3 else _SLOPES[pos] for pos in positions]
+        return _band_limited_block(self.grid, phys, slopes, band / n)
+
+
+def _ensemble_values(grid: GridSpec, rng: np.random.Generator, trials: int, evaluate) -> np.ndarray:
+    """_trial_values over the six-case ensemble; evaluate maps a stack of
+    half-spectra to its rows."""
+    members = _Members(grid, rng)
+    two, focus = evaluate(members.fixed())
+    fixed = {4: two, 5: focus}
+    return _trial_values(trials, _block_size(grid, 1), 6, fixed, lambda pos: evaluate(members.draw(pos)))
+
+
+# -- oracles --------------------------------------------------------------------------
 
 
 def check_gagliardo_nirenberg(
@@ -176,18 +286,23 @@ def check_gagliardo_nirenberg(
     elif not 0.0 <= theta <= 1.0:
         raise ThetaOutOfRange(f"theta={theta:.3f} outside [0, 1]")
     grid = grid or GridSpec(16, 2.0 * math.pi)
-    rng = np.random.default_rng(seed)
-    ratios = []
-    for f in _ensemble(grid, rng, trials):
-        lhs_field = fractional(f, alpha) if alpha else f
-        lhs = l2_norm(lhs_field) if p == 2 else lp_norm(lhs_field, p)
-        den = homog_norm(f, m) ** (1.0 - theta) * homog_norm(f, l) ** theta
-        if den > 0:
-            ratios.append(lhs / den)
+    # at p = 2 the left side is the order-alpha weighted sum as well
+    weights = _weights(grid, [m, l, alpha] if p == 2 else [m, l])
+
+    def evaluate(coeffs):
+        norms = np.sqrt(_sums(_power(coeffs), weights))
+        if p == 2:
+            lhs = norms[:, 2]
+        else:
+            lhs = _lp_of_magnitude(grid, np.abs(_irfftn(_fractional(grid, coeffs, alpha), grid.n)), p)
+        den = norms[:, 0] ** (1.0 - theta) * norms[:, 1] ** theta
+        return _ratio(lhs, den, den > 0)[:, None]
+
+    ratios = _kept(_ensemble_values(grid, np.random.default_rng(seed), trials, evaluate)[:, 0])
     return InequalityReport(
         lemma="gagliardo_nirenberg",
         trials=len(ratios),
-        max_ratio=float(max(ratios)),
+        max_ratio=float(ratios.max()),
         exact=False,
         plateau_ok=_plateau_ok(ratios),
         params={"p": p, "alpha": alpha, "m": m, "l": l, "theta": theta},
@@ -214,42 +329,47 @@ def check_closure_estimates(
     if amplitude > 0.1:
         raise AmplitudeTooLarge("the estimates hold in the small-data regime")
     grid = grid or GridSpec(16, 2.0 * math.pi)
-    rng = np.random.default_rng(seed)
-    r_l2, r_inf, r_quad = [], [], []
-    for f in _ensemble(grid, rng, trials):
-        phys = f.physical()
-        scale = float(np.max(np.abs(phys)))
-        if scale == 0:
-            continue
-        n_phys = phys * (amplitude / scale)
-        n_field = Field.from_physical(grid, n_phys)
-        fn = Field.from_physical(grid, density_closure(n_phys, gamma))
-        dk_fn = fractional(fn, k) if k else fn
-        dk_n = fractional(n_field, k) if k else n_field
-        nk = l2_norm(dk_n)
-        if nk == 0:
-            continue
-        r_l2.append(l2_norm(dk_fn) / nk)
-        den_inf = l2_norm(dk_n) ** 0.25 * homog_norm(n_field, k + 2) ** 0.75
-        if den_inf > 0:
-            r_inf.append(lp_norm(dk_fn, math.inf) / den_inf)
-        rem = Field.from_physical(grid, density_closure(n_phys, gamma) - n_phys)
-        dk_rem = fractional(rem, k) if k else rem
-        h3 = sobolev_norm(n_field, 3)
-        if h3 * nk > 0:
-            r_quad.append(l2_norm(dk_rem) / (h3 * nk))
+    # ||grad^k .||^2, ||grad^(k+2) .||^2, then the four terms of the H^3 norm
+    weights = _weights(grid, [k, k + 2, 0, 1, 2, 3])
+
+    def evaluate(coeffs):
+        phys = _irfftn(coeffs, grid.n)
+        scale = np.abs(phys).max(axis=(-3, -2, -1))
+        live = scale != 0
+        n_phys = phys * (amplitude / np.where(live, scale, 1.0))[:, None, None, None]
+        closed = density_closure(n_phys, gamma)
+        # the field, its closure and the remainder, in one stacked transform
+        spectra = _rfftn(np.stack([n_phys, closed, closed - n_phys]))
+        sums = _sums(_power(spectra), weights)
+        n_k, fn_k, rem_k = np.sqrt(sums[:, :, 0])
+        n_k2 = np.sqrt(sums[0, :, 1])
+        h3 = np.sqrt(sums[0, :, 2:].sum(axis=1))
+        fn_inf = np.abs(_irfftn(_fractional(grid, spectra[1], k), grid.n)).max(axis=(-3, -2, -1))
+        live &= n_k != 0
+        den_inf = n_k**0.25 * n_k2**0.75
+        return np.stack(
+            [
+                _ratio(fn_k, n_k, live),
+                _ratio(fn_inf, den_inf, live & (den_inf > 0)),
+                _ratio(rem_k, h3 * n_k, live & (h3 * n_k > 0)),
+            ],
+            axis=1,
+        )
+
+    values = _ensemble_values(grid, np.random.default_rng(seed), trials, evaluate)
+    r_l2, r_inf, r_quad = (_kept(col) for col in values.T)
     return InequalityReport(
         lemma="closure_estimates",
         trials=len(r_l2),
-        max_ratio=float(max(r_l2)),
+        max_ratio=float(r_l2.max()),
         exact=bool(gamma == 3.0),
         plateau_ok=_plateau_ok(r_l2) and _plateau_ok(r_inf) and _plateau_ok(r_quad),
         params={
             "k": k,
             "gamma": gamma,
             "amplitude": amplitude,
-            "max_ratio_inf": float(max(r_inf)) if r_inf else 0.0,
-            "max_ratio_quadratic": float(max(r_quad)) if r_quad else 0.0,
+            "max_ratio_inf": float(r_inf.max()) if r_inf.size else 0.0,
+            "max_ratio_quadratic": float(r_quad.max()) if r_quad.size else 0.0,
         },
         seed=seed,
     )
@@ -268,43 +388,66 @@ def check_commutator(
     (they must agree to identity_tol; band-limited inputs make the products
     exact on the grid), and the aggregated norm is checked against
     C (||grad g||_inf ||grad^(k-1) h|| + ||grad^k g|| ||h||_inf).
+
+    Trial j is the pair of ensemble members 2j and 2j + 1, so every third
+    pair is (two-mode field, spike).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     grid = grid or GridSpec(16, 2.0 * math.pi)
-    rng = np.random.default_rng(seed)
-    ratios = []
-    worst_identity = 0.0
-    gen = _ensemble(grid, rng, 2 * trials)
-    for _ in range(trials):
-        g_f = next(gen)
-        h_f = next(gen)
-        g_p = g_f.physical()
-        gh = Field.from_physical(grid, g_p * h_f.physical())
-        # every derivative of g and h up to order k, by multi-index
-        d_g = {a: t for l in range(k + 1) for a, t in differentiate(g_f, l).entries}
-        d_h = {a: t for l in range(k + 1) for a, t in differentiate(h_f, l).entries}
-        comm, diff = [], []
-        for alpha, d_gh in differentiate(gh, k).entries:
-            c = d_gh - Field.from_physical(grid, g_p * d_h[alpha].physical())
-            # Leibniz expansion: sum over beta <= alpha, beta != 0
-            leib = np.zeros_like(g_p)
-            for beta in iter_product(*(range(a + 1) for a in alpha)):
-                if beta == (0, 0, 0):
-                    continue
-                rest = tuple(a - b for a, b in zip(alpha, beta))
-                cmb = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
-                leib += cmb * d_g[beta].physical() * d_h[rest].physical()
-            comm.append((alpha, c))
-            diff.append((alpha, c - Field.from_physical(grid, leib)))
-        comm_norm = DerivativeTensor(k, tuple(comm)).norm()
-        scale = comm_norm if comm_norm > 0 else 1.0
-        worst_identity = max(worst_identity, DerivativeTensor(k, tuple(diff)).norm() / scale)
-        grad_g_inf = lp_norm(gradient(g_f), math.inf)
-        h_inf = lp_norm(h_f, math.inf)
-        bound = grad_g_inf * homog_norm(h_f, k - 1) + homog_norm(g_f, k) * h_inf
-        if bound > 0:
-            ratios.append(comm_norm / bound)
+    n, shape = grid.n, grid.k_squared.shape
+    # every derivative of g and h up to order k, by multi-index; the last
+    # `top` are those of order k, in the order of differentiate
+    betas = [a for order in range(k + 1) for a in _multi_indices(order)]
+    index = {beta: i for i, beta in enumerate(betas)}
+    mults = np.stack([np.broadcast_to(_derivative_multiplier(grid, b), shape) for b in betas])
+    top = list(range(len(betas) - (k + 1) * (k + 2) // 2, len(betas)))
+    grad = [index[a] for a in _multi_indices(1)]
+    weight_of = np.array([DerivativeTensor(k, ()).multiplicity(betas[i]) for i in top], dtype=float)
+    # Leibniz expansion of each order-k alpha: sum over beta <= alpha, beta != 0
+    leibniz = []
+    for i in top:
+        alpha, terms = betas[i], []
+        for beta in iter_product(*(range(a + 1) for a in alpha)):
+            if beta == (0, 0, 0):
+                continue
+            rest = tuple(a - b for a, b in zip(alpha, beta))
+            terms.append((math.prod(math.comb(a, b) for a, b in zip(alpha, beta)), index[beta], index[rest]))
+        leibniz.append(terms)
+    w_0, w_k1, w_k = (_weights(grid, [order]) for order in (0, k - 1, k))
+
+    def evaluate(g, h):
+        d_g = _irfftn(mults * g[:, None], n)
+        d_h = _irfftn(mults * h[:, None], n)
+        g_p, h_p = d_g[:, 0], d_h[:, 0]
+        gh = _rfftn(g_p * h_p)
+        comm = mults[top] * gh[:, None] - _rfftn(g_p[:, None] * d_h[:, top])
+        leib = np.zeros((len(g), len(top), n, n, n))
+        for a, terms in enumerate(leibniz):
+            for cmb, b, r in terms:
+                leib[:, a] += cmb * d_g[:, b] * d_h[:, r]
+        diff = comm - _rfftn(leib)
+        comm_norm = np.sqrt(_sums(_power(comm), w_0)[..., 0] @ weight_of)
+        diff_norm = np.sqrt(_sums(_power(diff), w_0)[..., 0] @ weight_of)
+        grad_g_inf = np.sqrt((d_g[:, grad] ** 2).sum(axis=1)).max(axis=(-3, -2, -1))
+        h_inf = np.abs(h_p).max(axis=(-3, -2, -1))
+        h_k1 = np.sqrt(_sums(_power(h), w_k1)[:, 0])
+        g_k = np.sqrt(_sums(_power(g), w_k)[:, 0])
+        bound = grad_g_inf * h_k1 + g_k * h_inf
+        identity = diff_norm / np.where(comm_norm > 0, comm_norm, 1.0)
+        return np.stack([_ratio(comm_norm, bound, bound > 0), identity], axis=1)
+
+    members = _Members(grid, np.random.default_rng(seed))
+    two, focus = members.fixed()
+    fixed = {2: evaluate(two[None], focus[None])[0]}
+
+    def evaluate_drawn(pos):
+        stack = members.draw([m for p in pos for m in (2 * p, 2 * p + 1)])
+        return evaluate(stack[0::2], stack[1::2])
+
+    values = _trial_values(trials, _block_size(grid, len(betas)), 3, fixed, evaluate_drawn)
+    ratios = _kept(values[:, 0])
+    worst_identity = float(values[:, 1].max(initial=0.0))
     if worst_identity > identity_tol:
         raise ExactViolated(
             f"commutator definition and Leibniz expansion differ by {worst_identity:.2e}"
@@ -312,7 +455,7 @@ def check_commutator(
     return InequalityReport(
         lemma="commutator",
         trials=len(ratios),
-        max_ratio=float(max(ratios)),
+        max_ratio=float(ratios.max()),
         exact=False,
         plateau_ok=_plateau_ok(ratios),
         params={"k": k, "identity_residual": worst_identity},
@@ -320,42 +463,61 @@ def check_commutator(
     )
 
 
-def _bump_ensemble(grid: GridSpec, rng: np.random.Generator, trials: int):
-    """Mean-zero localized bumps well inside the box (embedding oracles).
+def _bump_block(grid: GridSpec, bumps) -> np.ndarray:
+    """Half-spectra of mean-zero sums of localized bumps (embedding oracles).
 
-    Fields are restricted to the resolved band, the space the package's
-    calculus actually probes; smooth bumps lose only a rounding-level tail.
+    ``bumps`` holds one (centers, radii, amps) triple per field.  Fields are
+    restricted to the resolved band, the space the package's calculus
+    actually probes; smooth bumps lose only a rounding-level tail.  Each
+    bump is evaluated on the bounding box of its support only: centres in
+    [0.35, 0.65] L and radii at most 0.12 L keep every support clear of the
+    box edges, so nothing wraps.
     """
-    x, y, z = grid.coordinates()
-    L = grid.box_length
-
-    def make(centers, radii, amps):
-        phys = np.zeros_like(x)
+    n, h = grid.n, grid.spacing
+    x = np.arange(n) * h
+    phys = np.zeros((len(bumps), n, n, n))
+    for out, (centers, radii, amps) in zip(phys, bumps):
         for c, r, amp in zip(centers, radii, amps):
-            rho2 = ((x - c[0]) ** 2 + (y - c[1]) ** 2 + (z - c[2]) ** 2) / r**2
+            # a point of margin on each side against rounding in (c +- r) / h
+            box = tuple(
+                slice(max(0, math.floor((ci - r) / h) - 1), min(n, math.ceil((ci + r) / h) + 2)) for ci in c
+            )
+            bx, by, bz = x[box[0]], x[box[1]], x[box[2]]
+            rho2 = (
+                (bx[:, None, None] - c[0]) ** 2 + (by[None, :, None] - c[1]) ** 2 + (bz[None, None, :] - c[2]) ** 2
+            ) / r**2
             with np.errstate(over="ignore"):
-                phys += amp * np.where(
+                out[box] += amp * np.where(
                     rho2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1e-300, 1.0 - rho2)), 0.0
                 )
-        phys -= phys.mean()
-        f = Field.from_physical(grid, phys)
-        ny = grid.n // 2
-        c = f.coeffs.copy()
-        c[ny, :, :] = 0.0
-        c[:, ny, :] = 0.0
-        c[:, :, ny] = 0.0
-        return Field(grid, c)
+        out -= out.mean()
+    coeffs = _rfftn(phys)
+    ny = n // 2
+    coeffs[:, ny, :, :] = 0.0
+    coeffs[:, :, ny, :] = 0.0
+    coeffs[:, :, :, ny] = 0.0
+    return coeffs
 
-    for i in range(trials):
-        if i % 4 == 0:
-            # canonical tight bump, cycled in as a stable near-extremizer
-            yield make([np.array([L / 2, L / 2, L / 2])], [0.05 * L], [1.0])
-            continue
-        n_bumps = int(rng.integers(1, 4))
-        centers = [L * (0.35 + 0.3 * rng.random(3)) for _ in range(n_bumps)]
-        radii = [L * (0.04 + 0.08 * rng.random()) for _ in range(n_bumps)]
-        amps = [rng.standard_normal() for _ in range(n_bumps)]
-        yield make(centers, radii, amps)
+
+def _random_bump(rng: np.random.Generator, L: float):
+    n_bumps = int(rng.integers(1, 4))
+    centers = [L * (0.35 + 0.3 * rng.random(3)) for _ in range(n_bumps)]
+    radii = [L * (0.04 + 0.08 * rng.random()) for _ in range(n_bumps)]
+    amps = [rng.standard_normal() for _ in range(n_bumps)]
+    return centers, radii, amps
+
+
+def _bump_values(grid: GridSpec, rng: np.random.Generator, trials: int, evaluate) -> np.ndarray:
+    """_trial_values over the bump ensemble: every fourth trial, from the
+    first, is a canonical tight bump, cycled in as a stable near-extremizer."""
+    L = grid.box_length
+    canonical = ([np.array([L / 2, L / 2, L / 2])], [0.05 * L], [1.0])
+    fixed = {0: evaluate(_bump_block(grid, [canonical]))[0]}
+
+    def evaluate_drawn(pos):
+        return evaluate(_bump_block(grid, [_random_bump(rng, L) for _ in pos]))
+
+    return _trial_values(trials, _block_size(grid, 1), 4, fixed, evaluate_drawn)
 
 
 def check_embeddings(
@@ -380,21 +542,26 @@ def check_embeddings(
     if not (check_sobolev or check_besov):
         raise ExponentMismatch("no admissible embedding at these indices")
     grid = grid or GridSpec(32, 2.0 * math.pi)
-    rng = np.random.default_rng(seed)
-    r_sob, r_bes = [], []
-    for f in _bump_ensemble(grid, rng, trials):
-        lp = lp_norm(f, p)
-        if lp == 0:
-            continue
-        if check_sobolev:
-            r_sob.append(neg_sobolev_norm(f, s) / lp)
-        if check_besov:
-            r_bes.append(besov_norm(f, s) / lp)
+    sides = [
+        _negative_weights(grid, s, kind) if on else None
+        for kind, on in (("sobolev", check_sobolev), ("besov", check_besov))
+    ]
+
+    def evaluate(coeffs):
+        lp = _lp_of_magnitude(grid, np.abs(_irfftn(coeffs, grid.n)), p)
+        power, skipped = _power(coeffs), np.full(len(coeffs), np.nan)
+        return np.stack(
+            [skipped if w is None else _ratio(np.sqrt(_sums(power, w).max(axis=1)), lp, lp != 0) for w in sides],
+            axis=1,
+        )
+
+    values = _bump_values(grid, np.random.default_rng(seed), trials, evaluate)
+    r_sob, r_bes = _kept(values[:, 0]), _kept(values[:, 1])
     primary = r_sob if check_sobolev else r_bes
     return InequalityReport(
         lemma="lp_embeddings",
         trials=len(primary),
-        max_ratio=float(max(primary)),
+        max_ratio=float(primary.max()),
         exact=bool(s == 0.0),
         plateau_ok=_plateau_ok(r_sob) and _plateau_ok(r_bes),
         params={
@@ -402,7 +569,7 @@ def check_embeddings(
             "p": p,
             "sobolev_side": check_sobolev,
             "besov_side": check_besov,
-            "max_ratio_besov": float(max(r_bes)) if r_bes else 0.0,
+            "max_ratio_besov": float(r_bes.max()) if r_bes.size else 0.0,
         },
         seed=seed,
     )
@@ -420,8 +587,8 @@ def check_exact_interpolation(
 
     The Sobolev kind is exact on the discrete grid (Hoelder applied to the
     Fourier sums): the ratio can never exceed one and the oracle raises on
-    any violation.  The dyadic-block kind carries a family-dependent constant
-    and is reported as a plateau.
+    the first trial that violates it.  The dyadic-block kind carries a
+    family-dependent constant and is reported as a plateau.
     """
     if kind not in {"sobolev", "besov"}:
         raise ValueError("kind must be 'sobolev' or 'besov'")
@@ -430,26 +597,27 @@ def check_exact_interpolation(
     if kind == "besov" and not s > 0:
         raise ValueError("besov kind requires s > 0")
     grid = grid or GridSpec(16, 2.0 * math.pi)
-    rng = np.random.default_rng(seed)
     theta = 1.0 / (l + 1.0 + s)
-    ratios = []
-    for f in _ensemble(grid, rng, trials):
-        num = homog_norm(f, l)
-        den_hi = homog_norm(f, l + 1) ** (1.0 - theta)
-        neg = neg_sobolev_norm(f, s) if kind == "sobolev" else besov_norm(f, s)
-        den = den_hi * neg**theta
-        if den == 0:
-            continue
-        ratio = num / den
-        if kind == "sobolev" and ratio > 1.0 + 1e-9:
+    weights = np.concatenate([_weights(grid, [l, l + 1]), _negative_weights(grid, s, kind)], axis=1)
+
+    def evaluate(coeffs):
+        sums = _sums(_power(coeffs), weights)
+        num, hi = np.sqrt(sums[:, 0]), np.sqrt(sums[:, 1])
+        neg = np.sqrt(sums[:, 2:].max(axis=1))
+        den = hi ** (1.0 - theta) * neg**theta
+        return _ratio(num, den, den != 0)[:, None]
+
+    ratios = _kept(_ensemble_values(grid, np.random.default_rng(seed), trials, evaluate)[:, 0])
+    if kind == "sobolev":
+        over = ratios[ratios > 1.0 + 1e-9]
+        if over.size:
             raise ExactViolated(
-                f"discrete interpolation ratio {ratio - 1.0:.3e} above one"
+                f"discrete interpolation ratio {over[0] - 1.0:.3e} above one"
             )
-        ratios.append(ratio)
     return InequalityReport(
         lemma=f"exact_interpolation_{kind}",
         trials=len(ratios),
-        max_ratio=float(max(ratios)),
+        max_ratio=float(ratios.max()),
         exact=kind == "sobolev",
         plateau_ok=_plateau_ok(ratios),
         params={"l": l, "s": s, "theta": theta, "kind": kind},

@@ -10,23 +10,25 @@ radius suffices and the angular integral is analytic.
 
 The quadrature runs in blocks of _MODE_BLOCK (radius, direction) modes.  A
 block assembles its generators and initial vectors as stacks (the direction
-frames are built once per pass), diagonalizes them with one stacked
-eig / cond / solve, and forms vec . exp(lambda t) . c at every time.  Each
-monitored quantity is a sum of squared moduli of linear functionals of the
-mode state (QUANTITIES): state components by index, plus the xi-dependent
-row i xi . u of n_divu.  One einsum reduces every functional at every time
-over the block's modes.  Blocks are generated from mode indices, so peak
-memory does not grow with the quadrature.  mode_matrix and
-initial_mode_vector are the one-mode case of the same builders.
+frames are built once per pass), diagonalizes them with one stacked eig and
+one stacked inverse of the eigenvectors, and forms vec . exp(lambda t) . c
+at every time, with c = vec^-1 s0.  Each monitored quantity is a sum of
+squared moduli of linear functionals of the mode state (QUANTITIES): state
+components by index, plus the xi-dependent row i xi . u of n_divu.  One
+einsum reduces every functional at every time over the block's modes.
+Blocks are generated from mode indices, so peak memory does not grow with
+the quadrature.  mode_matrix and initial_mode_vector are the one-mode case
+of the same builders.
 
-No fallback is silent.  A mode whose eigenvector condition number exceeds
+No fallback is silent.  A mode whose eigenvector condition number (in the
+1-norm, ||vec||_1 ||vec^-1||_1, which the inverse gives for free) exceeds
 COND_LIMIT is propagated by a dense expm instead; scipy.linalg, which
 provides it, is imported on the first fallback, not with this module.  A
 block whose stacked decomposition raises LinAlgError is retried one mode at
 a time.  The number of modes, of expm fallbacks and the worst eigenvector
-condition number seen are carried in each NormSeries' metadata.
-evolve_mode is the one-mode reference for all of this, and the tests
-compare the batched quadrature against it.
+condition number seen (max_eig_cond, in the 1-norm) are carried in each
+NormSeries' metadata.  evolve_mode is the one-mode reference for all of
+this, and the tests compare the batched quadrature against it.
 
 Structure worth knowing before reading fits: on the constraint manifold the
 longitudinal (acoustic/electrostatic) sector is uniformly exponentially
@@ -84,7 +86,7 @@ class ModeSystem:
     def eigensystem(self):
         if "_eig" not in self.__dict__:
             lam, vec = np.linalg.eig(self.matrix)
-            cond = np.linalg.cond(vec)
+            cond = np.linalg.cond(vec, 1)
             object.__setattr__(self, "_eig", (lam, vec, cond))
         return self.__dict__["_eig"]
 
@@ -144,19 +146,24 @@ def _expm_states(A: np.ndarray, s0: np.ndarray, times: np.ndarray) -> np.ndarray
     return np.stack([_expm(A * t) @ s0 for t in times], axis=1)
 
 
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """Matrix 1-norm (largest column sum of moduli) of each matrix in a stack."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
 def _propagate(
     A: np.ndarray, s0: np.ndarray, times: np.ndarray, counts: _PropagationCounts
 ) -> np.ndarray:
     """States exp(t A_m) s0_m of a stack of modes at every time: (M, 10, T).
 
-    One stacked eig / cond / solve for the whole stack; ill-conditioned modes
-    take expm, and a stack whose decomposition fails is retried per mode.
+    One stacked eig and one stacked inverse of the eigenvector matrices for
+    the whole stack.  The inverse gives both the coefficients V^-1 s0 and the
+    1-norm condition number ||V||_1 ||V^-1||_1; ill-conditioned modes take
+    expm, and a stack whose decomposition fails is retried per mode.
     """
     try:
         lam, vec = np.linalg.eig(A)
-        cond = np.linalg.cond(vec)
-        good = ~(cond > COND_LIMIT)
-        c = np.linalg.solve(vec[good], s0[good, :, None])
+        inv = np.linalg.inv(vec)
     except np.linalg.LinAlgError:
         if len(A) > 1:
             return np.concatenate(
@@ -164,6 +171,9 @@ def _propagate(
             )
         counts.add(1, 1, 0.0)  # no condition number without a decomposition
         return _expm_states(A[0], s0[0], times)[None]
+    cond = _norm1(vec) * _norm1(inv)
+    good = ~(cond > COND_LIMIT)
+    c = inv[good] @ s0[good, :, None]
     states = np.zeros((len(A), 10, len(times)), dtype=complex)
     states[good] = vec[good] @ (np.exp(lam[good, :, None] * times) * c)
     bad = np.flatnonzero(~good)
@@ -427,7 +437,7 @@ def multi_norm_series(
 
     Every series carries the same metadata, including what the propagation
     did over both passes: ``modes`` propagated, ``expm_fallbacks`` taken and
-    the worst eigenvector condition number ``max_eig_cond``.
+    the worst eigenvector condition number ``max_eig_cond`` (1-norm).
     """
     times = np.asarray(sorted(times), dtype=float)
     xi_max = quad.xi_max if quad.xi_max is not None else _auto_xi_max(profile, k)

@@ -367,14 +367,16 @@ def differentiate(f: Field, order: int) -> DerivativeTensor:
     """All spatial derivatives of the given order as a weighted tensor."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    g = f.grid
-    entries = []
-    for alpha in _multi_indices(order):
-        mult = (1j * g.k_axis(0)) ** alpha[0] if alpha[0] else 1.0
-        mult = mult * (1j * g.k_axis(1)) ** alpha[1] if alpha[1] else mult
-        mult = mult * (1j * g.k_axis(2)) ** alpha[2] if alpha[2] else mult
-        entries.append((alpha, Field(g, mult * f.coeffs)))
+    entries = [(alpha, Field(f.grid, _derivative_multiplier(f.grid, alpha) * f.coeffs))
+               for alpha in _multi_indices(order)]
     return DerivativeTensor(order, tuple(entries))
+
+
+def _derivative_multiplier(g: GridSpec, alpha: tuple[int, int, int]):
+    """(i kx)^a (i ky)^b (i kz)^c for alpha = (a, b, c); 1.0 for alpha = 0."""
+    mult = (1j * g.k_axis(0)) ** alpha[0] if alpha[0] else 1.0
+    mult = mult * (1j * g.k_axis(1)) ** alpha[1] if alpha[1] else mult
+    return mult * (1j * g.k_axis(2)) ** alpha[2] if alpha[2] else mult
 
 
 def resolved_part(f: Field) -> Field:
@@ -395,9 +397,13 @@ def fractional(f: Field, s: float) -> Field:
     For s < 0 the field must be mean-zero (homogeneous norms of negative
     order are defined modulo constants).
     """
-    g = f.grid
     if s < 0 and not f.is_mean_zero():
         raise NegativePowerOnNonzeroMean("negative power |k|^s requires a mean-zero field")
+    return Field(f.grid, _fractional_coeffs(f.grid, f.coeffs, s))
+
+
+def _fractional_coeffs(g: GridSpec, coeffs: np.ndarray, s: float) -> np.ndarray:
+    """The multiplier of fractional applied to half-spectra (or a stack of them)."""
     kmag = g.k_mag
     if s < 0:
         with np.errstate(divide="ignore"):
@@ -407,9 +413,9 @@ def fractional(f: Field, s: float) -> Field:
         mult = kmag**s
         if s == 0:
             mult = np.where(kmag > 0, 1.0, 0.0)
-    out = mult * f.coeffs
+    out = mult * coeffs
     out[..., 0, 0, 0] = 0.0
-    return Field(g, out)
+    return out
 
 
 # -- norms ----------------------------------------------------------------------
@@ -448,6 +454,12 @@ def sobolev_norm(f: Field, k: int) -> float:
     return math.sqrt(sum(homog_norm(f, l) ** 2 for l in range(k + 1)))
 
 
+def _neg_sobolev_weight(g: GridSpec, s: float) -> np.ndarray:
+    """Per-mode weight of the order -s norm; the zero mode is excluded at
+    every s, including s = 0."""
+    return g.weight(-s) if s > 0 else np.where(g.k_squared > 0, g.weight(0), 0.0)
+
+
 def neg_sobolev_norm(f: Field, s: float, with_info: bool = False):
     """Negative-order homogeneous norm ||f|| with multiplier |k|^{-s}, s in [0, 3/2).
 
@@ -460,8 +472,7 @@ def neg_sobolev_norm(f: Field, s: float, with_info: bool = False):
         raise NegativePowerOnNonzeroMean("negative-order norm requires a mean-zero field")
     g = f.grid
     k2 = g.k_squared
-    # the zero mode is excluded at every s, including s = 0
-    w = g.weight(-s) if s > 0 else np.where(k2 > 0, g.weight(0), 0.0)
+    w = _neg_sobolev_weight(g, s)
     power = _power(f)
     value = math.sqrt(float(np.sum(w * power)))
     if not with_info:
@@ -478,9 +489,14 @@ def lp_norm(f: Field, p: float) -> float:
         raise ValueError("p must be >= 1")
     phys = f.physical()
     mag = np.sqrt((phys**2).sum(axis=0)) if f.is_vector else np.abs(phys)
+    return float(_lp_of_magnitude(f.grid, mag, p))
+
+
+def _lp_of_magnitude(g: GridSpec, mag: np.ndarray, p: float) -> np.ndarray:
+    """L^p norms of pointwise magnitudes, over the last three axes of a stack."""
     if math.isinf(p):
-        return float(mag.max())
-    return float((np.sum(mag**p) * f.grid.cell_volume) ** (1.0 / p))
+        return mag.max(axis=(-3, -2, -1))
+    return (np.sum(mag**p, axis=(-3, -2, -1)) * g.cell_volume) ** (1.0 / p)
 
 
 # -- Littlewood-Paley family -----------------------------------------------------
@@ -595,6 +611,36 @@ def besov_norm(f: Field, s: float, family: LPFamily | None = None, with_info: bo
 # -- random field factories -------------------------------------------------------
 
 
+def _band_envelope(grid: GridSpec, slope: float, band_fraction: float) -> np.ndarray:
+    """|k|^slope on |m_i| <= band_fraction * n per axis, zero outside and at k = 0
+    (cached on the grid)."""
+
+    def build():
+        cut = math.floor(grid.n * band_fraction)
+        keep = [np.abs(grid.mode_axis(a)) <= cut for a in range(3)]
+        kmag = grid.k_mag
+        envelope = np.where(kmag > 0, np.where(kmag > 0, kmag, 1.0) ** slope, 0.0)
+        return (keep[0] & keep[1] & keep[2]) * envelope
+
+    return grid._cache(f"_band_{float(slope)!r}_{float(band_fraction)!r}", build)
+
+
+def _band_limited_block(
+    grid: GridSpec, white: np.ndarray, slopes, band_fraction: float, mean_zero: bool = True
+) -> np.ndarray:
+    """Half-spectra of a stack of real samples, row i shaped as random_band_limited
+    shapes white noise with slope slopes[i]; a row whose slope is None is only
+    transformed (callers mix exact test fields into the same stacked transform).
+    """
+    coeffs = _rfftn(white)
+    for row, slope in zip(coeffs, slopes):
+        if slope is not None:
+            row *= _band_envelope(grid, slope, band_fraction)
+            if mean_zero:
+                row[..., 0, 0, 0] = 0.0
+    return coeffs
+
+
 def random_band_limited(
     grid: GridSpec,
     rng: np.random.Generator,
@@ -606,21 +652,12 @@ def random_band_limited(
     """Gaussian random field with power-law spectral envelope |k|^slope.
 
     Content is confined to |m_i| <= band_fraction * n per axis, which keeps
-    pointwise products of two such fields alias-free on the same grid.
+    pointwise products of two such fields alias-free on the same grid.  The
+    one-row case of _band_limited_block.
     """
     n = grid.n
-    shape = (3, n, n, n) if vector else (n, n, n)
-    white = rng.standard_normal(shape)
-    coeffs = _rfftn(white)
-    cut = math.floor(n * band_fraction)
-    keep = [np.abs(grid.mode_axis(a)) <= cut for a in range(3)]
-    mask = keep[0] & keep[1] & keep[2]
-    kmag = grid.k_mag
-    envelope = np.where(kmag > 0, np.where(kmag > 0, kmag, 1.0) ** slope, 0.0)
-    coeffs = coeffs * mask * envelope
-    if mean_zero:
-        coeffs[..., 0, 0, 0] = 0.0
-    return Field(grid, coeffs)
+    white = rng.standard_normal((1, 3, n, n, n) if vector else (1, n, n, n))
+    return Field(grid, _band_limited_block(grid, white, [slope], band_fraction, mean_zero)[0])
 
 
 def random_phase_field(

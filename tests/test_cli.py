@@ -102,6 +102,14 @@ class TestInequalities:
         assert len(commutators) == 2
         assert all(r["params"]["identity_residual"] <= 1e-10 for r in commutators)
 
+    def test_byte_identical_rerun(self, tmp_path):
+        assert _run(tmp_path, "inequalities", {"inequalities": {"trials": 20}}, "first") == 0
+        first = tmp_path / "first"
+        resolved = json.loads((first / "resolved_config.json").read_text())
+        assert _run(tmp_path, "inequalities", resolved, "second") == 0
+        name = "inequality_report.json"
+        assert (tmp_path / "second" / name).read_bytes() == (first / name).read_bytes()
+
 
 class TestImports:
     def test_cli_path_loads_neither_scipy_optimize_nor_linalg(self):

@@ -310,6 +310,20 @@ class TestBatchedQuadrature:
         for q in quantities:
             np.testing.assert_allclose(forced[q].values, eig[q].values, rtol=1e-10, err_msg=q)
 
+    def test_max_eig_cond_is_the_worst_1_norm_condition(self, constants_bz, monkeypatch):
+        eig, seen = np.linalg.eig, []
+
+        def recording_eig(a):
+            lam, vec = eig(a)
+            seen.append(vec)
+            return lam, vec
+
+        monkeypatch.setattr(np.linalg, "eig", recording_eig)
+        prof = SpectralProfile.decay_class(1.5)
+        series = multi_norm_series(prof, 0, ["full_state"], SHORT_TIMES, constants_bz, TINY_RULE)
+        worst = max(float(np.linalg.cond(vec, 1).max()) for vec in seen)
+        assert series["full_state"].metadata["max_eig_cond"] == pytest.approx(worst, rel=1e-12)
+
     def test_failed_stacked_eig_is_retried_per_mode(self, constants_bz, monkeypatch):
         prof = SpectralProfile.decay_class(1.5)
         stacked = multi_norm_series(prof, 0, ["full_state"], SHORT_TIMES, constants_bz, TINY_RULE)
