@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -38,15 +39,7 @@ _DEFAULTS: dict = {
     "seed": 0,
     "output_dir": "runs/out",
     "grid": {"points": 32, "box_length": 2.0 * math.pi},
-    "constants": {
-        "gamma": 5.0 / 3.0,
-        "pressure_const": 1.0,
-        "relaxation": 1.0,
-        "debye": 1.0,
-        "light_speed_inv": 1.0,
-        "n_infty": 1.0,
-        "b_infty": [0.0, 0.0, 1.0],
-    },
+    "constants": asdict(PhysicalConstants()),
     "initial_data": {
         "kind": "flat_low",
         "amplitude": 1e-2,
@@ -58,15 +51,7 @@ _DEFAULTS: dict = {
         "include_transverse_e": False,
         "normalization": "physical",
     },
-    "solver": {
-        "dt": "auto",
-        "end_time": 1.0,
-        "dealias": True,
-        "gauss_projection_stride": 50,
-        "output_stride": 10,
-        "gauss_tol": 1e-6,
-        "cfl_safety": 0.5,
-    },
+    "solver": asdict(SolverConfig()),
     "monitors": {
         "energy_orders": [3],
         "window_orders": [0],
@@ -128,22 +113,22 @@ def resolve_config(raw: dict) -> dict:
     return cfg
 
 
+def _section(name: str, build):
+    """build(), with a ValueError or TypeError reported as a ConfigError
+    naming the config section whose values it was built from."""
+    try:
+        return build()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def _constants(cfg: dict) -> PhysicalConstants:
-    c = cfg["constants"]
-    return PhysicalConstants(
-        gamma=float(c["gamma"]),
-        pressure_const=float(c["pressure_const"]),
-        relaxation=float(c["relaxation"]),
-        debye=float(c["debye"]),
-        light_speed_inv=float(c["light_speed_inv"]),
-        n_infty=float(c["n_infty"]),
-        b_infty=tuple(c["b_infty"]),
-    )
+    return _section("constants", lambda: PhysicalConstants(**cfg["constants"]))
 
 
 def _grid(cfg: dict) -> GridSpec:
     g = cfg["grid"]
-    return GridSpec(int(g["points"]), float(g["box_length"]))
+    return _section("grid", lambda: GridSpec(int(g["points"]), float(g["box_length"])))
 
 
 def _fmt(value: float) -> str:
@@ -171,7 +156,7 @@ def run_simulate(cfg: dict, outdir: Path) -> dict:
     constants = _constants(cfg)
     grid = _grid(cfg)
     ini = cfg["initial_data"]
-    state = make_initial_data(
+    state = _section("initial_data", lambda: make_initial_data(
         ini["kind"],
         float(ini["amplitude"]),
         int(cfg["seed"]),
@@ -184,17 +169,8 @@ def run_simulate(cfg: dict, outdir: Path) -> dict:
         bump_radius_fraction=float(ini["bump_radius_fraction"]),
         include_transverse_e=bool(ini["include_transverse_e"]),
         normalization=ini["normalization"],
-    )
-    sv = cfg["solver"]
-    config = SolverConfig(
-        dt=sv["dt"] if sv["dt"] == "auto" else float(sv["dt"]),
-        end_time=float(sv["end_time"]),
-        dealias=bool(sv["dealias"]),
-        gauss_projection_stride=sv["gauss_projection_stride"],
-        output_stride=int(sv["output_stride"]),
-        gauss_tol=float(sv["gauss_tol"]),
-        cfl_safety=float(sv["cfl_safety"]),
-    )
+    ))
+    config = _section("solver", lambda: SolverConfig(**cfg["solver"]))
     mon = cfg["monitors"]
     monitor = energetics.standard_monitor(
         constants,
@@ -260,10 +236,11 @@ def run_linear(cfg: dict, outdir: Path) -> dict:
 
 def run_inequalities(cfg: dict, outdir: Path) -> dict:
     ic = cfg["inequalities"]
+    points = int(ic["grid_points"])
     reports = inequalities.default_suite(
         trials=int(ic["trials"]),
         seed=int(cfg["seed"]),
-        grid=None if int(ic["grid_points"]) == 16 else GridSpec(int(ic["grid_points"]), 2.0 * math.pi),
+        grid=None if points == 16 else _section("inequalities", lambda: GridSpec(points, 2.0 * math.pi)),
     )
     payload = {
         "reports": [r.as_dict() for r in reports],

@@ -5,6 +5,12 @@ arrays.  The full-order energy sums squared derivative norms of all four
 fields up to order N; the matching dissipation rate loses one derivative of
 the electric field and both end derivatives of the magnetic field, which is
 the structural signature of the electromagnetic regularity loss.
+
+One sample builds one table: the power spectra of the four fields, the cross
+spectra of the interactive and equivalent energies, |div u_hat|^2 and the
+top-of-band power go into one stack, reduced once per derivative order by
+spectral's weighted sum.  Every functional is a lookup in that table, so a
+report and the public functions agree exactly.
 """
 
 from __future__ import annotations
@@ -12,13 +18,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import DerivativeOrderExceedsResolution, EquivalenceViolated
 from .model import PerturbationState, PhysicalConstants, verify_compatibility
-from .spectral import GridSpec, _cross_power, _power, curl, divergence
+from .spectral import _cross_power, _field_power, _sums, _weights, curl, divergence
 
 __all__ = [
     "energy",
@@ -35,40 +41,44 @@ __all__ = [
 ]
 
 
-# per-mode spectra of one sample, by name
-_Spectra = dict[str, np.ndarray]
+_FIELDS = ("n", "u", "E", "B")
+# rows of a sample's table: the field powers |f_hat|^2, the cross spectra
+# Re(f_hat . conj g_hat) of the interactive and equivalent energies,
+# |div u_hat|^2, and the field powers summed over the top of the band
+_ROWS = (*_FIELDS, "uE", "E_curlB", "divu_n", "divu", "top")
 
 
-def _field_powers(state: PerturbationState) -> _Spectra:
-    """|f_hat|^2 of each field; one sample's functionals all read these."""
-    return {name: _power(f) for name, f in state.fields().items()}
+def _table(state: PerturbationState, orders: Iterable[int]) -> dict[tuple[str, int], float]:
+    """Weighted sums of one sample's spectra: ``table[row, l]`` is the sum
+    of weight(l) times the spectrum of that row, for each order l.
 
-
-def _cross_spectra(state: PerturbationState) -> _Spectra:
-    """The cross spectra of the interactive and equivalent energies, and
-    |div u_hat|^2; one sample's cross terms all read these."""
+    Each order is its own one-column reduction, so a value does not depend
+    on which other orders are asked for: a report and the public functions
+    agree exactly.
+    """
+    g = state.grid
     div_u = divergence(state.u)
-    return {
-        "uE": _cross_power(state.u, state.E),
-        "E_curlB": _cross_power(state.E, curl(state.B)),
-        "divu_n": _cross_power(div_u, state.n),
-        "divu": _cross_power(div_u, div_u),
-    }
+    stack = np.empty((len(_ROWS),) + g.k_squared.shape)
+    fields = state.fields()
+    for i, name in enumerate(_FIELDS):
+        stack[i] = _field_power(fields[name])
+    pairs = ((state.u, state.E), (state.E, curl(state.B)), (div_u, state.n), (div_u, div_u))
+    for i, (f, h) in enumerate(pairs, start=len(_FIELDS)):
+        stack[i] = _cross_power(f, h)
+    top = stack[-1]
+    np.sum(stack[: len(_FIELDS)], axis=0, out=top)
+    top *= g.k_squared > (2.0 / 3.0 * g.k_max) ** 2
+    table = {}
+    for l in orders:
+        sums = _sums(stack, _weights(g, [l]))[:, 0].tolist()
+        table.update({(row, l): value for row, value in zip(_ROWS, sums)})
+    return table
 
 
-def _weighted_sum(power: np.ndarray, grid: GridSpec, order: int) -> float:
-    """||grad^order f||^2 from the power |f_hat|^2, or <grad^order f,
-    grad^order g> from the cross spectrum Re(f_hat . conj g_hat)."""
-    return float(np.sum(grid.weight(order) * power))
-
-
-def _check_resolution(powers: _Spectra, grid: GridSpec, order: int):
+def _check_resolution(t: dict, order: int):
     """Warn when the top-order weights concentrate at the top of the band."""
-    top = grid.k_squared > (2.0 / 3.0 * grid.k_max) ** 2
-    wk = grid.weight(order)
-    total = sum(_weighted_sum(p, grid, order) for p in powers.values())
-    high = sum(float(np.sum(wk[top] * p[top])) for p in powers.values())
-    if total > 0 and high > 0.5 * total:
+    total = sum(t[f, order] for f in _FIELDS)
+    if total > 0 and t["top", order] > 0.5 * total:
         warnings.warn(
             f"order-{order} derivative weights are dominated by the top of the "
             "resolved band; the value is aliasing-limited",
@@ -77,42 +87,42 @@ def _check_resolution(powers: _Spectra, grid: GridSpec, order: int):
         )
 
 
-def _energy(powers: _Spectra, grid: GridSpec, order: int) -> float:
+def _energy(t: dict, order: int) -> float:
     if order < 0:
         raise ValueError("order must be nonnegative")
-    _check_resolution(powers, grid, order)
-    return sum(_weighted_sum(p, grid, l) for p in powers.values() for l in range(order + 1))
+    _check_resolution(t, order)
+    return sum(t[f, l] for f in _FIELDS for l in range(order + 1))
 
 
-def _dissipation(p: _Spectra, grid: GridSpec, order: int) -> float:
+def _dissipation(t: dict, order: int) -> float:
     if order < 1:
         raise ValueError("order must be >= 1")
-    total = sum(_weighted_sum(p[f], grid, l) for f in ("n", "u") for l in range(order + 1))
-    total += sum(_weighted_sum(p["E"], grid, l) for l in range(order))
-    total += sum(_weighted_sum(p["B"], grid, l) for l in range(1, order))
+    total = sum(t[f, l] for f in ("n", "u") for l in range(order + 1))
+    total += sum(t["E", l] for l in range(order))
+    total += sum(t["B", l] for l in range(1, order))
     return total
 
 
-def _window_energy(p: _Spectra, grid: GridSpec, k: int) -> tuple[float, float]:
+def _window_energy(t: dict, k: int) -> tuple[float, float]:
     if k < 0:
         raise ValueError("k must be nonnegative")
-    _check_resolution(p, grid, k + 2)
-    e = sum(_weighted_sum(p[f], grid, l) for f in p for l in range(k, k + 3))
-    d = sum(_weighted_sum(p[f], grid, l) for f in ("n", "u") for l in range(k, k + 3))
-    d += sum(_weighted_sum(p["E"], grid, l) for l in range(k, k + 2))
-    d += _weighted_sum(p["B"], grid, k + 1)
+    _check_resolution(t, k + 2)
+    e = sum(t[f, l] for f in _FIELDS for l in range(k, k + 3))
+    d = sum(t[f, l] for f in ("n", "u") for l in range(k, k + 3))
+    d += sum(t["E", l] for l in range(k, k + 2))
+    d += t["B", k + 1]
     return e, d
 
 
 def energy(state: PerturbationState, order: int) -> float:
     """Sum over derivative orders 0..N of the squared norms of all four fields."""
-    return _energy(_field_powers(state), state.grid, order)
+    return _energy(_table(state, range(order + 1)), order)
 
 
 def dissipation(state: PerturbationState, order: int) -> float:
     """Dissipation rate matching ``energy``: E enters only to order N-1 and
     B only from 1 to N-1 (the regularity-loss index ranges)."""
-    return _dissipation(_field_powers(state), state.grid, order)
+    return _dissipation(_table(state, range(order + 1)), order)
 
 
 def window_energy(state: PerturbationState, k: int) -> tuple[float, float]:
@@ -121,7 +131,7 @@ def window_energy(state: PerturbationState, k: int) -> tuple[float, float]:
     The window dissipation keeps (n, u) over the whole window, E over
     k..k+1, and only the single order k+1 of B.
     """
-    return _window_energy(_field_powers(state), state.grid, k)
+    return _window_energy(_table(state, range(k, k + 3)), k)
 
 
 @dataclass(frozen=True)
@@ -133,28 +143,27 @@ class InteractiveTerms:
     b_coupling: float  # -<grad^k E, curl grad^k B>
 
 
-def _interactive(cross: _Spectra, grid: GridSpec, k: int) -> InteractiveTerms:
+def _interactive(t: dict, k: int) -> InteractiveTerms:
     # <u, grad n> = -<div u, n> mode by mode
-    i_n = -sum(_weighted_sum(cross["divu_n"], grid, l) for l in (k, k + 1))
-    i_e = sum(_weighted_sum(cross["uE"], grid, l) for l in (k, k + 1))
-    i_b = -_weighted_sum(cross["E_curlB"], grid, k)
-    return InteractiveTerms(i_n, i_e, i_b)
+    i_n = -sum(t["divu_n", l] for l in (k, k + 1))
+    i_e = sum(t["uE", l] for l in (k, k + 1))
+    return InteractiveTerms(i_n, i_e, -t["E_curlB", k])
 
 
 def interactive(state: PerturbationState, k: int) -> InteractiveTerms:
-    return _interactive(_cross_spectra(state), state.grid, k)
+    return _interactive(_table(state, (k, k + 1)), k)
 
 
 # a label names its fields one letter each, plus div u
 _NORM_LABELS = ("n", "u", "E", "B", "divu", "uE", "nuE", "nuEB", "ndivu")
 
 
-def _grad_norm(p: _Spectra, cross: _Spectra, grid: GridSpec, k: int, which: str) -> float:
+def _grad_norm(t: dict, k: int, which: str) -> float:
     if which not in _NORM_LABELS:
         raise ValueError(f"unknown norm label {which!r}")
-    total = sum(_weighted_sum(p[f], grid, k) for f in which.removesuffix("divu"))
+    total = sum(t[f, k] for f in which.removesuffix("divu"))
     if which.endswith("divu"):
-        total += _weighted_sum(cross["divu"], grid, k)
+        total += t["divu", k]
     return math.sqrt(total)
 
 
@@ -163,7 +172,7 @@ def grad_norm(state: PerturbationState, k: int, which: str) -> float:
 
     Grouped labels sum squares: "nuE", "nuEB" (full state), "uE", "ndivu".
     """
-    return _grad_norm(_field_powers(state), _cross_spectra(state), state.grid, k, which)
+    return _grad_norm(_table(state, (k,)), k, which)
 
 
 def _certified(value: float, base: float, slack: float, what: str) -> float:
@@ -174,11 +183,11 @@ def _certified(value: float, base: float, slack: float, what: str) -> float:
     return value
 
 
-def _cross_energy_ue(p: _Spectra, cross: _Spectra, grid: GridSpec, k: int, eps: float) -> float:
+def _cross_energy_ue(t: dict, k: int, eps: float) -> float:
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    base = _weighted_sum(p["u"], grid, k) + _weighted_sum(p["E"], grid, k)
-    return _certified(base + eps * _weighted_sum(cross["uE"], grid, k), base, eps / 2.0, "cross energy")
+    base = t["u", k] + t["E", k]
+    return _certified(base + eps * t["uE", k], base, eps / 2.0, "cross energy")
 
 
 def cross_energy_ue(state: PerturbationState, k: int, eps: float) -> float:
@@ -187,14 +196,14 @@ def cross_energy_ue(state: PerturbationState, k: int, eps: float) -> float:
     Cauchy-Schwarz forces the value between (1 -+ eps/2) times the plain norm
     square; a violation can only come from an implementation bug.
     """
-    return _cross_energy_ue(_field_powers(state), _cross_spectra(state), state.grid, k, eps)
+    return _cross_energy_ue(_table(state, (k,)), k, eps)
 
 
-def _acoustic_energy(p: _Spectra, cross: _Spectra, grid: GridSpec, k: int, eps: float, nu: float) -> float:
+def _acoustic_energy(t: dict, k: int, eps: float, nu: float) -> float:
     if not 0 < eps < 2.0 * nu * min(nu, 1.0):
         raise ValueError("eps must lie in (0, 2*nu*min(nu,1))")
-    base = nu**2 * _weighted_sum(p["n"], grid, k) + _weighted_sum(cross["divu"], grid, k)
-    value = base - eps * _weighted_sum(cross["divu_n"], grid, k)
+    base = nu**2 * t["n", k] + t["divu", k]
+    value = base - eps * t["divu_n", k]
     # |<psi, n>| <= (nu^2||n||^2 + ||psi||^2) / (2 nu) with psi = div u
     return _certified(value, base, eps / (2.0 * nu), "acoustic energy")
 
@@ -205,7 +214,7 @@ def acoustic_energy(state: PerturbationState, k: int, eps: float, constants: Phy
     Equivalent to the plain sum for eps below 2*nu*min(nu, 1); certified per
     evaluation.
     """
-    return _acoustic_energy(_field_powers(state), _cross_spectra(state), state.grid, k, eps, constants.nu)
+    return _acoustic_energy(_table(state, (k,)), k, eps, constants.nu)
 
 
 @dataclass
@@ -256,20 +265,21 @@ def evaluate_report(
     grad_norms: tuple[tuple[int, str], ...] = (),
 ) -> FunctionalReport:
     rep = FunctionalReport(time=state.time)
-    g = state.grid
-    powers = _field_powers(state)
-    cross = _cross_spectra(state)
+    orders = {l for n in energy_orders for l in range(n + 1)}
+    orders |= {l for k in window_orders for l in range(k, k + 3)}
+    orders |= {k for k, _ in grad_norms}
+    t = _table(state, orders)
     for n in energy_orders:
-        rep.energies[n] = _energy(powers, g, n)
+        rep.energies[n] = _energy(t, n)
         if n >= 1:
-            rep.dissipations[n] = _dissipation(powers, g, n)
+            rep.dissipations[n] = _dissipation(t, n)
     for k in window_orders:
-        rep.windows[k] = _window_energy(powers, g, k)
-        rep.interactions[k] = _interactive(cross, g, k)
-        rep.cross_ue[k] = _cross_energy_ue(powers, cross, g, k, eps)
-        rep.acoustic[k] = _acoustic_energy(powers, cross, g, k, eps, constants.nu)
+        rep.windows[k] = _window_energy(t, k)
+        rep.interactions[k] = _interactive(t, k)
+        rep.cross_ue[k] = _cross_energy_ue(t, k, eps)
+        rep.acoustic[k] = _acoustic_energy(t, k, eps, constants.nu)
     for k, which in grad_norms:
-        rep.grad_norms[(k, which)] = _grad_norm(powers, cross, g, k, which)
+        rep.grad_norms[(k, which)] = _grad_norm(t, k, which)
     compat = verify_compatibility(state, constants)
     rep.gauss_residual = compat.gauss_residual
     rep.divb_residual = compat.divb_residual

@@ -4,7 +4,7 @@ Each oracle sweeps an ensemble of random band-limited fields (three spectral
 slopes plus adversarial one- and two-mode cases, cycled so extremizers appear
 throughout the trial sequence), records the largest ratio of left- to
 right-hand side, and checks that the running maximum has plateaued: the
-last-half maximum must sit within five percent of the global maximum.  That
+first-half maximum must sit within five percent of the global maximum.  That
 detects bugged exponents (which produce growing ratios) without attempting
 sharp constants.
 
@@ -18,9 +18,10 @@ _BLOCK_POINTS real grid points in its largest stack (eight 16^3 fields), so
 peak memory does not grow with the trial count.  A block draws its random
 members from the generator in trial order, so every trial sees the same
 random numbers as a one-at-a-time sweep would.  It makes one stacked
-transform per quantity and takes every L2-type norm as one product of the
-block's power spectra with a matrix of per-mode weights (the |k|^(2l)
-weights of GridSpec.weight, or the dyadic rings); L^p norms are sums over
+transform per quantity and takes every L2-type norm through spectral's one
+weighted reduction: the block's power spectra against a matrix of per-mode
+weight columns (the |k|^(2l) weights of GridSpec.weight, or the negative-order
+columns that neg_sobolev_norm and besov_norm read); L^p norms are sums over
 the stacked physical samples.  The two-mode field and the focusing spike
 (and the canonical bump of the embedding ensemble) are the same field in
 every cycle: each is evaluated once per oracle and its values are repeated
@@ -54,9 +55,12 @@ from .spectral import (
     _irfftn,
     _lp_of_magnitude,
     _multi_indices,
-    _neg_sobolev_weight,
+    _negative_weights,
+    _power,
     _rfftn,
-    lp_family,
+    _sums,
+    _weights,
+    _zero_nyquist,
 )
 
 __all__ = [
@@ -115,39 +119,7 @@ def _plateau_ok(ratios) -> bool:
     return (global_max - first_half) <= 0.05 * global_max
 
 
-# -- stacked norms -------------------------------------------------------------------
-
-
-def _power(coeffs: np.ndarray) -> np.ndarray:
-    return coeffs.real**2 + coeffs.imag**2
-
-
-def _weights(grid: GridSpec, orders) -> np.ndarray:
-    """GridSpec.weight of each order as the columns of a (modes, orders) matrix."""
-    return np.stack([grid.weight(o).ravel() for o in orders], axis=1)
-
-
-def _sums(power: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted spectral sums of a stack of power spectra: shape (..., columns).
-
-    einsum keeps the product on the calling thread; as a matmul, OpenBLAS
-    threads the one-column 32^3 products and the larger stacks, and its
-    spinning workers doubled the CPU time of the embedding oracles (2-vCPU
-    guest).
-    """
-    lead = power.shape[:-3]
-    return np.einsum("bi,iq->bq", power.reshape(-1, weights.shape[0]), weights).reshape(lead + (-1,))
-
-
-def _negative_weights(grid: GridSpec, s: float, kind: str) -> np.ndarray:
-    """Columns whose largest weighted sum is the squared negative-order norm:
-    the single neg_sobolev_norm weight, or 2^(-2sj) times each dyadic ring of
-    besov_norm."""
-    if kind == "sobolev":
-        return _neg_sobolev_weight(grid, s).reshape(-1, 1)
-    fam = lp_family(grid)
-    rings = [2.0 ** (-2.0 * s * j) * fam.ring_weights(j) * grid.weight(0) for j in fam.indices()]
-    return np.stack([r.ravel() for r in rings], axis=1)
+# -- helpers -------------------------------------------------------------------------
 
 
 def _fractional(grid: GridSpec, coeffs: np.ndarray, s: float) -> np.ndarray:
@@ -491,12 +463,7 @@ def _bump_block(grid: GridSpec, bumps) -> np.ndarray:
                     rho2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1e-300, 1.0 - rho2)), 0.0
                 )
         out -= out.mean()
-    coeffs = _rfftn(phys)
-    ny = n // 2
-    coeffs[:, ny, :, :] = 0.0
-    coeffs[:, :, ny, :] = 0.0
-    coeffs[:, :, :, ny] = 0.0
-    return coeffs
+    return _zero_nyquist(_rfftn(phys))
 
 
 def _random_bump(rng: np.random.Generator, L: float):
@@ -537,8 +504,6 @@ def check_embeddings(
         raise ExponentMismatch("indices must satisfy 1/2 + s/3 = 1/p")
     check_sobolev = 0.0 <= s < 1.5 and 1.0 < p <= 2.0
     check_besov = 0.0 < s <= 1.5 and 1.0 <= p < 2.0
-    if s == 0.0:
-        check_besov = False
     if not (check_sobolev or check_besov):
         raise ExponentMismatch("no admissible embedding at these indices")
     grid = grid or GridSpec(32, 2.0 * math.pi)

@@ -518,7 +518,7 @@ def decay_report(
     num_times: int = 32,
     quad: QuadratureSpec = QuadratureSpec(),
     profile: SpectralProfile | None = None,
-    tolerance: float = 0.08,
+    tolerance: float = analysis.LINEAR_FIT_TOLERANCE,
     metrics: dict | None = None,
 ) -> list[DecayReportRow]:
     """Fitted decay exponents of the linearized flow against their targets.

@@ -75,6 +75,12 @@ class TestSimulate:
         assert _run(tmp_path, "simulate", {"monitors": {"eta": 0.1}}, "eta") == 2
         assert _run(tmp_path, "simulate", {"emit_plot_script": False}, "plot") == 2
 
+    def test_invalid_values_are_config_errors(self, tmp_path, capsys):
+        # exit 1 is reserved for failed --ci verdicts
+        for name, config in (("end", {"solver": {"end_time": -1}}), ("points", {"grid": {"points": 15}})):
+            assert _run(tmp_path, "simulate", config, name) == 2
+            assert capsys.readouterr().err.startswith("error:")
+
 
 class TestFit:
     def test_refits_a_simulated_series(self, tmp_path):

@@ -255,8 +255,8 @@ class TestReportsAndMonitors:
 
         st = make_initial_data("flat_low", 1e-2, 4, grid16, constants_bz)
         calls = []
-        original = en._power
-        monkeypatch.setattr(en, "_power", lambda f: calls.append(f) or original(f))
+        original = en._table
+        monkeypatch.setattr(en, "_table", lambda s, orders: calls.append(s) or original(s, orders))
         rep = evaluate_report(
             st,
             constants_bz,
@@ -264,7 +264,7 @@ class TestReportsAndMonitors:
             window_orders=(0, 1, 2),
             grad_norms=((1, "u"), (2, "E")),
         )
-        assert len(calls) == 4  # |f_hat|^2 of n, u, E and B, shared by every functional
+        assert len(calls) == 1  # one table of |f_hat|^2 of n, u, E and B, shared by every functional
         monkeypatch.undo()
         for n in (1, 2, 3):
             assert rep.energies[n] == energy(st, n)
@@ -279,11 +279,11 @@ class TestReportsAndMonitors:
 
         st = make_initial_data("flat_low", 1e-2, 4, grid16, constants_bz)
         calls = []
-        original = en._cross_spectra
-        monkeypatch.setattr(en, "_cross_spectra", lambda s: calls.append(s) or original(s))
+        original = en._table
+        monkeypatch.setattr(en, "_table", lambda s, orders: calls.append(s) or original(s, orders))
         norms = ((0, "divu"), (1, "ndivu"), (2, "u"))
         rep = evaluate_report(st, constants_bz, window_orders=(0, 1, 2), eps=0.1, grad_norms=norms)
-        assert len(calls) == 1  # the cross terms of every window order, and div u
+        assert len(calls) == 1  # one table: the cross terms of every window order, and div u
         monkeypatch.undo()
 
         def close(got, want):
