@@ -21,6 +21,7 @@ from .errors import (
     POutOfRange,
     RequiresBInftyZero,
     SOutOfRange,
+    is_real,
 )
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "fit_decay",
     "ExponentTarget",
     "theoretical_exponent",
+    "check_s",
     "s_of_p",
     "prior_work_rates",
     "nonincreasing_within",
@@ -154,8 +156,7 @@ def theoretical_exponent(
     """
     if quantity not in _ADMISSIBLE:
         raise ValueError(f"unknown quantity {quantity!r}; known: {sorted(_ADMISSIBLE)}")
-    if not 0.0 <= s <= 1.5:
-        raise SOutOfRange("s must lie in [0, 3/2]")
+    check_s(s)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if quantity == "n_divu" and not b_infty_zero:
@@ -169,10 +170,16 @@ def theoretical_exponent(
     return ExponentTarget(-(k / 2.0 + 7.0 / 4.0 + s), math.ceil(2 * k + 10 + s))
 
 
+def check_s(s: float) -> None:
+    """SOutOfRange unless s is a number in [0, 3/2], the data classes the rates cover."""
+    if not (is_real(s) and 0.0 <= s <= 1.5):
+        raise SOutOfRange(f"s must be a number in [0, 3/2], got {s!r}")
+
+
 def s_of_p(p: float) -> float:
     """Negative-regularity index equivalent to L^p data: 3(1/p - 1/2)."""
-    if not 1.0 <= p <= 2.0:
-        raise POutOfRange("p must lie in [1, 2]")
+    if not (is_real(p) and 1.0 <= p <= 2.0):
+        raise POutOfRange(f"p must be a number in [1, 2], got {p!r}")
     return 3.0 * (1.0 / p - 0.5)
 
 

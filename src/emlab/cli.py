@@ -10,28 +10,38 @@ Four subcommands share one JSON config file:
 Every run writes resolved_config.json with all defaults made explicit;
 re-running from that file reproduces the outputs byte for byte on the same
 platform, except the wall times in the ``metrics`` block of
-decay_report.json.  Unknown config keys are rejected.
+decay_report.json.  Unknown config keys exit 2, as does a resolved_config.json
+carrying a removed key (such as the old constants besides gamma and b_infty).
+Section defaults are the library's own; an invalid value exits 2 with
+``error: <section>: ...``, keeping exit 1 for failed --ci verdicts.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, energetics, inequalities, linear
-from .analysis import NormSeries, fit_decay, s_of_p
+from .analysis import NormSeries, check_s, fit_decay, s_of_p
 from .dynamics import SolverConfig, simulate
-from .errors import ConfigError, EmlabError
+from .errors import ConfigError, EmlabError, InvalidArgument, POutOfRange, SOutOfRange, is_count
 from .model import PhysicalConstants, make_initial_data
 from .spectral import GridSpec
 
 __all__ = ["main", "load_config", "resolve_config", "run_simulate", "run_linear", "run_inequalities", "run_fit"]
+
+
+def _keyword_defaults(fn, *skip: str) -> dict:
+    """The parameters of fn that have defaults, less the skipped ones."""
+    params = inspect.signature(fn).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty and p.name not in skip}
 
 
 _DEFAULTS: dict = {
@@ -40,38 +50,15 @@ _DEFAULTS: dict = {
     "output_dir": "runs/out",
     "grid": {"points": 32, "box_length": 2.0 * math.pi},
     "constants": asdict(PhysicalConstants()),
-    "initial_data": {
-        "kind": "flat_low",
-        "amplitude": 1e-2,
-        "s": 1.5,
-        "rolloff_width": 0.5,
-        "rolloff_k": 2.0,
-        "mode": [1, 0, 0],
-        "bump_radius_fraction": 0.2,
-        "include_transverse_e": False,
-        "normalization": "physical",
-    },
+    "initial_data": {"kind": "flat_low", "amplitude": 1e-2, **_keyword_defaults(make_initial_data)},
     "solver": asdict(SolverConfig()),
-    "monitors": {
-        "energy_orders": [3],
-        "window_orders": [0],
-        "eps": 0.1,
-        "grad_norms": [],
-    },
+    "monitors": _keyword_defaults(energetics.standard_monitor),
     "data_class": {"s": 1.5, "p": None},
     "linear": {
-        "k_list": [0, 1],
-        "quantities": None,
-        "fit_window": [20.0, 500.0],
-        "num_times": 32,
-        "radial_nodes": 800,
-        "xi_max": None,
-        "n_theta": 32,
-        "n_phi": 64,
-        "check_convergence": True,
-        "tolerance": analysis.LINEAR_FIT_TOLERANCE,
+        **asdict(linear.QuadratureSpec()),
+        **_keyword_defaults(linear.decay_report, "s", "p", "quad", "profile", "metrics"),
     },
-    "inequalities": {"trials": 500, "grid_points": 16},
+    "inequalities": {**_keyword_defaults(inequalities.default_suite, "seed", "grid"), "grid_points": 16},
     "fit": {"window": None, "columns": None, "target": None, "tolerance": analysis.NONLINEAR_FIT_TOLERANCE},
 }
 
@@ -79,14 +66,12 @@ _DEFAULTS: dict = {
 def _merge(defaults: dict, given: dict, path: str = "") -> dict:
     out = {}
     for key, dval in defaults.items():
-        if key in given:
-            gval = given[key]
-            if isinstance(dval, dict) and isinstance(gval, dict):
-                out[key] = _merge(dval, gval, f"{path}{key}.")
-            else:
-                out[key] = gval
+        # a default section is merged with {}, so the caller gets its own copy
+        gval = given.get(key, {} if isinstance(dval, dict) else dval)
+        if isinstance(dval, dict) and isinstance(gval, dict):
+            out[key] = _merge(dval, gval, f"{path}{key}.")
         else:
-            out[key] = dval
+            out[key] = gval
     unknown = set(given) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(path + k for k in unknown)}")
@@ -109,17 +94,25 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"unknown experiment {cfg['experiment']!r}")
     dc = cfg["data_class"]
     if dc["p"] is not None:
-        dc["s"] = s_of_p(float(dc["p"]))
+        dc["s"] = _section("data_class", lambda: s_of_p(dc["p"]), POutOfRange)
+    _section("data_class", lambda: check_s(dc["s"]), SOutOfRange)
     return cfg
 
 
-def _section(name: str, build):
-    """build(), with a ValueError or TypeError reported as a ConfigError
-    naming the config section whose values it was built from."""
+def _section(name: str, build, errors=(TypeError, ValueError)):
+    """build(), with the given errors reported as a ConfigError naming the
+    section its values came from.  A call that runs more than a constructor
+    passes InvalidArgument, which only argument checks raise."""
     try:
         return build()
-    except (TypeError, ValueError) as exc:
+    except errors as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _seed(cfg: dict) -> int:
+    if not is_count(cfg["seed"]):
+        raise ConfigError(f"seed: must be a nonnegative integer, got {cfg['seed']!r}")
+    return cfg["seed"]
 
 
 def _constants(cfg: dict) -> PhysicalConstants:
@@ -128,7 +121,7 @@ def _constants(cfg: dict) -> PhysicalConstants:
 
 def _grid(cfg: dict) -> GridSpec:
     g = cfg["grid"]
-    return _section("grid", lambda: GridSpec(int(g["points"]), float(g["box_length"])))
+    return _section("grid", lambda: GridSpec(g["points"], g["box_length"]))
 
 
 def _fmt(value: float) -> str:
@@ -155,30 +148,12 @@ def _emit_resolved(cfg: dict, outdir: Path):
 def run_simulate(cfg: dict, outdir: Path) -> dict:
     constants = _constants(cfg)
     grid = _grid(cfg)
-    ini = cfg["initial_data"]
+    seed = _seed(cfg)
     state = _section("initial_data", lambda: make_initial_data(
-        ini["kind"],
-        float(ini["amplitude"]),
-        int(cfg["seed"]),
-        grid,
-        constants,
-        s=float(ini["s"]),
-        rolloff_width=float(ini["rolloff_width"]),
-        rolloff_k=float(ini["rolloff_k"]),
-        mode=tuple(ini["mode"]),
-        bump_radius_fraction=float(ini["bump_radius_fraction"]),
-        include_transverse_e=bool(ini["include_transverse_e"]),
-        normalization=ini["normalization"],
+        seed=seed, grid=grid, constants=constants, **cfg["initial_data"]
     ))
     config = _section("solver", lambda: SolverConfig(**cfg["solver"]))
-    mon = cfg["monitors"]
-    monitor = energetics.standard_monitor(
-        constants,
-        energy_orders=tuple(mon["energy_orders"]),
-        window_orders=tuple(mon["window_orders"]),
-        eps=float(mon["eps"]),
-        grad_norms=tuple((int(k), str(w)) for k, w in mon["grad_norms"]),
-    )
+    monitor = _section("monitors", lambda: energetics.standard_monitor(constants, **cfg["monitors"]))
     result = simulate(state, config, constants, monitors=[monitor])
     log = result.log
     _write_csv(outdir / "timeseries.csv", log.times, log.columns)
@@ -204,28 +179,16 @@ def run_simulate(cfg: dict, outdir: Path) -> dict:
 
 def run_linear(cfg: dict, outdir: Path) -> dict:
     constants = _constants(cfg)
-    lc = cfg["linear"]
-    quad = linear.QuadratureSpec(
-        radial_nodes=int(lc["radial_nodes"]),
-        xi_max=lc["xi_max"],
-        n_theta=int(lc["n_theta"]),
-        n_phi=int(lc["n_phi"]),
-        check_convergence=bool(lc["check_convergence"]),
-    )
+    report_args = dict(cfg["linear"])
+    quad_args = {f.name: report_args.pop(f.name) for f in fields(linear.QuadratureSpec)}
+    quad = _section("linear", lambda: linear.QuadratureSpec(**quad_args))
+    s = cfg["data_class"]["s"]
     metrics: dict = {}
-    rows = linear.decay_report(
-        constants,
-        s=float(cfg["data_class"]["s"]),
-        k_list=[int(k) for k in lc["k_list"]],
-        quantities=lc["quantities"],
-        window=tuple(float(x) for x in lc["fit_window"]),
-        num_times=int(lc["num_times"]),
-        quad=quad,
-        tolerance=float(lc["tolerance"]),
-        metrics=metrics,
-    )
+    rows = _section("linear", lambda: linear.decay_report(
+        constants, s=s, quad=quad, metrics=metrics, **report_args
+    ), InvalidArgument)
     report = {
-        "s": float(cfg["data_class"]["s"]),
+        "s": s,
         "rows": [r.as_dict() for r in rows],
         "all_pass": all(r.fit.verdict == "pass" for r in rows),
         "metrics": metrics,
@@ -236,12 +199,12 @@ def run_linear(cfg: dict, outdir: Path) -> dict:
 
 def run_inequalities(cfg: dict, outdir: Path) -> dict:
     ic = cfg["inequalities"]
-    points = int(ic["grid_points"])
-    reports = inequalities.default_suite(
-        trials=int(ic["trials"]),
-        seed=int(cfg["seed"]),
-        grid=None if points == 16 else _section("inequalities", lambda: GridSpec(points, 2.0 * math.pi)),
-    )
+    seed = _seed(cfg)
+    points = ic["grid_points"]
+    grid = None if points == 16 else _section("inequalities", lambda: GridSpec(points, 2.0 * math.pi))
+    reports = _section("inequalities", lambda: inequalities.default_suite(
+        ic["trials"], seed, grid
+    ), InvalidArgument)
     payload = {
         "reports": [r.as_dict() for r in reports],
         "all_plateaued": all(r.plateau_ok for r in reports),
@@ -264,7 +227,6 @@ def run_fit(cfg: dict, outdir: Path, csv_path: str | Path) -> dict:
     times = np.array([float(r["time"]) for r in rows])
     fc = cfg["fit"]
     columns = fc["columns"] or [c for c in rows[0] if c != "time"]
-    window = tuple(fc["window"]) if fc["window"] else None
     out: dict = {"source": str(path), "fits": {}}
     for col in columns:
         if col not in rows[0]:
@@ -276,12 +238,7 @@ def run_fit(cfg: dict, outdir: Path, csv_path: str | Path) -> dict:
             continue
         series = NormSeries(label=col, times=times[keep], values=vals[keep])
         try:
-            fit = fit_decay(
-                series,
-                window=window,
-                target=fc["target"],
-                tol=float(fc["tolerance"]),
-            )
+            fit = fit_decay(series, window=fc["window"] or None, target=fc["target"], tol=fc["tolerance"])
         except EmlabError as exc:
             out["fits"][col] = {"error": str(exc)}
             continue

@@ -106,6 +106,8 @@ class SolverConfig:
             raise ValueError("output_stride must be >= 1")
         if self.gauss_projection_stride is not None and self.gauss_projection_stride < 1:
             raise ValueError("gauss_projection_stride must be >= 1 or None")
+        if not self.cfl_safety > 0:
+            raise ValueError("cfl_safety must be positive")
 
 
 def _pack(state: PerturbationState, out: np.ndarray | None = None) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import DerivativeOrderExceedsResolution, EquivalenceViolated
+from .errors import DerivativeOrderExceedsResolution, EquivalenceViolated, check, is_count, is_real
 from .model import PerturbationState, PhysicalConstants, verify_compatibility
 from .spectral import _cross_power, _field_power, _sums, _weights, curl, divergence
 
@@ -199,8 +199,12 @@ def cross_energy_ue(state: PerturbationState, k: int, eps: float) -> float:
     return _cross_energy_ue(_table(state, (k,)), k, eps)
 
 
+def _acoustic_eps_limit(nu: float) -> float:
+    return 2.0 * nu * min(nu, 1.0)
+
+
 def _acoustic_energy(t: dict, k: int, eps: float, nu: float) -> float:
-    if not 0 < eps < 2.0 * nu * min(nu, 1.0):
+    if not 0 < eps < _acoustic_eps_limit(nu):
         raise ValueError("eps must lie in (0, 2*nu*min(nu,1))")
     base = nu**2 * t["n", k] + t["divu", k]
     value = base - eps * t["divu_n", k]
@@ -293,7 +297,15 @@ def standard_monitor(
     eps: float = 0.1,
     grad_norms: tuple[tuple[int, str], ...] = (),
 ) -> Callable[[PerturbationState], dict[str, float]]:
-    """Monitor callable for the simulator; returns flat CSV-ready rows."""
+    """Monitor callable for the simulator; returns flat CSV-ready rows.
+    The arguments are checked (InvalidArgument) before the first sample."""
+    for name, ks in (("energy_orders", energy_orders), ("window_orders", window_orders)):
+        check(ks, lambda v: all(is_count(k) for k in v), name, "a list of nonnegative integers")
+    check(grad_norms, lambda gs: all(is_count(k) and w in _NORM_LABELS for k, w in gs),
+          "grad_norms", f"a list of [order, label] pairs, labels from {list(_NORM_LABELS)}")
+    if window_orders:
+        limit = min(1.0, _acoustic_eps_limit(constants.nu))
+        check(eps, lambda e: is_real(e) and 0 < e < limit, "eps", f"in (0, {limit:.6g})")
 
     def monitor(state: PerturbationState) -> dict[str, float]:
         rep = evaluate_report(

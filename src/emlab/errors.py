@@ -1,8 +1,34 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the argument check."""
+
+import math
+import numbers
 
 
 class EmlabError(Exception):
     """Base class for all package-specific errors."""
+
+
+class InvalidArgument(EmlabError, ValueError):
+    """An argument outside its domain, rejected before any work is done."""
+
+
+def check(value, ok, name: str, what: str):
+    """InvalidArgument saying that ``name`` must be ``what``, unless ok(value)
+    holds (ok raising TypeError or ValueError counts as not holding)."""
+    try:
+        good = bool(ok(value))
+    except (TypeError, ValueError):
+        good = False
+    if not good:
+        raise InvalidArgument(f"{name} must be {what}, got {value!r}")
+
+
+def is_count(value, minimum: int = 0) -> bool:
+    return isinstance(value, numbers.Integral) and value >= minimum
+
+
+def is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 # -- spectral calculus --------------------------------------------------------

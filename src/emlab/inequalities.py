@@ -44,6 +44,8 @@ from .errors import (
     ExactViolated,
     ExponentMismatch,
     ThetaOutOfRange,
+    check,
+    is_count,
 )
 from .model import density_closure
 from .spectral import (
@@ -591,7 +593,9 @@ def check_exact_interpolation(
 
 
 def default_suite(trials: int = 500, seed: int = 0, grid: GridSpec | None = None) -> list[InequalityReport]:
-    """The standard oracle battery used by the CLI and the acceptance tests."""
+    """The standard oracle battery used by the CLI and the acceptance tests;
+    trials is checked (InvalidArgument) before any oracle runs."""
+    check(trials, lambda v: is_count(v, 1), "trials", "a positive integer")
     grid16 = grid or GridSpec(16, 2.0 * math.pi)
     grid32 = GridSpec(32, 2.0 * math.pi) if grid is None else grid
     reports = [

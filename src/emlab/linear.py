@@ -51,7 +51,9 @@ import numpy as np
 
 from . import analysis
 from .analysis import DecayFit, NormSeries, theoretical_exponent
-from .errors import IllConditioned, QuadratureNotConverged, RequiresBInftyZero
+from .errors import (
+    IllConditioned, InvalidArgument, QuadratureNotConverged, RequiresBInftyZero, check, is_count, is_real
+)
 from .model import PhysicalConstants, _direction_frame, linear_generator
 
 __all__ = [
@@ -65,10 +67,13 @@ __all__ = [
     "DecayReportRow",
     "QUANTITIES",
     "COND_LIMIT",
+    "CONVERGENCE_TOL",
 ]
 
 # eigenvector condition number above which a mode is propagated by expm
 COND_LIMIT = 1e8
+# largest relative change that doubling the radial nodes may make to a value
+CONVERGENCE_TOL = 5e-3
 
 # modes per stacked decomposition; the (block, 10, times) intermediates stay
 # a few hundred kB, so larger blocks buy little and raise peak memory
@@ -318,7 +323,12 @@ class QuadratureSpec:
     n_theta: int = 32
     n_phi: int = 64
     check_convergence: bool = True
-    convergence_tol: float = 5e-3
+
+    def __post_init__(self):
+        for name in ("radial_nodes", "n_theta", "n_phi"):
+            check(getattr(self, name), lambda v: is_count(v, 1), name, "a positive integer")
+        check(self.xi_max, lambda v: v is None or (is_real(v) and v > 0), "xi_max", "null or positive")
+        check(self.check_convergence, lambda v: isinstance(v, bool), "check_convergence", "true or false")
 
 
 def _auto_xi_max(profile: SpectralProfile, k: int) -> float:
@@ -468,7 +478,7 @@ def multi_norm_series(
             checked = np.abs(coarse - fine) / np.maximum(np.abs(fine), 1e-300)
             checked[fine < floor] = 0.0
             rel = float(np.max(checked))
-            if rel > quad.convergence_tol:
+            if rel > CONVERGENCE_TOL:
                 raise QuadratureNotConverged(
                     f"{q}: doubling radial nodes moved values by {rel:.2%}"
                 )
@@ -514,7 +524,7 @@ def decay_report(
     p: float | None = None,
     k_list: Sequence[int] = (0, 1),
     quantities: Sequence[str] | None = None,
-    window: tuple[float, float] = (20.0, 500.0),
+    fit_window: tuple[float, float] = (20.0, 500.0),
     num_times: int = 32,
     quad: QuadratureSpec = QuadratureSpec(),
     profile: SpectralProfile | None = None,
@@ -530,14 +540,22 @@ def decay_report(
     Samples within 100x of the propagation's roundoff floor mark a fit
     ``floor_contaminated`` and fail its verdict.
 
+    The arguments are checked (InvalidArgument) before the quadrature starts.
+    The norms are sampled at num_times geometric times spanning fit_window.
+
     When a ``metrics`` dict is given it is filled with the totals over all k:
     the propagation counts of multi_norm_series, and the wall time spent in
     the quadrature (``quadrature_s``) and in the fits (``fit_s``).
     """
     if (s is None) == (p is None):
-        raise ValueError("give exactly one of s or p")
+        raise InvalidArgument("give exactly one of s or p")
     if p is not None:
         s = analysis.s_of_p(p)
+    check(k_list, lambda ks: all(is_count(k) for k in ks), "k_list", "a list of nonnegative integers")
+    check(quantities, lambda qs: qs is None or set(qs) <= QUANTITIES.keys(), "quantities", f"from {sorted(QUANTITIES)}")
+    check(fit_window, lambda w: len(w) == 2 and all(map(is_real, w)) and 0 < w[0] < w[1], "fit_window", "0 < start < end")
+    check(num_times, lambda v: is_count(v, 2), "num_times", "an integer >= 2")
+    check(tolerance, lambda v: is_real(v) and v > 0, "tolerance", "positive")
     if quantities is None:
         quantities = ["full_state", "nuE", "n_only", "B_only"]
         if constants.b_infty_is_zero:
@@ -545,7 +563,7 @@ def decay_report(
     elif "n_divu" in quantities and not constants.b_infty_is_zero:
         raise RequiresBInftyZero("n_divu requires a zero background magnetic field")
     prof = profile or SpectralProfile.decay_class(s)
-    times = np.geomspace(window[0], window[1], num_times)
+    times = np.geomspace(fit_window[0], fit_window[1], num_times)
     rows: list[DecayReportRow] = []
     counts = _PropagationCounts()
     quadrature_s = fit_s = 0.0
@@ -564,7 +582,7 @@ def decay_report(
             start = time.perf_counter()
             fit = analysis.fit_decay(
                 series[q],
-                window=window,
+                window=fit_window,
                 target=target_info.exponent,
                 tol=tolerance,
                 floor=series[q].metadata["roundoff_floor"],

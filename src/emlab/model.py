@@ -6,6 +6,10 @@ background magnetic field) after an enthalpy-type change of variables.  The
 closure ``density_closure(n) = (1 + mu*n)^(1/mu) - 1`` equals the physical
 density deviation, and the electrostatic constraint reads
 ``div E = -nu * closure(n)`` together with ``div B = 0``.
+
+In these rescaled units the pressure constant, relaxation time, Debye length,
+light speed and background density are one: gamma and B_inf are the only
+parameters.
 """
 
 from __future__ import annotations
@@ -44,30 +48,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Model constants; the reformulated system assumes the starred ones are 1.
-
-    gamma is the adiabatic exponent; pressure_const, relaxation, debye and
-    light_speed_inv are carried for the record but must equal one for
-    gamma > 1 (the reformulation below is derived in those units).
-    n_infty is the background density and b_infty the background magnetic
-    field of the equilibrium.
-    """
+    """The parameters of the rescaled system, the only ones in these units:
+    gamma, the adiabatic exponent, and b_infty, the background magnetic
+    field of the equilibrium (exactly three finite numbers)."""
 
     gamma: float = 5.0 / 3.0
-    pressure_const: float = 1.0
-    relaxation: float = 1.0
-    debye: float = 1.0
-    light_speed_inv: float = 1.0
-    n_infty: float = 1.0
     b_infty: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        if self.gamma < 1.0:
+        if not self.gamma >= 1.0:
             raise ValueError("gamma must be >= 1")
-        for name in ("pressure_const", "relaxation", "debye", "light_speed_inv", "n_infty"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        object.__setattr__(self, "b_infty", tuple(float(b) for b in self.b_infty))
+        b = np.asarray(self.b_infty, dtype=float)
+        if b.shape != (3,) or not np.all(np.isfinite(b)):
+            raise ValueError(f"b_infty must be 3 finite numbers, got {self.b_infty!r}")
+        object.__setattr__(self, "b_infty", tuple(b.tolist()))
 
     @property
     def mu(self) -> float:
@@ -83,16 +77,6 @@ class PhysicalConstants:
     @property
     def b_infty_is_zero(self) -> bool:
         return all(b == 0.0 for b in self.b_infty)
-
-    def require_normalized(self):
-        ones = {"pressure_const", "relaxation", "debye", "light_speed_inv", "n_infty"}
-        if self.gamma == 1.0:
-            ones -= {"pressure_const", "n_infty"}
-        off = [n for n in ones if not math.isclose(getattr(self, n), 1.0)]
-        if off:
-            raise ValueError(
-                f"the reformulated system assumes unit constants; non-unit: {off}"
-            )
 
 
 @dataclass(frozen=True)
@@ -216,20 +200,15 @@ def to_perturbation(
 ) -> PerturbationState:
     """Map physical-variable samples at physical time t to perturbation variables.
 
-    The rescaled time runs faster by sqrt(gamma); velocity and fields are
-    scaled by 1/sqrt(gamma) and the background magnetic field is subtracted.
+    n is the closure inverse of n_tilde - 1; the rescaled time runs faster by
+    sqrt(gamma); velocity and fields are scaled by 1/sqrt(gamma) and the
+    background magnetic field is subtracted.
     """
-    constants.require_normalized()
     n_tilde = np.asarray(n_tilde, dtype=float)
     if np.any(n_tilde <= 0):
         raise DensityNonpositive("physical density must be positive")
-    ga = constants.gamma
-    root = math.sqrt(ga)
-    if ga == 1.0:
-        n = math.sqrt(constants.pressure_const) * (np.log(n_tilde) - math.log(constants.n_infty))
-    else:
-        mu = constants.mu
-        n = (n_tilde ** mu - 1.0) / mu
+    root = math.sqrt(constants.gamma)
+    n = density_closure_inverse(n_tilde - 1.0, constants.gamma)
     u = np.asarray(u_tilde, dtype=float) / root
     e = np.asarray(e_tilde, dtype=float) / root
     b = np.asarray(b_tilde, dtype=float) / root - constants.b_infty_vector()[:, None, None, None]
@@ -244,18 +223,8 @@ def to_perturbation(
 
 def from_perturbation(state: PerturbationState, constants: PhysicalConstants):
     """Inverse change of variables; returns physical samples and physical time."""
-    constants.require_normalized()
-    ga = constants.gamma
-    root = math.sqrt(ga)
-    n = state.n.physical()
-    if ga == 1.0:
-        n_tilde = constants.n_infty * np.exp(n / math.sqrt(constants.pressure_const))
-    else:
-        mu = constants.mu
-        base = 1.0 + mu * n
-        if np.any(base <= 0):
-            raise DensityNonpositive("state violates 1 + mu*n > 0")
-        n_tilde = base ** (1.0 / mu)
+    root = math.sqrt(constants.gamma)
+    n_tilde = 1.0 + density_closure(state.n.physical(), constants.gamma)
     u_tilde = state.u.physical() * root
     e_tilde = state.E.physical() * root
     b_tilde = (state.B.physical() + constants.b_infty_vector()[:, None, None, None]) * root

@@ -45,7 +45,7 @@ from typing import Callable, Iterator
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import BlockOutOfRange, NegativePowerOnNonzeroMean
+from .errors import BlockOutOfRange, NegativePowerOnNonzeroMean, is_count
 
 __all__ = [
     "GridSpec",
@@ -97,7 +97,7 @@ class GridSpec:
     box_length: float
 
     def __post_init__(self):
-        if self.points_per_axis < 4 or self.points_per_axis % 2:
+        if not is_count(self.points_per_axis, 4) or self.points_per_axis % 2:
             raise ValueError("points_per_axis must be an even integer >= 4")
         if not self.box_length > 0:
             raise ValueError("box_length must be positive")

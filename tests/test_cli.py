@@ -8,6 +8,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import emlab
 from emlab import cli
 
@@ -75,11 +77,45 @@ class TestSimulate:
         assert _run(tmp_path, "simulate", {"monitors": {"eta": 0.1}}, "eta") == 2
         assert _run(tmp_path, "simulate", {"emit_plot_script": False}, "plot") == 2
 
-    def test_invalid_values_are_config_errors(self, tmp_path, capsys):
-        # exit 1 is reserved for failed --ci verdicts
-        for name, config in (("end", {"solver": {"end_time": -1}}), ("points", {"grid": {"points": 15}})):
-            assert _run(tmp_path, "simulate", config, name) == 2
-            assert capsys.readouterr().err.startswith("error:")
+    def test_removed_constants_are_unknown_keys(self, tmp_path, capsys):
+        # gamma and b_infty are the only parameters of the rescaled system
+        assert _run(tmp_path, "simulate", {"constants": {"relaxation": 2.0}}, "relax") == 2
+        assert "unknown config keys: ['constants.relaxation']" in capsys.readouterr().err
+
+
+def test_resolved_sections_are_fresh_copies():
+    cli.resolve_config({})["grid"]["points"] = 16
+    assert cli.resolve_config({})["grid"]["points"] == 32
+
+
+# command, config and the section the error must name
+INVALID_VALUES = {
+    "solver.end_time": ("simulate", {"solver": {"end_time": -1}}, "solver"),
+    "solver.cfl_safety=0": ("simulate", {"solver": {"cfl_safety": 0}}, "solver"),
+    "solver.cfl_safety=-1": ("simulate", {"solver": {"cfl_safety": -1}}, "solver"),
+    "grid.points": ("simulate", {"grid": {"points": 15}}, "grid"),
+    "seed": ("simulate", {"seed": "x"}, "seed"),
+    "constants.b_infty=2": ("simulate", {"constants": {"b_infty": [0, 1]}}, "constants"),
+    "constants.b_infty=4": ("linear", {"constants": {"b_infty": [0, 1, 0, 5]}}, "constants"),
+    "monitors.grad_norms": ("simulate", {"monitors": {"grad_norms": [[1, "x"]]}}, "monitors"),
+    "monitors.eps": ("simulate", {"monitors": {"eps": 2.0}}, "monitors"),
+    "data_class.p": ("linear", {"data_class": {"p": "x"}}, "data_class"),
+    "data_class.s": ("linear", {"data_class": {"s": "x"}}, "data_class"),
+    "linear.radial_nodes": ("linear", {"linear": {"radial_nodes": 0}}, "linear"),
+    "linear.n_theta": ("linear", {"linear": {"n_theta": 0}}, "linear"),
+    "linear.quantities": ("linear", {"linear": {"quantities": ["bogus"]}}, "linear"),
+    "inequalities.trials=0": ("inequalities", {"inequalities": {"trials": 0}}, "inequalities"),
+    "inequalities.trials=-3": ("inequalities", {"inequalities": {"trials": -3}}, "inequalities"),
+}
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("case", sorted(INVALID_VALUES))
+    def test_invalid_values_are_config_errors(self, tmp_path, capsys, case):
+        # exit 1 is reserved for failed --ci verdicts; no traceback escapes main
+        command, config, section = INVALID_VALUES[case]
+        assert _run(tmp_path, command, {"grid": {"points": 16}, **config}, "out") == 2
+        assert capsys.readouterr().err.startswith(f"error: {section}:")
 
 
 class TestFit:
