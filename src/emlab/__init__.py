@@ -13,38 +13,18 @@ from .analysis import (
     NormSeries,
     fit_decay,
     nonincreasing_within,
-    prior_work_rates,
     s_of_p,
     theoretical_exponent,
 )
 from .dynamics import SolverConfig, cfl_dt, rhs, simulate, step
-from .energetics import (
-    acoustic_energy,
-    cross_energy_ue,
-    dissipation,
-    energy,
-    grad_norm,
-    interactive,
-    window_energy,
-)
-from .linear import (
-    ModeSystem,
-    QuadratureSpec,
-    SpectralProfile,
-    decay_report,
-    evolve_mode,
-    mode_matrix,
-    weighted_norm_series,
-)
+from .linear import QuadratureSpec, SpectralProfile, decay_report
 from .model import (
     CompatibilityReport,
     PerturbationState,
     PhysicalConstants,
     density_closure,
     density_closure_inverse,
-    from_perturbation,
     make_initial_data,
-    to_perturbation,
     verify_compatibility,
 )
 from .spectral import (
@@ -59,11 +39,8 @@ from .spectral import (
     gradient,
     homog_norm,
     l2_norm,
-    laplacian,
-    lp_block,
     lp_norm,
     neg_sobolev_norm,
-    sobolev_norm,
 )
 
 __version__ = "0.1.0"

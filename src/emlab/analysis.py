@@ -21,6 +21,7 @@ from .errors import (
     POutOfRange,
     RequiresBInftyZero,
     SOutOfRange,
+    check,
     is_real,
 )
 
@@ -32,7 +33,6 @@ __all__ = [
     "theoretical_exponent",
     "check_s",
     "s_of_p",
-    "prior_work_rates",
     "nonincreasing_within",
     "LINEAR_FIT_TOLERANCE",
     "NONLINEAR_FIT_TOLERANCE",
@@ -102,8 +102,14 @@ def fit_decay(
     """Least-squares slope of log(value) vs log(1 + t) inside the window.
 
     ``floor`` marks an additive noise floor: samples below 100x the floor
-    contaminate the fit and are flagged.
+    contaminate the fit and are flagged.  ``window`` (null, or a pair
+    0 <= start < end), ``target`` (null or a number) and the tolerance
+    ``tol`` (positive) are checked (InvalidArgument) before the fit.
     """
+    check(window, lambda w: w is None or (len(w) == 2 and all(map(is_real, w)) and 0 <= w[0] < w[1]),
+          "window", "null or a pair 0 <= start < end")
+    check(target, lambda v: v is None or is_real(v), "target", "null or a number")
+    check(tol, lambda v: is_real(v) and v > 0, "tolerance", "positive")
     if window is None:
         window = (float(series.times[0]), float(series.times[-1]))
     sub = series.restrict(window)
@@ -181,17 +187,6 @@ def s_of_p(p: float) -> float:
     if not (is_real(p) and 1.0 <= p <= 2.0):
         raise POutOfRange(f"p must be a number in [1, 2], got {p!r}")
     return 3.0 * (1.0 / p - 0.5)
-
-
-def prior_work_rates() -> dict[str, float]:
-    """L2 decay rates from earlier small-L1-data analyses of the same system,
-    against the improved density rate obtained here for p = 1."""
-    return {
-        "n": -11.0 / 4.0,
-        "uE": -5.0 / 4.0,
-        "B": -3.0 / 4.0,
-        "this_work_n": -13.0 / 4.0,
-    }
 
 
 def nonincreasing_within(

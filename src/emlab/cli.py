@@ -11,7 +11,8 @@ Every run writes resolved_config.json with all defaults made explicit;
 re-running from that file reproduces the outputs byte for byte on the same
 platform, except the wall times in the ``metrics`` block of
 decay_report.json.  Unknown config keys exit 2, as does a resolved_config.json
-carrying a removed key (such as the old constants besides gamma and b_infty).
+carrying a removed key (such as the old constants besides gamma and b_infty,
+or ``solver.dealias``: the solver always dealiases).
 Section defaults are the library's own; an invalid value exits 2 with
 ``error: <section>: ...``, keeping exit 1 for failed --ci verdicts.
 """
@@ -31,7 +32,10 @@ import numpy as np
 from . import analysis, energetics, inequalities, linear
 from .analysis import NormSeries, check_s, fit_decay, s_of_p
 from .dynamics import SolverConfig, simulate
-from .errors import ConfigError, EmlabError, InvalidArgument, POutOfRange, SOutOfRange, is_count
+from .errors import (
+    ConfigError, EmlabError, InsufficientSamples, InvalidArgument, NonpositiveValue, POutOfRange, SOutOfRange,
+    is_count,
+)
 from .model import PhysicalConstants, make_initial_data
 from .spectral import GridSpec
 
@@ -151,7 +155,7 @@ def run_simulate(cfg: dict, outdir: Path) -> dict:
     seed = _seed(cfg)
     state = _section("initial_data", lambda: make_initial_data(
         seed=seed, grid=grid, constants=constants, **cfg["initial_data"]
-    ))
+    ), InvalidArgument)
     config = _section("solver", lambda: SolverConfig(**cfg["solver"]))
     monitor = _section("monitors", lambda: energetics.standard_monitor(constants, **cfg["monitors"]))
     result = simulate(state, config, constants, monitors=[monitor])
@@ -238,8 +242,10 @@ def run_fit(cfg: dict, outdir: Path, csv_path: str | Path) -> dict:
             continue
         series = NormSeries(label=col, times=times[keep], values=vals[keep])
         try:
-            fit = fit_decay(series, window=fc["window"] or None, target=fc["target"], tol=fc["tolerance"])
-        except EmlabError as exc:
+            fit = _section("fit", lambda: fit_decay(
+                series, window=fc["window"] or None, target=fc["target"], tol=fc["tolerance"]
+            ), InvalidArgument)
+        except (InsufficientSamples, NonpositiveValue) as exc:
             out["fits"][col] = {"error": str(exc)}
             continue
         out["fits"][col] = {

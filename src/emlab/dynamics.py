@@ -88,7 +88,6 @@ class SolverConfig:
 
     dt: float | str = "auto"
     end_time: float = 1.0
-    dealias: bool = True
     gauss_projection_stride: int | None = 50
     output_stride: int = 10
     gauss_tol: float = 1e-6
@@ -190,7 +189,7 @@ class _Rhs:
     # slots of the spectral and physical work stacks: the product inputs
     _GROUPS = ((0, 4), (4, 7), (7, 11))  # n u | grad n | div u, B - curl u
 
-    def __init__(self, grid: GridSpec, constants: PhysicalConstants, dealias: bool, slabs: _Slabs):
+    def __init__(self, grid: GridSpec, constants: PhysicalConstants, slabs: _Slabs):
         n, h = grid.n, grid.n // 2 + 1
         self.n = n
         self.slabs = slabs
@@ -199,7 +198,7 @@ class _Rhs:
         a0, a1 = linear_generator(constants)
         table = np.concatenate([a1, a0[None]])
         self.terms = [[(a, c, table[a, r, c]) for a, c in zip(*np.nonzero(table[:, r]))] for r in range(_SLOTS)]
-        self.mask = grid.dealias_mask if dealias else None
+        self.mask = grid.dealias_mask
         self.spec = np.empty((11, n, n, h), dtype=np.complex128)
         self.phys = np.empty((11, n, n, n))
         self.tmp = np.empty((n, n, h), dtype=np.complex128)
@@ -216,8 +215,7 @@ class _Rhs:
         self.slabs.run(lambda slab: self._accumulate(prods, out, slab))
 
     def _multipliers(self, slab: slice):
-        ik = (self.ik[0][slab], self.ik[1], self.ik[2])
-        return ik, None if self.mask is None else self.mask[slab]
+        return (self.ik[0][slab], self.ik[1], self.ik[2]), self.mask[slab]
 
     def _linear(self, y: np.ndarray, out: np.ndarray, slab: slice):
         """The linear part into ``out`` and the masked product inputs into ``spec``."""
@@ -244,11 +242,8 @@ class _Rhs:
             np.multiply(ik[j], u[i], out=tmp)
             w[a] -= tmp
             np.subtract(y[7 + a], w[a], out=w[a])
-        if m is None:
-            spec[0:4] = y[0:4]
-        else:
-            np.multiply(y[0:4], m, out=spec[0:4])
-            spec[4:11] *= m
+        np.multiply(y[0:4], m, out=spec[0:4])
+        spec[4:11] *= m
 
     def _products(self, closure: np.ndarray, slab: slice):
         """The 8 products into slots 0-7 of ``phys``, each written into a slot
@@ -289,8 +284,7 @@ class _Rhs:
         x = _x(slab)
         prods, out, tmp = prods[x], out[x], self.tmp[slab]
         dn, du, de = out[0], out[1:4], out[4:7]
-        if m is not None:
-            prods *= m
+        prods *= m
         dn -= prods[7]
         for a in range(3):
             np.multiply(ik[a], prods[0], out=tmp)
@@ -356,12 +350,12 @@ def _project_gauss(state: PerturbationState, constants: PhysicalConstants) -> np
 # -- public operations -------------------------------------------------------------
 
 
-def rhs(state: PerturbationState, constants: PhysicalConstants, dealias: bool = True) -> PerturbationState:
+def rhs(state: PerturbationState, constants: PhysicalConstants) -> PerturbationState:
     """Time derivative of the state (returned as a state-shaped object)."""
     y = _pack(state)
     out = np.empty_like(y)
     with _Slabs(state.grid.n) as slabs:
-        _Rhs(state.grid, constants, dealias, slabs)(y, state.time, out)
+        _Rhs(state.grid, constants, slabs)(y, state.time, out)
     return _view(out, state.grid, state.time)
 
 
@@ -396,7 +390,6 @@ def step(
     state: PerturbationState,
     dt: float,
     constants: PhysicalConstants,
-    dealias: bool = True,
     rhs_fn: Callable | None = None,
 ) -> PerturbationState:
     """One classical RK4 step; ``rhs_fn(state)`` replaces the physics if given."""
@@ -404,7 +397,7 @@ def step(
     g = state.grid
     y = _pack(state)
     with _Slabs(g.n) as slabs:
-        f = _Rhs(g, constants, dealias, slabs) if rhs_fn is None else _hook(rhs_fn, g)
+        f = _Rhs(g, constants, slabs) if rhs_fn is None else _hook(rhs_fn, g)
         out = _rk4(f, y, state.time, dt, np.empty_like(y), np.empty_like(y), slabs)
     if not np.isfinite(out).all():
         raise SimulationDiverged(f"non-finite state after step at t={state.time}")
@@ -477,7 +470,6 @@ def simulate(
             "horizon": grid.box_length / 4.0,
             "grid_points": grid.n,
             "box_length": grid.box_length,
-            "dealias": config.dealias,
             "gauss_projection_stride": config.gauss_projection_stride,
         }
     )
@@ -494,7 +486,7 @@ def simulate(
 
     y = _pack(initial)
     with _Slabs(grid.n) as slabs:
-        kernel = _Rhs(grid, constants, config.dealias, slabs)
+        kernel = _Rhs(grid, constants, slabs)
         k, stage = np.empty_like(y), np.empty_like(y)
         state = _view(y, grid, initial.time)
         sample(state)

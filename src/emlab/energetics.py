@@ -9,8 +9,9 @@ the structural signature of the electromagnetic regularity loss.
 One sample builds one table: the power spectra of the four fields, the cross
 spectra of the interactive and equivalent energies, |div u_hat|^2 and the
 top-of-band power go into one stack, reduced once per derivative order by
-spectral's weighted sum.  Every functional is a lookup in that table, so a
-report and the public functions agree exactly.
+spectral's weighted sum.  Every functional is a private lookup in that
+table; ``evaluate_report`` builds the table once per sample and
+``standard_monitor`` turns the report into a CSV row.
 """
 
 from __future__ import annotations
@@ -27,14 +28,7 @@ from .model import PerturbationState, PhysicalConstants, verify_compatibility
 from .spectral import _cross_power, _field_power, _sums, _weights, curl, divergence
 
 __all__ = [
-    "energy",
-    "dissipation",
-    "window_energy",
-    "interactive",
     "InteractiveTerms",
-    "cross_energy_ue",
-    "acoustic_energy",
-    "grad_norm",
     "FunctionalReport",
     "evaluate_report",
     "standard_monitor",
@@ -53,8 +47,7 @@ def _table(state: PerturbationState, orders: Iterable[int]) -> dict[tuple[str, i
     of weight(l) times the spectrum of that row, for each order l.
 
     Each order is its own one-column reduction, so a value does not depend
-    on which other orders are asked for: a report and the public functions
-    agree exactly.
+    on which other orders are asked for.
     """
     g = state.grid
     div_u = divergence(state.u)
@@ -88,6 +81,7 @@ def _check_resolution(t: dict, order: int):
 
 
 def _energy(t: dict, order: int) -> float:
+    """Sum over derivative orders 0..N of the squared norms of all four fields."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     _check_resolution(t, order)
@@ -95,6 +89,8 @@ def _energy(t: dict, order: int) -> float:
 
 
 def _dissipation(t: dict, order: int) -> float:
+    """Dissipation rate matching ``_energy``: E enters only to order N-1 and
+    B only from 1 to N-1 (the regularity-loss index ranges)."""
     if order < 1:
         raise ValueError("order must be >= 1")
     total = sum(t[f, l] for f in ("n", "u") for l in range(order + 1))
@@ -104,6 +100,11 @@ def _dissipation(t: dict, order: int) -> float:
 
 
 def _window_energy(t: dict, k: int) -> tuple[float, float]:
+    """Three-order window (k..k+2) of energy and dissipation.
+
+    The window dissipation keeps (n, u) over the whole window, E over
+    k..k+1, and only the single order k+1 of B.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     _check_resolution(t, k + 2)
@@ -112,26 +113,6 @@ def _window_energy(t: dict, k: int) -> tuple[float, float]:
     d += sum(t["E", l] for l in range(k, k + 2))
     d += t["B", k + 1]
     return e, d
-
-
-def energy(state: PerturbationState, order: int) -> float:
-    """Sum over derivative orders 0..N of the squared norms of all four fields."""
-    return _energy(_table(state, range(order + 1)), order)
-
-
-def dissipation(state: PerturbationState, order: int) -> float:
-    """Dissipation rate matching ``energy``: E enters only to order N-1 and
-    B only from 1 to N-1 (the regularity-loss index ranges)."""
-    return _dissipation(_table(state, range(order + 1)), order)
-
-
-def window_energy(state: PerturbationState, k: int) -> tuple[float, float]:
-    """Three-order window (k..k+2) of energy and dissipation.
-
-    The window dissipation keeps (n, u) over the whole window, E over
-    k..k+1, and only the single order k+1 of B.
-    """
-    return _window_energy(_table(state, range(k, k + 3)), k)
 
 
 @dataclass(frozen=True)
@@ -150,29 +131,21 @@ def _interactive(t: dict, k: int) -> InteractiveTerms:
     return InteractiveTerms(i_n, i_e, -t["E_curlB", k])
 
 
-def interactive(state: PerturbationState, k: int) -> InteractiveTerms:
-    return _interactive(_table(state, (k, k + 1)), k)
-
-
 # a label names its fields one letter each, plus div u
 _NORM_LABELS = ("n", "u", "E", "B", "divu", "uE", "nuE", "nuEB", "ndivu")
 
 
 def _grad_norm(t: dict, k: int, which: str) -> float:
+    """|| grad^k X ||_{L2} for X one of n, u, E, B, divu, or grouped labels.
+
+    Grouped labels sum squares: "nuE", "nuEB" (full state), "uE", "ndivu".
+    """
     if which not in _NORM_LABELS:
         raise ValueError(f"unknown norm label {which!r}")
     total = sum(t[f, k] for f in which.removesuffix("divu"))
     if which.endswith("divu"):
         total += t["divu", k]
     return math.sqrt(total)
-
-
-def grad_norm(state: PerturbationState, k: int, which: str) -> float:
-    """|| grad^k X ||_{L2} for X one of n, u, E, B, divu, or grouped labels.
-
-    Grouped labels sum squares: "nuE", "nuEB" (full state), "uE", "ndivu".
-    """
-    return _grad_norm(_table(state, (k,)), k, which)
 
 
 def _certified(value: float, base: float, slack: float, what: str) -> float:
@@ -184,19 +157,15 @@ def _certified(value: float, base: float, slack: float, what: str) -> float:
 
 
 def _cross_energy_ue(t: dict, k: int, eps: float) -> float:
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    base = t["u", k] + t["E", k]
-    return _certified(base + eps * t["uE", k], base, eps / 2.0, "cross energy")
-
-
-def cross_energy_ue(state: PerturbationState, k: int, eps: float) -> float:
     """||grad^k (u, E)||^2 + eps <grad^k u, grad^k E>, with its equivalence certificate.
 
     Cauchy-Schwarz forces the value between (1 -+ eps/2) times the plain norm
     square; a violation can only come from an implementation bug.
     """
-    return _cross_energy_ue(_table(state, (k,)), k, eps)
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0, 1)")
+    base = t["u", k] + t["E", k]
+    return _certified(base + eps * t["uE", k], base, eps / 2.0, "cross energy")
 
 
 def _acoustic_eps_limit(nu: float) -> float:
@@ -204,21 +173,17 @@ def _acoustic_eps_limit(nu: float) -> float:
 
 
 def _acoustic_energy(t: dict, k: int, eps: float, nu: float) -> float:
+    """nu^2 ||grad^k n||^2 + ||grad^k div u||^2 - eps <grad^k div u, grad^k n>.
+
+    Equivalent to the plain sum for eps below 2*nu*min(nu, 1); certified per
+    evaluation.
+    """
     if not 0 < eps < _acoustic_eps_limit(nu):
         raise ValueError("eps must lie in (0, 2*nu*min(nu,1))")
     base = nu**2 * t["n", k] + t["divu", k]
     value = base - eps * t["divu_n", k]
     # |<psi, n>| <= (nu^2||n||^2 + ||psi||^2) / (2 nu) with psi = div u
     return _certified(value, base, eps / (2.0 * nu), "acoustic energy")
-
-
-def acoustic_energy(state: PerturbationState, k: int, eps: float, constants: PhysicalConstants) -> float:
-    """nu^2 ||grad^k n||^2 + ||grad^k div u||^2 - eps <grad^k div u, grad^k n>.
-
-    Equivalent to the plain sum for eps below 2*nu*min(nu, 1); certified per
-    evaluation.
-    """
-    return _acoustic_energy(_table(state, (k,)), k, eps, constants.nu)
 
 
 @dataclass

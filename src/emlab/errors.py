@@ -71,10 +71,6 @@ class SimulationDiverged(EmlabError):
 
 # -- linear analyzer ----------------------------------------------------------
 
-class IllConditioned(EmlabError):
-    """Eigenvector matrix too ill-conditioned for diagonalized propagation."""
-
-
 class QuadratureNotConverged(EmlabError):
     """Doubling the quadrature nodes moved a reported value by too much."""
 

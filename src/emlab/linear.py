@@ -1,4 +1,4 @@
-"""Exact analysis of the linearized system: per-mode evolution and decay fits.
+"""Exact analysis of the linearized system: quadrature of the per-mode flow and decay fits.
 
 For each wavenumber xi the linearized equations close into a 10x10 constant
 system on S = (n, u, E, B), A(xi) = A0 + i sum_a xi_a A1[a] with the tables
@@ -17,8 +17,7 @@ squared moduli of linear functionals of the mode state (QUANTITIES): state
 components by index, plus the xi-dependent row i xi . u of n_divu.  One
 einsum reduces every functional at every time over the block's modes.
 Blocks are generated from mode indices, so peak memory does not grow with
-the quadrature.  mode_matrix and initial_mode_vector are the one-mode case
-of the same builders.
+the quadrature.
 
 No fallback is silent.  A mode whose eigenvector condition number (in the
 1-norm, ||vec||_1 ||vec^-1||_1, which the inverse gives for free) exceeds
@@ -27,8 +26,8 @@ provides it, is imported on the first fallback, not with this module.  A
 block whose stacked decomposition raises LinAlgError is retried one mode at
 a time.  The number of modes, of expm fallbacks and the worst eigenvector
 condition number seen (max_eig_cond, in the 1-norm) are carried in each
-NormSeries' metadata.  evolve_mode is the one-mode reference for all of
-this, and the tests compare the batched quadrature against it.
+NormSeries' metadata.  The tests compare the batched quadrature against a
+plain sum over modes, written in the test module, of one mode at a time.
 
 Structure worth knowing before reading fits: on the constraint manifold the
 longitudinal (acoustic/electrostatic) sector is uniformly exponentially
@@ -44,25 +43,20 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import analysis
 from .analysis import DecayFit, NormSeries, theoretical_exponent
-from .errors import (
-    IllConditioned, InvalidArgument, QuadratureNotConverged, RequiresBInftyZero, check, is_count, is_real
-)
+from .errors import InvalidArgument, QuadratureNotConverged, RequiresBInftyZero, check, is_count, is_real
 from .model import PhysicalConstants, _direction_frame, linear_generator
 
 __all__ = [
-    "ModeSystem",
-    "mode_matrix",
-    "evolve_mode",
     "SpectralProfile",
     "QuadratureSpec",
-    "weighted_norm_series",
+    "multi_norm_series",
     "decay_report",
     "DecayReportRow",
     "QUANTITIES",
@@ -80,49 +74,12 @@ CONVERGENCE_TOL = 5e-3
 _MODE_BLOCK = 16
 
 
-@dataclass(frozen=True)
-class ModeSystem:
-    """The 10x10 constant-coefficient system at one wavenumber."""
-
-    xi: np.ndarray
-    matrix: np.ndarray
-    constants: PhysicalConstants
-
-    def eigensystem(self):
-        if "_eig" not in self.__dict__:
-            lam, vec = np.linalg.eig(self.matrix)
-            cond = np.linalg.cond(vec, 1)
-            object.__setattr__(self, "_eig", (lam, vec, cond))
-        return self.__dict__["_eig"]
-
-
 def _mode_matrices(xi, constants: PhysicalConstants) -> np.ndarray:
-    """The linearized generators at a wavenumber or a stack of them (..., 3),
-    shape (..., 10, 10); see mode_matrix."""
+    """The linearized generators A(xi) = A0 + i sum_a xi_a A1[a] at a
+    wavenumber or a stack of them (..., 3): shape (..., 10, 10)."""
     xi = np.asarray(xi, dtype=float)
     a0, a1 = linear_generator(constants)
     return a0 + 1j * (xi @ a1.reshape(3, 100)).reshape(xi.shape[:-1] + (10, 10))
-
-
-def mode_matrix(xi, constants: PhysicalConstants) -> ModeSystem:
-    """The linearized generator at wavenumber xi, from model.linear_generator."""
-    xi = np.asarray(xi, dtype=float)
-    return ModeSystem(xi=xi, matrix=_mode_matrices(xi, constants), constants=constants)
-
-
-def evolve_mode(mode: ModeSystem, t: float, s0: np.ndarray) -> np.ndarray:
-    """exp(t A) s0, by eigendecomposition with a dense fallback."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    s0 = np.asarray(s0, dtype=complex)
-    try:
-        lam, vec, cond = mode.eigensystem()
-        if cond > COND_LIMIT:
-            raise IllConditioned("fallback")
-        c = np.linalg.solve(vec, s0)
-        return vec @ (np.exp(lam * t) * c)
-    except (IllConditioned, np.linalg.LinAlgError):
-        return _expm(mode.matrix * t) @ s0
 
 
 @dataclass
@@ -207,7 +164,6 @@ class SpectralProfile:
     include_u: bool = True
     include_e: bool = True
     include_b: bool = True
-    shell_radius: float | None = None
     label: str = "profile"
 
     @staticmethod
@@ -231,23 +187,6 @@ class SpectralProfile:
 
         return SpectralProfile(envelope=env, label=f"decay_class(s={s})", **kwargs)
 
-    @staticmethod
-    def flat_low(**kwargs) -> "SpectralProfile":
-        """Flat low-frequency profile: the endpoint (L1-like) class."""
-        p = SpectralProfile.decay_class(1.5, **kwargs)
-        return replace(p, label="flat_low")
-
-    @staticmethod
-    def single_shell(radius: float, **kwargs) -> "SpectralProfile":
-        """Dirac shell at one radius; quadrature collapses to a point."""
-        return SpectralProfile(
-            envelope=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-            shell_radius=radius,
-            label=f"shell(r={radius})",
-            **kwargs,
-        )
-
-
 def _initial_vectors(
     profile: SpectralProfile, r: np.ndarray, omega: np.ndarray, e1: np.ndarray, e2: np.ndarray, nu: float
 ) -> np.ndarray:
@@ -268,12 +207,6 @@ def _initial_vectors(
     if profile.include_b:
         s[:, 7:10] = g * (e1 + e2) / math.sqrt(2.0)
     return s
-
-
-def initial_mode_vector(profile: SpectralProfile, r: float, omega: np.ndarray, nu: float) -> np.ndarray:
-    """Constraint-consistent 10-vector at xi = r * omega."""
-    omega = np.asarray(omega, dtype=float)[None]
-    return _initial_vectors(profile, np.array([r], dtype=float), omega, *_direction_frame(omega), nu)[0]
 
 
 # -- output functionals ----------------------------------------------------------
@@ -382,12 +315,9 @@ def _norm_series_values(
 ) -> dict[str, np.ndarray]:
     dirs, dir_ws = _sphere_directions(constants, quad)
     e1, e2 = _direction_frame(dirs)
-    if profile.shell_radius is not None:
-        radii = np.array([profile.shell_radius])
-    else:
-        x, wq = _gauss_legendre(radial_nodes)
-        radii = (x + 1.0) / 2.0 * xi_max
-        radial_ws = wq * xi_max / 2.0
+    x, wq = _gauss_legendre(radial_nodes)
+    radii = (x + 1.0) / 2.0 * xi_max
+    radial_ws = wq * xi_max / 2.0
     rows = list(dict.fromkeys(row for q in quantities for row in QUANTITIES[q]))
     acc = np.zeros((len(rows), len(times)))
     n_modes = len(radii) * len(dirs)
@@ -395,11 +325,7 @@ def _norm_series_values(
         # modes run radius-major over the (radius, direction) pairs
         i, j = np.divmod(np.arange(lo, min(lo + _MODE_BLOCK, n_modes)), len(dirs))
         r, omega = radii[i], dirs[j]
-        if profile.shell_radius is not None:
-            # collapse: report the per-shell amplitude, averaged over directions
-            w = r ** (2 * k) * dir_ws[j] / (4.0 * math.pi)
-        else:
-            w = radial_ws[i] * dir_ws[j] * r ** (2 * k + 2)
+        w = radial_ws[i] * dir_ws[j] * r ** (2 * k + 2)
         xi = r[:, None] * omega
         states = _propagate(
             _mode_matrices(xi, constants),
@@ -414,27 +340,6 @@ def _norm_series_values(
     }
 
 
-def weighted_norm_series(
-    profile: SpectralProfile,
-    k: int,
-    quantity: str,
-    times: Sequence[float],
-    constants: PhysicalConstants,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> NormSeries:
-    """Time series of the order-k weighted norm of one monitored quantity.
-
-    Computes (integral over xi of |xi|^2k |mask . exp(tA) S0|^2)^(1/2) with
-    constraint-consistent initialization.  Raises QuadratureNotConverged when
-    doubling the radial nodes moves any reported value by more than the
-    configured tolerance.
-    """
-    if quantity not in QUANTITIES:
-        raise ValueError(f"unknown quantity {quantity!r}; known: {sorted(QUANTITIES)}")
-    series = multi_norm_series(profile, k, [quantity], times, constants, quad)
-    return series[quantity]
-
-
 def multi_norm_series(
     profile: SpectralProfile,
     k: int,
@@ -443,7 +348,14 @@ def multi_norm_series(
     constants: PhysicalConstants,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> dict[str, NormSeries]:
-    """Like weighted_norm_series for several quantities over one quadrature pass.
+    """Time series of the order-k weighted norms of the monitored quantities.
+
+    Computes (integral over xi of |xi|^2k |l . exp(tA) S0|^2, summed over the
+    quantity's functional rows l)^(1/2) for each quantity, with
+    constraint-consistent initialization, over one quadrature pass.  When
+    ``quad.check_convergence`` is set the pass is repeated with twice the
+    radial nodes, and QuadratureNotConverged is raised when that moves any
+    reported value by more than CONVERGENCE_TOL.
 
     Every series carries the same metadata, including what the propagation
     did over both passes: ``modes`` propagated, ``expm_fallbacks`` taken and
@@ -465,7 +377,7 @@ def multi_norm_series(
         "xi_max": xi_max,
         "angular": "rotational-reduction" if constants.b_infty_is_zero else f"{quad.n_theta}x{quad.n_phi}",
     }
-    if quad.check_convergence and profile.shell_radius is None:
+    if quad.check_convergence:
         refined = _norm_series_values(
             profile, k, computed, times, constants, 2 * quad.radial_nodes, xi_max, quad, counts
         )

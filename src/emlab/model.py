@@ -1,4 +1,4 @@
-"""Physical constants, the density closure, changes of variables, and initial data.
+"""Physical constants, the density closure, the linearization, and initial data.
 
 The solver evolves perturbation variables (n, u, E, B) measuring deviation
 from the equilibrium (background density, zero velocity, zero electric field,
@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dc_field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmplitudeTooLarge, ClosureShiftNotConverged, DensityNonpositive, OutOfRange
+from .errors import (
+    AmplitudeTooLarge, ClosureShiftNotConverged, DensityNonpositive, OutOfRange, check, is_count, is_real
+)
 from .spectral import (
     Field,
     GridSpec,
@@ -38,8 +41,6 @@ __all__ = [
     "density_closure_inverse",
     "closure_field",
     "linear_generator",
-    "to_perturbation",
-    "from_perturbation",
     "make_initial_data",
     "verify_compatibility",
     "solve_gauss_longitudinal",
@@ -70,9 +71,6 @@ class PhysicalConstants:
     @property
     def nu(self) -> float:
         return 1.0 / math.sqrt(self.gamma)
-
-    def b_infty_vector(self) -> np.ndarray:
-        return np.asarray(self.b_infty, dtype=float)
 
     @property
     def b_infty_is_zero(self) -> bool:
@@ -186,57 +184,6 @@ def _direction_frame(omega) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-# -- change of variables ---------------------------------------------------------
-
-
-def to_perturbation(
-    n_tilde: np.ndarray,
-    u_tilde: np.ndarray,
-    e_tilde: np.ndarray,
-    b_tilde: np.ndarray,
-    grid: GridSpec,
-    constants: PhysicalConstants,
-    time: float = 0.0,
-) -> PerturbationState:
-    """Map physical-variable samples at physical time t to perturbation variables.
-
-    n is the closure inverse of n_tilde - 1; the rescaled time runs faster by
-    sqrt(gamma); velocity and fields are scaled by 1/sqrt(gamma) and the
-    background magnetic field is subtracted.
-    """
-    n_tilde = np.asarray(n_tilde, dtype=float)
-    if np.any(n_tilde <= 0):
-        raise DensityNonpositive("physical density must be positive")
-    root = math.sqrt(constants.gamma)
-    n = density_closure_inverse(n_tilde - 1.0, constants.gamma)
-    u = np.asarray(u_tilde, dtype=float) / root
-    e = np.asarray(e_tilde, dtype=float) / root
-    b = np.asarray(b_tilde, dtype=float) / root - constants.b_infty_vector()[:, None, None, None]
-    return PerturbationState(
-        n=Field.from_physical(grid, n),
-        u=Field.from_physical(grid, u),
-        E=Field.from_physical(grid, e),
-        B=Field.from_physical(grid, b),
-        time=time * root,
-    )
-
-
-def from_perturbation(state: PerturbationState, constants: PhysicalConstants):
-    """Inverse change of variables; returns physical samples and physical time."""
-    root = math.sqrt(constants.gamma)
-    n_tilde = 1.0 + density_closure(state.n.physical(), constants.gamma)
-    u_tilde = state.u.physical() * root
-    e_tilde = state.E.physical() * root
-    b_tilde = (state.B.physical() + constants.b_infty_vector()[:, None, None, None]) * root
-    return {
-        "n": n_tilde,
-        "u": u_tilde,
-        "E": e_tilde,
-        "B": b_tilde,
-        "time": state.time / root,
-    }
-
-
 # -- initial data -----------------------------------------------------------------
 
 
@@ -335,6 +282,9 @@ def _normalize_max(phys: np.ndarray, target: float) -> np.ndarray:
     return phys * (target / m) if m > 0 else phys
 
 
+_KINDS = ("low_freq", "flat_low", "bump", "single_mode")
+
+
 def make_initial_data(
     kind: str,
     amplitude: float,
@@ -367,9 +317,22 @@ def make_initial_data(
     to max-abs amplitude (solver experiments), while ``"continuum"`` scales
     coefficients like a fixed whole-space datum (n^3/L^3 per unit envelope),
     making the negative-order class norms stable under box refinement.
+
+    Every argument is checked (InvalidArgument) before any work, including
+    those the chosen kind does not read.
     """
-    if amplitude < 0:
-        raise ValueError("amplitude must be nonnegative")
+    check(kind, lambda v: v in _KINDS, "kind", f"one of {list(_KINDS)}")
+    check(amplitude, lambda v: is_real(v) and v >= 0, "amplitude", "a nonnegative number")
+    check(seed, is_count, "seed", "a nonnegative integer")
+    check(s, is_real, "s", "a number")
+    for name, value in (
+        ("rolloff_width", rolloff_width), ("rolloff_k", rolloff_k), ("bump_radius_fraction", bump_radius_fraction)
+    ):
+        check(value, lambda v: is_real(v) and v > 0, name, "positive")
+    check(mode, lambda m: len(m) == 3 and all(isinstance(i, numbers.Integral) for i in m) and any(m),
+          "mode", "three integers, not all zero")
+    check(include_transverse_e, lambda v: isinstance(v, bool), "include_transverse_e", "true or false")
+    check(normalization, lambda v: v in ("physical", "continuum"), "normalization", "'physical' or 'continuum'")
     if amplitude == 0.0:
         return PerturbationState(
             n=Field.zeros(grid),
@@ -413,9 +376,7 @@ def make_initial_data(
             )
         else:
             e_t = np.zeros_like(b_coeffs)
-    elif kind in {"low_freq", "flat_low"}:
-        if normalization not in {"physical", "continuum"}:
-            raise ValueError("normalization must be 'physical' or 'continuum'")
+    else:  # low_freq, flat_low
         env = _envelope_flat_low(rolloff_width) if kind == "flat_low" else _envelope_low_freq(s, rolloff_k)
         coeff_scale = amplitude * grid.n**3 / grid.box_length**3
         n_f = random_phase_field(grid, rng, env)
@@ -443,8 +404,6 @@ def make_initial_data(
                     e_t = e_t * (amplitude / esc)
         else:
             e_t = np.zeros((3,) + n0.coeffs.shape, dtype=np.complex128)
-    else:
-        raise ValueError(f"unknown initial-data kind: {kind!r}")
 
     margin = float(np.min(1.0 + constants.mu * n0.physical()))
     if margin <= 0:

@@ -55,13 +55,10 @@ __all__ = [
     "gradient",
     "divergence",
     "curl",
-    "laplacian",
     "differentiate",
     "fractional",
     "homog_norm",
-    "sobolev_norm",
     "neg_sobolev_norm",
-    "lp_block",
     "besov_norm",
     "lp_norm",
     "l2_norm",
@@ -336,10 +333,6 @@ def curl(v: Field) -> Field:
     return Field(g, np.stack([cx, cy, cz]))
 
 
-def laplacian(f: Field) -> Field:
-    return Field(f.grid, -f.grid.k_squared * f.coeffs)
-
-
 def _multi_indices(order: int) -> Iterator[tuple[int, int, int]]:
     for a in range(order, -1, -1):
         for b in range(order - a, -1, -1):
@@ -486,13 +479,6 @@ def homog_norm(f: Field, order: float) -> float:
     return math.sqrt(float(_sums(_field_power(f), _weights(f.grid, [order]))[0]))
 
 
-def sobolev_norm(f: Field, k: int) -> float:
-    """Inhomogeneous H^k norm, sqrt(sum of squared homogeneous norms)."""
-    if k < 0:
-        raise ValueError("k must be a nonnegative integer")
-    return math.sqrt(sum(homog_norm(f, l) ** 2 for l in range(k + 1)))
-
-
 def neg_sobolev_norm(f: Field, s: float, with_info: bool = False):
     """Negative-order homogeneous norm ||f|| with multiplier |k|^{-s}, s in [0, 3/2).
 
@@ -614,12 +600,6 @@ class LPFamily:
 @functools.lru_cache(maxsize=4)
 def lp_family(grid: GridSpec) -> LPFamily:
     return LPFamily(grid)
-
-
-def lp_block(f: Field, j: int, family: LPFamily | None = None) -> Field:
-    """Dyadic frequency block of the field (ring multiplier in Fourier space)."""
-    fam = family or lp_family(f.grid)
-    return Field(f.grid, fam.ring_weights(j) * f.coeffs)
 
 
 def besov_norm(f: Field, s: float, with_info: bool = False):

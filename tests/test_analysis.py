@@ -11,12 +11,12 @@ from emlab.analysis import (
     NormSeries,
     fit_decay,
     nonincreasing_within,
-    prior_work_rates,
     s_of_p,
     theoretical_exponent,
 )
 from emlab.errors import (
     InsufficientSamples,
+    InvalidArgument,
     NonpositiveValue,
     POutOfRange,
     RequiresBInftyZero,
@@ -50,6 +50,14 @@ class TestFitDecay:
         assert dirty.floor_contaminated
         # the knee flattens the fitted slope below the true rate
         assert abs(dirty.slope) < 1.5
+
+    @pytest.mark.parametrize("bad", [
+        {"window": "x"}, {"window": [1.0]}, {"window": (5.0, 1.0)}, {"window": (-1.0, 5.0)},
+        {"target": "x"}, {"tol": "x", "target": -1.0}, {"tol": 0.0},
+    ], ids=lambda bad: "-".join(map(str, bad.items())))
+    def test_arguments_are_checked(self, bad):
+        with pytest.raises(InvalidArgument):
+            fit_decay(power_series(-0.75), **bad)
 
     def test_insufficient_samples(self):
         ser = power_series(-1.0, n=5)
@@ -124,18 +132,6 @@ class TestIndexRelations:
             s_of_p(0.9)
         with pytest.raises(POutOfRange):
             s_of_p(2.1)
-
-    def test_prior_work_comparison(self):
-        rates = prior_work_rates()
-        assert rates == {
-            "n": -11.0 / 4.0,
-            "uE": -5.0 / 4.0,
-            "B": -3.0 / 4.0,
-            "this_work_n": -13.0 / 4.0,
-        }
-        assert rates["this_work_n"] - rates["n"] == pytest.approx(-0.5)
-        # the magnetic rate equals the basic endpoint rate
-        assert rates["B"] == theoretical_exponent("full_state", 0, 1.5).exponent
 
 
 class TestMonotonicity:

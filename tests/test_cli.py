@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import emlab
-from emlab import cli
+from emlab import cli, model
 
 # 8 radial nodes x 2 x 3 directions: fast, converged enough to fit every row
 TINY_LINEAR = {"linear": {"radial_nodes": 8, "n_theta": 2, "n_phi": 3, "check_convergence": False}}
@@ -76,6 +76,16 @@ class TestSimulate:
     def test_removed_keys_are_rejected(self, tmp_path):
         assert _run(tmp_path, "simulate", {"monitors": {"eta": 0.1}}, "eta") == 2
         assert _run(tmp_path, "simulate", {"emit_plot_script": False}, "plot") == 2
+        assert _run(tmp_path, "simulate", {"solver": {"dealias": True}}, "dealias") == 2
+
+    def test_a_fault_inside_initial_data_is_not_a_config_error(self, tmp_path, monkeypatch):
+        # only the argument checks of make_initial_data report a config error
+        def failing_solve(source, nu):
+            raise ValueError("fault in the Gauss solve")
+
+        monkeypatch.setattr(model, "solve_gauss_longitudinal", failing_solve)
+        with pytest.raises(ValueError, match="fault in the Gauss solve"):
+            _run(tmp_path, "simulate", TINY_SIMULATE, "fault")
 
     def test_removed_constants_are_unknown_keys(self, tmp_path, capsys):
         # gamma and b_infty are the only parameters of the rescaled system
@@ -106,6 +116,13 @@ INVALID_VALUES = {
     "linear.quantities": ("linear", {"linear": {"quantities": ["bogus"]}}, "linear"),
     "inequalities.trials=0": ("inequalities", {"inequalities": {"trials": 0}}, "inequalities"),
     "inequalities.trials=-3": ("inequalities", {"inequalities": {"trials": -3}}, "inequalities"),
+    # checked whatever the kind, so under the default flat_low too
+    "initial_data.mode": ("simulate", {"initial_data": {"mode": "x"}}, "initial_data"),
+    "initial_data.s": ("simulate", {"initial_data": {"s": "x"}}, "initial_data"),
+    "fit.window=x": ("fit", {"fit": {"window": "x"}}, "fit"),
+    "fit.window=1": ("fit", {"fit": {"window": [1]}}, "fit"),
+    "fit.target": ("fit", {"fit": {"target": "x"}}, "fit"),
+    "fit.tolerance": ("fit", {"fit": {"tolerance": "x", "target": -1}}, "fit"),
 }
 
 
@@ -114,7 +131,12 @@ class TestConfigErrors:
     def test_invalid_values_are_config_errors(self, tmp_path, capsys, case):
         # exit 1 is reserved for failed --ci verdicts; no traceback escapes main
         command, config, section = INVALID_VALUES[case]
-        assert _run(tmp_path, command, {"grid": {"points": 16}, **config}, "out") == 2
+        flags = ()
+        if command == "fit":  # 13 positive samples, enough for an eight-sample fit
+            csv_path = tmp_path / "series.csv"
+            csv_path.write_text("time,E_3\n" + "".join(f"{0.1 * i},{math.exp(-0.1 * i)}\n" for i in range(13)))
+            flags = ("--csv", str(csv_path))
+        assert _run(tmp_path, command, {"grid": {"points": 16}, **config}, "out", *flags) == 2
         assert capsys.readouterr().err.startswith(f"error: {section}:")
 
 

@@ -22,12 +22,12 @@ from emlab.model import (
 from emlab.spectral import Field, curl, divergence, gradient, l2_norm, random_band_limited
 
 
-def reference_rhs(state, constants, dealias=True):
+def reference_rhs(state, constants):
     """The plain per-field right-hand side: one transform per field, each
     product formed from whole arrays, the 2/3 mask on product inputs and outputs."""
     g = state.grid
     nu, mu = constants.nu, constants.mu
-    m = g.dealias_mask if dealias else 1.0
+    m = g.dealias_mask
     n, u, E, B = state.n, state.u, state.E, state.B
 
     def phys(coeffs):
@@ -42,7 +42,7 @@ def reference_rhs(state, constants, dealias=True):
     div_u, grad_n, curl_u = divergence(u).coeffs, gradient(n).coeffs, curl(u).coeffs
     ndot = -div_u
     udot = -nu * u.coeffs - nu * E.coeffs - grad_n
-    udot -= cross(u.coeffs, constants.b_infty_vector()[:, None, None, None])
+    udot -= cross(u.coeffs, np.asarray(constants.b_infty)[:, None, None, None])
     edot = nu * curl(B).coeffs + nu * u.coeffs
     bdot = -nu * curl(E).coeffs
 
@@ -101,7 +101,7 @@ def mode_matrix_action(state, constants):
     """Independent mode-by-mode application of the linearized generator."""
     g = state.grid
     nu = constants.nu
-    bv = constants.b_infty_vector()
+    bv = constants.b_infty
     n_h, u_h, e_h, b_h = (state.fields()[f].coeffs for f in ("n", "u", "E", "B"))
     kx, ky, kz = (g.k_axis(a) for a in range(3))
 
@@ -172,13 +172,12 @@ class TestRhs:
 
 
 class TestFusedRhs:
-    @pytest.mark.parametrize("dealias", [True, False])
     @pytest.mark.parametrize("b_infty", [(0, 0, 0), (0, 0, 1), (0.3, -0.2, 0.9)])
-    def test_matches_per_field_reference(self, grid16, b_infty, dealias):
+    def test_matches_per_field_reference(self, grid16, b_infty):
         constants = PhysicalConstants(b_infty=b_infty)
         for seed in (1, 2):
             st = random_state(grid16, seed)
-            assert max_rel_diff(rhs(st, constants, dealias), reference_rhs(st, constants, dealias)) <= 1e-13
+            assert max_rel_diff(rhs(st, constants), reference_rhs(st, constants)) <= 1e-13
 
     @pytest.mark.parametrize("b_infty", [(0, 0, 0), (0, 0, 1)])
     def test_simulate_matches_reference_rk4(self, grid16, b_infty):
@@ -223,7 +222,7 @@ class TestSlabs:
         try:
             for workers in (1, 2, 3, 5):
                 with dynamics._Slabs(grid16.n, workers) as slabs:
-                    kernel = dynamics._Rhs(grid16, constants_bz, True, slabs)
+                    kernel = dynamics._Rhs(grid16, constants_bz, slabs)
                     k, stage = np.empty_like(y), np.empty_like(y)
                     results.append(dynamics._rk4(kernel, y, 0.0, 0.01, k, stage, slabs))
         finally:

@@ -5,21 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from emlab import energetics as en
 from emlab.dynamics import SolverConfig, simulate
-from emlab.energetics import (
-    acoustic_energy,
-    cross_energy_ue,
-    dissipation,
-    energy,
-    evaluate_report,
-    grad_norm,
-    interactive,
-    standard_monitor,
-    window_energy,
-)
+from emlab.energetics import evaluate_report, standard_monitor
 from emlab.errors import DerivativeOrderExceedsResolution
 from emlab.model import PerturbationState, make_initial_data
 from emlab.spectral import Field, divergence, gradient, inner_product, l2_norm
+
+
+def table(state):
+    """One sample's table at every order these tests read (0..7)."""
+    return en._table(state, range(8))
 
 
 def single_mode_state(grid, amp=0.3, kmod=(0, 0, 2), which="n"):
@@ -42,20 +38,21 @@ def single_mode_state(grid, amp=0.3, kmod=(0, 0, 2), which="n"):
 class TestEnergyAndDissipation:
     def test_zero_state(self, grid16, constants_bz):
         st = make_initial_data("flat_low", 0.0, 0, grid16, constants_bz)
-        assert energy(st, 3) == 0.0
-        assert dissipation(st, 3) == 0.0
+        t = table(st)
+        assert en._energy(t, 3) == 0.0
+        assert en._dissipation(t, 3) == 0.0
 
     def test_single_mode_geometric_sum(self, grid32):
         amp, kappa, order = 0.3, 2.0, 4
         st = single_mode_state(grid32, amp=amp, kmod=(0, 0, 2), which="n")
         base = l2_norm(st.n) ** 2
         expected = base * sum(kappa ** (2 * l) for l in range(order + 1))
-        assert energy(st, order) == pytest.approx(expected, rel=1e-12)
+        assert en._energy(table(st), order) == pytest.approx(expected, rel=1e-12)
 
     def test_order_zero_is_l2(self, grid16, constants_bz):
         st = make_initial_data("flat_low", 1e-2, 3, grid16, constants_bz)
         total = sum(l2_norm(f) ** 2 for f in st.fields().values())
-        assert energy(st, 0) == pytest.approx(total, rel=1e-12)
+        assert en._energy(table(st), 0) == pytest.approx(total, rel=1e-12)
 
     def test_constant_b_excluded_from_dissipation(self, grid16):
         vec = np.zeros((3, 16, 16, 9), dtype=complex)  # half-spectrum, kz = 0..8
@@ -66,8 +63,9 @@ class TestEnergyAndDissipation:
             E=Field.zeros(grid16, vector=True),
             B=Field(grid16, vec),
         )
-        assert dissipation(st, 3) == 0.0
-        assert energy(st, 3) > 0.0
+        t = table(st)
+        assert en._dissipation(t, 3) == 0.0
+        assert en._energy(t, 3) > 0.0
 
     def test_dissipation_by_independent_term_loop(self, grid16, constants_bz, rng):
         st = make_initial_data("flat_low", 1e-2, 8, grid16, constants_bz)
@@ -83,25 +81,27 @@ class TestEnergyAndDissipation:
         ):
             for l in range(lo, hi + 1):
                 total += homog_norm(f, l) ** 2
-        assert dissipation(st, N) == pytest.approx(total, rel=1e-10)
-        assert dissipation(st, N) <= energy(st, N)
+        t = table(st)
+        assert en._dissipation(t, N) == pytest.approx(total, rel=1e-10)
+        assert en._dissipation(t, N) <= en._energy(t, N)
 
     def test_energy_nondecreasing_in_order(self, grid16, constants_bz):
         st = make_initial_data("flat_low", 1e-2, 8, grid16, constants_bz)
-        vals = [energy(st, N) for N in range(5)]
+        t = table(st)
+        vals = [en._energy(t, N) for N in range(5)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_resolution_warning(self, grid16):
         # a state concentrated at the top of the band trips the warning
         st = single_mode_state(grid16, kmod=(0, 0, 7), which="n")
         with pytest.warns(DerivativeOrderExceedsResolution):
-            energy(st, 6)
+            en._energy(table(st), 6)
 
 
 class TestWindowFunctionals:
     def test_window_cross_check_with_full(self, grid16, constants_bz):
         st = make_initial_data("flat_low", 1e-2, 8, grid16, constants_bz)
-        e_win, d_win = window_energy(st, 0)
+        e_win, d_win = en._window_energy(table(st), 0)
         # window k=0 covers orders 0..2 of the energy
         from emlab.spectral import homog_norm
 
@@ -116,12 +116,12 @@ class TestWindowFunctionals:
 
     def test_zero_state_window(self, grid16, constants_bz):
         st = make_initial_data("flat_low", 0.0, 0, grid16, constants_bz)
-        assert window_energy(st, 1) == (0.0, 0.0)
+        assert en._window_energy(table(st), 1) == (0.0, 0.0)
 
     def test_single_shell_closed_form(self, grid32):
         st = single_mode_state(grid32, amp=0.2, kmod=(0, 0, 2), which="n")
         base = l2_norm(st.n) ** 2
-        e_win, d_win = window_energy(st, 1)
+        e_win, d_win = en._window_energy(table(st), 1)
         expected = base * (2.0**2 + 2.0**4 + 2.0**6)
         assert e_win == pytest.approx(expected, rel=1e-12)
         assert d_win == pytest.approx(expected, rel=1e-12)  # only n loaded
@@ -130,7 +130,7 @@ class TestWindowFunctionals:
 class TestInteractive:
     def test_zero_state(self, grid16, constants_bz):
         st = make_initial_data("flat_low", 0.0, 0, grid16, constants_bz)
-        it = interactive(st, 0)
+        it = en._interactive(table(st), 0)
         assert (it.n_coupling, it.e_coupling, it.b_coupling) == (0.0, 0.0, 0.0)
 
     def test_parallel_ue_closed_form(self, grid32):
@@ -138,7 +138,7 @@ class TestInteractive:
         a, kappa = 0.25, 2.0
         st_u = single_mode_state(grid32, amp=a, kmod=(0, 0, 2), which="u")
         st = PerturbationState(n=st_u.n, u=st_u.u, E=st_u.u, B=st_u.B)
-        it = interactive(st, 0)
+        it = en._interactive(table(st), 0)
         base = l2_norm(st.u) ** 2
         assert it.e_coupling == pytest.approx(base * (1.0 + kappa**2), rel=1e-12)
 
@@ -155,7 +155,7 @@ class TestInteractive:
             E=Field.zeros(grid32, vector=True),
             B=Field.zeros(grid32, vector=True),
         )
-        it = interactive(st, 0)
+        it = en._interactive(table(st), 0)
         L = grid32.box_length
         # l=0 term: -a^2 km L^3 / 2; l=1 term: same times km^2
         expected = -(a**2) * km * L**3 / 2.0 * (1.0 + km**2)
@@ -168,7 +168,7 @@ class TestInteractive:
         from emlab.spectral import homog_norm
 
         st = make_initial_data("flat_low", 1e-2, 4, grid16, constants_bz)
-        it = interactive(st, 0)
+        it = en._interactive(table(st), 0)
         bound = sum(
             homog_norm(st.u, l) * homog_norm(st.n, l + 1) for l in (0, 1)
         )
@@ -181,7 +181,7 @@ class TestEquivalentEnergies:
         from emlab.spectral import homog_norm
 
         base = homog_norm(st.u, 1) ** 2 + homog_norm(st.E, 1) ** 2
-        val = cross_energy_ue(st, 1, eps=1e-9)
+        val = en._cross_energy_ue(table(st), 1, 1e-9)
         assert val == pytest.approx(base, rel=1e-6)
 
     def test_cross_ue_equal_fields_closed_form(self, grid32):
@@ -190,7 +190,7 @@ class TestEquivalentEnergies:
         eps = 0.3
         base = 2.0 * l2_norm(st.u) ** 2
         # <u, E> = ||u||^2 here
-        assert cross_energy_ue(st, 0, eps) == pytest.approx(
+        assert en._cross_energy_ue(table(st), 0, eps) == pytest.approx(
             base + eps * l2_norm(st.u) ** 2, rel=1e-12
         )
 
@@ -207,7 +207,7 @@ class TestEquivalentEnergies:
             B=Field.zeros(grid32, vector=True),
         )
         psi = divergence(st.u)
-        val = acoustic_energy(st, 0, eps=0.1, constants=constants_bz)
+        val = en._acoustic_energy(table(st), 0, 0.1, constants_bz.nu)
         assert val == pytest.approx(l2_norm(psi) ** 2, rel=1e-12)
 
     def test_acoustic_energy_solenoidal_u(self, grid32, constants_bz):
@@ -223,7 +223,7 @@ class TestEquivalentEnergies:
             E=Field.zeros(grid32, vector=True),
             B=Field.zeros(grid32, vector=True),
         )
-        val = acoustic_energy(st, 0, eps=0.1, constants=constants_bz)
+        val = en._acoustic_energy(table(st), 0, 0.1, constants_bz.nu)
         assert val == pytest.approx(constants_bz.nu**2 * l2_norm(st.n) ** 2, rel=1e-12)
 
     def test_certificates_hold_over_random_states(self, grid16, constants_bz):
@@ -235,7 +235,7 @@ class TestEquivalentEnergies:
             )
             for k in (0, 1):
                 base = homog_norm(st.u, k) ** 2 + homog_norm(st.E, k) ** 2
-                val = cross_energy_ue(st, k, eps=0.1)
+                val = en._cross_energy_ue(table(st), k, 0.1)
                 assert (1 - 0.05) * base <= val <= (1 + 0.05) * base
 
 
@@ -251,8 +251,6 @@ class TestReportsAndMonitors:
             assert key in row
 
     def test_report_takes_powers_once_per_sample(self, grid16, constants_bz, monkeypatch):
-        import emlab.energetics as en
-
         st = make_initial_data("flat_low", 1e-2, 4, grid16, constants_bz)
         calls = []
         original = en._table
@@ -266,17 +264,17 @@ class TestReportsAndMonitors:
         )
         assert len(calls) == 1  # one table of |f_hat|^2 of n, u, E and B, shared by every functional
         monkeypatch.undo()
+        # each order is its own reduction: a table of other orders agrees exactly
+        t = table(st)
         for n in (1, 2, 3):
-            assert rep.energies[n] == energy(st, n)
-            assert rep.dissipations[n] == dissipation(st, n)
+            assert rep.energies[n] == en._energy(t, n)
+            assert rep.dissipations[n] == en._dissipation(t, n)
         for k in (0, 1, 2):
-            assert rep.windows[k] == window_energy(st, k)
-        assert rep.grad_norms[(1, "u")] == grad_norm(st, 1, "u")
-        assert rep.grad_norms[(2, "E")] == grad_norm(st, 2, "E")
+            assert rep.windows[k] == en._window_energy(t, k)
+        assert rep.grad_norms[(1, "u")] == en._grad_norm(t, 1, "u")
+        assert rep.grad_norms[(2, "E")] == en._grad_norm(t, 2, "E")
 
     def test_report_takes_cross_spectra_once_per_sample(self, grid16, constants_bz, monkeypatch):
-        import emlab.energetics as en
-
         st = make_initial_data("flat_low", 1e-2, 4, grid16, constants_bz)
         calls = []
         original = en._table
@@ -289,16 +287,17 @@ class TestReportsAndMonitors:
         def close(got, want):
             return abs(got - want) <= 1e-14 * max(abs(want), 1e-300)
 
+        t = table(st)
         for k in (0, 1, 2):
-            want = interactive(st, k)
+            want = en._interactive(t, k)
             got = rep.interactions[k]
             assert close(got.n_coupling, want.n_coupling)
             assert close(got.e_coupling, want.e_coupling)
             assert close(got.b_coupling, want.b_coupling)
-            assert close(rep.cross_ue[k], cross_energy_ue(st, k, 0.1))
-            assert close(rep.acoustic[k], acoustic_energy(st, k, 0.1, constants_bz))
+            assert close(rep.cross_ue[k], en._cross_energy_ue(t, k, 0.1))
+            assert close(rep.acoustic[k], en._acoustic_energy(t, k, 0.1, constants_bz.nu))
         for k, which in norms:
-            assert close(rep.grad_norms[(k, which)], grad_norm(st, k, which))
+            assert close(rep.grad_norms[(k, which)], en._grad_norm(t, k, which))
 
     def test_window_energy_decay_balance_on_linear_run(self, grid16, constants_b0):
         # d/dt(window E) + lambda (window D) <= 0 for some lambda in (0, 1]
@@ -317,9 +316,10 @@ class TestReportsAndMonitors:
 
     def test_grad_norm_groups(self, grid16, constants_bz):
         st = make_initial_data("flat_low", 1e-2, 4, grid16, constants_bz)
-        full = grad_norm(st, 0, "nuEB")
+        t = table(st)
+        full = en._grad_norm(t, 0, "nuEB")
         manual = math.sqrt(sum(l2_norm(f) ** 2 for f in st.fields().values()))
         assert full == pytest.approx(manual, rel=1e-12)
-        nd = grad_norm(st, 0, "ndivu")
+        nd = en._grad_norm(t, 0, "ndivu")
         manual_nd = math.sqrt(l2_norm(st.n) ** 2 + l2_norm(divergence(st.u)) ** 2)
         assert nd == pytest.approx(manual_nd, rel=1e-12)

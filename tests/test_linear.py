@@ -1,24 +1,33 @@
 """Mode system structure, propagation, quadrature, and decay fits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from emlab import linear
 from emlab.errors import QuadratureNotConverged, RequiresBInftyZero
-from emlab.linear import (
-    QUANTITIES,
-    QuadratureSpec,
-    SpectralProfile,
-    decay_report,
-    evolve_mode,
-    initial_mode_vector,
-    mode_matrix,
-    multi_norm_series,
-    weighted_norm_series,
-)
-from emlab.model import PhysicalConstants, linear_generator
+from emlab.linear import QUANTITIES, QuadratureSpec, SpectralProfile, decay_report, multi_norm_series
+from emlab.model import PhysicalConstants, _direction_frame, linear_generator
+
+
+def evolve_mode(A, t, s0):
+    """exp(t A) s0 for one mode: the reference for the batched propagation.
+
+    By eigendecomposition and a solve, with a dense expm when the eigenvector
+    matrix is ill-conditioned (1-norm condition number above COND_LIMIT)."""
+    lam, vec = np.linalg.eig(A)
+    if np.linalg.cond(vec, 1) > linear.COND_LIMIT:
+        return scipy.linalg.expm(A * t) @ s0
+    return vec @ (np.exp(lam * t) * np.linalg.solve(vec, s0))
+
+
+def initial_mode_vector(profile, r, omega, nu):
+    """The constraint-consistent 10-vector of the one mode xi = r * omega."""
+    omega = np.asarray(omega, dtype=float)[None]
+    return linear._initial_vectors(profile, np.array([r], dtype=float), omega, *_direction_frame(omega), nu)[0]
 
 
 def _hand_cross_matrix(a):
@@ -40,7 +49,7 @@ def hand_mode_matrices(xi, constants):
     A = np.zeros(xi.shape[:-1] + (10, 10), dtype=complex)
     A[..., 0, 1:4] = -1j * xi
     A[..., 1:4, 0] = -1j * xi
-    A[..., 1:4, 1:4] = -nu * eye + _hand_cross_matrix(constants.b_infty_vector())
+    A[..., 1:4, 1:4] = -nu * eye + _hand_cross_matrix(constants.b_infty)
     A[..., 1:4, 4:7] = -nu * eye
     A[..., 4:7, 1:4] = nu * eye
     A[..., 4:7, 7:10] = 1j * nu * _hand_cross_matrix(xi)
@@ -54,7 +63,7 @@ class TestLinearGenerator:
         constants = PhysicalConstants(b_infty=b_infty)
         xi = rng.normal(size=(50, 3)) * rng.uniform(0.01, 20.0, size=(50, 1))
         for x in xi:
-            assert np.array_equal(mode_matrix(x, constants).matrix, hand_mode_matrices(x, constants))
+            assert np.array_equal(linear._mode_matrices(x, constants), hand_mode_matrices(x, constants))
         assert np.array_equal(linear._mode_matrices(xi, constants), hand_mode_matrices(xi, constants))
         stacked = xi.reshape(5, 10, 3)
         assert np.array_equal(linear._mode_matrices(stacked, constants), hand_mode_matrices(stacked, constants))
@@ -74,23 +83,23 @@ class TestLinearGenerator:
 class TestModeMatrix:
     def test_trace_is_minus_three_nu(self, constants_bz):
         for xi in ([0, 0, 0], [1.0, 0, 0], [0.3, -0.4, 0.9]):
-            m = mode_matrix(xi, constants_bz)
-            assert np.trace(m.matrix) == pytest.approx(-3.0 * constants_bz.nu)
-            assert np.max(np.abs(np.diag(m.matrix)[4:])) == 0.0
+            m = linear._mode_matrices(xi, constants_bz)
+            assert np.trace(m) == pytest.approx(-3.0 * constants_bz.nu)
+            assert np.max(np.abs(np.diag(m)[4:])) == 0.0
 
     def test_spectral_abscissa_nonpositive(self, constants_b0, constants_bz):
         for c in (constants_b0, constants_bz):
             for r in (0.01, 0.3, 1.0, 4.0, 40.0):
                 for xi in ([r, 0, 0], [0, 0, r], [r / 2, r / 2, r / math.sqrt(2)]):
-                    eigs = np.linalg.eigvals(mode_matrix(xi, c).matrix)
+                    eigs = np.linalg.eigvals(linear._mode_matrices(xi, c))
                     assert eigs.real.max() <= 1e-10
 
     def test_origin_eigenvalues(self, constants_b0):
         # at xi = 0: n and B decouple (zero rows), each velocity axis pairs
         # with its electric axis through [[-nu, -nu], [nu, 0]]
         nu = constants_b0.nu
-        m = mode_matrix([0.0, 0.0, 0.0], constants_b0)
-        eigs = np.sort_complex(np.round(np.linalg.eigvals(m.matrix), 12))
+        m = linear._mode_matrices([0.0, 0.0, 0.0], constants_b0)
+        eigs = np.sort_complex(np.round(np.linalg.eigvals(m), 12))
         pair = np.linalg.eigvals(np.array([[-nu, -nu], [nu, 0.0]]))
         expected = np.sort_complex(
             np.round(np.concatenate([np.zeros(4), np.tile(pair, 3)]), 12)
@@ -101,7 +110,7 @@ class TestModeMatrix:
         # xi along x with zero background: longitudinal (n, u1, E1) and
         # transverse (u_perp, E_perp, B_perp) blocks do not mix
         kappa = 0.7
-        A = mode_matrix([kappa, 0.0, 0.0], constants_b0).matrix
+        A = linear._mode_matrices([kappa, 0.0, 0.0], constants_b0)
         longit = [0, 1, 4]
         transv = [2, 3, 5, 6, 7, 8, 9]
         assert np.max(np.abs(A[np.ix_(longit, transv)])) == 0.0
@@ -118,12 +127,12 @@ class TestModeMatrix:
 
 class TestEvolveMode:
     def test_time_zero_identity(self, constants_bz, rng):
-        m = mode_matrix([0.2, 0.5, -0.1], constants_bz)
+        m = linear._mode_matrices([0.2, 0.5, -0.1], constants_bz)
         s0 = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         assert np.allclose(evolve_mode(m, 0.0, s0), s0)
 
     def test_group_property(self, constants_bz, rng):
-        m = mode_matrix([0.2, 0.5, -0.1], constants_bz)
+        m = linear._mode_matrices([0.2, 0.5, -0.1], constants_bz)
         s0 = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         a = evolve_mode(m, 0.7, evolve_mode(m, 1.3, s0))
         b = evolve_mode(m, 2.0, s0)
@@ -132,20 +141,18 @@ class TestEvolveMode:
     def test_origin_velocity_spiral(self, constants_b0):
         # u-only data at xi = 0 follows the closed-form 2x2 exponential per axis
         nu = constants_b0.nu
-        m = mode_matrix([0.0, 0.0, 0.0], constants_b0)
+        m = linear._mode_matrices([0.0, 0.0, 0.0], constants_b0)
         s0 = np.zeros(10, dtype=complex)
         s0[1] = 1.0
         t = 1.7
         block = np.array([[-nu, -nu], [nu, 0.0]])
-        from scipy.linalg import expm
-
-        expected = expm(block * t) @ np.array([1.0, 0.0])
+        expected = scipy.linalg.expm(block * t) @ np.array([1.0, 0.0])
         got = evolve_mode(m, t, s0)
         assert got[1] == pytest.approx(expected[0], rel=1e-10)
         assert got[4] == pytest.approx(expected[1], rel=1e-10)
 
     def test_dissipative_norm_nonincreasing(self, constants_bz, rng):
-        m = mode_matrix([0.4, -0.2, 0.3], constants_bz)
+        m = linear._mode_matrices([0.4, -0.2, 0.3], constants_bz)
         s0 = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         norms = [np.linalg.norm(evolve_mode(m, t, s0)) for t in np.linspace(0, 10, 21)]
         assert all(b <= a * (1 + 1e-10) for a, b in zip(norms, norms[1:]))
@@ -155,7 +162,7 @@ class TestEvolveMode:
         r = 0.6
         omega = np.array([0.0, 0.0, 1.0])
         s0 = initial_mode_vector(prof, r, omega, constants_b0.nu)
-        m = mode_matrix(r * omega, constants_b0)
+        m = linear._mode_matrices(r * omega, constants_b0)
         scale = np.abs(s0).max()
         for t in (1.0, 10.0, 100.0):
             st = evolve_mode(m, t, s0)
@@ -175,9 +182,13 @@ class TestEvolveMode:
             big[1 + 3 * b : 4 + 3 * b, 1 + 3 * b : 4 + 3 * b] = R
         xi = np.array([0.3, -0.1, 0.25])
         s0 = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-        a = evolve_mode(mode_matrix(R @ xi, constants_b0), 3.0, big @ s0)
-        b = big @ evolve_mode(mode_matrix(xi, constants_b0), 3.0, s0)
+        a = evolve_mode(linear._mode_matrices(R @ xi, constants_b0), 3.0, big @ s0)
+        b = big @ evolve_mode(linear._mode_matrices(xi, constants_b0), 3.0, s0)
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+# one radial node at |xi| = xi_max / 2 = 0.8: a single shell
+SHELL_RULE = QuadratureSpec(radial_nodes=1, xi_max=1.6, check_convergence=False)
 
 
 class TestWeightedNormSeries:
@@ -189,37 +200,41 @@ class TestWeightedNormSeries:
             include_n=False,
         )
         quad = QuadratureSpec(radial_nodes=400, xi_max=1.0, check_convergence=False)
-        ser = weighted_norm_series(prof, 0, "full_state", [0.0], constants_b0, quad)
+        ser = multi_norm_series(prof, 0, ["full_state"], [0.0], constants_b0, quad)["full_state"]
         # |u|^2 = |E|^2 = |B|^2 = 1 on the ball
         expected = math.sqrt(3.0 * 4.0 * math.pi / 3.0)
         assert ser.values[0] == pytest.approx(expected, rel=1e-6)
 
     def test_single_shell_matches_evolve_mode(self, constants_b0):
-        prof = SpectralProfile.single_shell(0.8)
+        # one radial node: the shell |xi| = 0.8 with radial weight 1.6, and
+        # at zero background the one direction of weight 4 pi
+        prof = SpectralProfile(envelope=np.ones_like)
         times = [0.0, 2.0, 7.0]
-        ser = weighted_norm_series(prof, 1, "full_state", times, constants_b0)
-        m = mode_matrix(np.array([0.0, 0.0, 0.8]), constants_b0)
+        ser = multi_norm_series(prof, 1, ["full_state"], times, constants_b0, SHELL_RULE)["full_state"]
+        m = linear._mode_matrices(np.array([0.0, 0.0, 0.8]), constants_b0)
         s0 = initial_mode_vector(prof, 0.8, np.array([0.0, 0.0, 1.0]), constants_b0.nu)
-        direct = [0.8 * np.linalg.norm(evolve_mode(m, t, s0)) for t in times]
+        weight = math.sqrt(1.6 * 4.0 * math.pi) * 0.8**2  # sqrt(w r^(2k+2)) at k = 1
+        direct = [weight * np.linalg.norm(evolve_mode(m, t, s0)) for t in times]
         assert np.allclose(ser.values, direct, rtol=1e-12)
 
     @pytest.mark.parametrize("n_theta, n_phi", [(2, 3), (4, 8)])
     def test_single_shell_averages_over_directions(self, constants_b0, n_theta, n_phi):
-        # the shell amplitude is a direction average: a vanishing background
-        # field must reproduce the isotropic value whatever the angular rule
-        prof = SpectralProfile.single_shell(0.8)
-        quad = QuadratureSpec(n_theta=n_theta, n_phi=n_phi, check_convergence=False)
+        # on one shell the angular rule sums directions with weights totalling
+        # 4 pi: a vanishing background field must reproduce the isotropic
+        # one-direction value whatever the rule
+        prof = SpectralProfile(envelope=np.ones_like)
+        quad = replace(SHELL_RULE, n_theta=n_theta, n_phi=n_phi)
         times = [0.0, 2.0, 7.0]
-        isotropic = weighted_norm_series(prof, 1, "full_state", times, constants_b0, quad)
+        isotropic = multi_norm_series(prof, 1, ["full_state"], times, constants_b0, quad)["full_state"]
         tiny_b = PhysicalConstants(b_infty=(0.0, 0.0, 1e-12))
-        averaged = weighted_norm_series(prof, 1, "full_state", times, tiny_b, quad)
+        averaged = multi_norm_series(prof, 1, ["full_state"], times, tiny_b, quad)["full_state"]
         assert np.allclose(averaged.values, isotropic.values, rtol=1e-9, atol=0.0)
 
     def test_quadrature_convergence_guard(self, constants_b0):
         prof = SpectralProfile.decay_class(1.5)
         quad = QuadratureSpec(radial_nodes=4, check_convergence=True)
         with pytest.raises(QuadratureNotConverged):
-            weighted_norm_series(prof, 0, "full_state", np.geomspace(20, 500, 8), constants_b0, quad)
+            multi_norm_series(prof, 0, ["full_state"], np.geomspace(20, 500, 8), constants_b0, quad)
 
     def test_angular_quadrature_agrees_with_reduction(self, constants_b0):
         # evaluate the isotropic case with the full angular product rule by
@@ -228,9 +243,9 @@ class TestWeightedNormSeries:
         prof = SpectralProfile.decay_class(1.5)
         times = [5.0, 25.0]
         quad = QuadratureSpec(radial_nodes=200, check_convergence=False, n_theta=8, n_phi=16)
-        reduced = weighted_norm_series(prof, 0, "full_state", times, constants_b0, quad)
+        reduced = multi_norm_series(prof, 0, ["full_state"], times, constants_b0, quad)["full_state"]
         tiny_b = PhysicalConstants(b_infty=(0.0, 0.0, 1e-12))
-        full = weighted_norm_series(prof, 0, "full_state", times, tiny_b, quad)
+        full = multi_norm_series(prof, 0, ["full_state"], times, tiny_b, quad)["full_state"]
         assert np.allclose(reduced.values, full.values, rtol=1e-6)
 
 
@@ -268,7 +283,7 @@ def _direct_quadrature(profile, k, quantity, times, constants, quad):
     for r, wr in zip(radii, radial_w):
         for omega, wo in zip(dirs, dir_w):
             xi = r * omega
-            mode = mode_matrix(xi, constants)
+            mode = linear._mode_matrices(xi, constants)
             s0 = initial_mode_vector(profile, r, omega, constants.nu)
             for i, t in enumerate(times):
                 st = evolve_mode(mode, t, s0)
@@ -292,7 +307,7 @@ class TestBatchedQuadrature:
 
     def test_n_divu_matches_direct_sum_at_zero_background(self, constants_b0):
         prof = SpectralProfile.decay_class(1.5, include_n=True)
-        ser = weighted_norm_series(prof, 1, "n_divu", SHORT_TIMES, constants_b0, TINY_RULE)
+        ser = multi_norm_series(prof, 1, ["n_divu"], SHORT_TIMES, constants_b0, TINY_RULE)["n_divu"]
         direct = _direct_quadrature(prof, 1, "n_divu", SHORT_TIMES, constants_b0, TINY_RULE)
         np.testing.assert_allclose(ser.values, direct, rtol=1e-12)
 

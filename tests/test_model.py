@@ -1,4 +1,4 @@
-"""Closure, changes of variables, initial-data generation, compatibility."""
+"""Closure, initial-data generation, compatibility."""
 
 import math
 
@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 from emlab import model
-from emlab.errors import AmplitudeTooLarge, ClosureShiftNotConverged, DensityNonpositive, OutOfRange
+from emlab.errors import (
+    AmplitudeTooLarge, ClosureShiftNotConverged, DensityNonpositive, InvalidArgument, OutOfRange
+)
 from emlab.model import (
     PerturbationState,
     PhysicalConstants,
     _direction_frame,
     density_closure,
     density_closure_inverse,
-    from_perturbation,
     make_initial_data,
     solve_gauss_longitudinal,
-    to_perturbation,
     verify_compatibility,
 )
 from emlab.spectral import Field, besov_norm, divergence, l2_norm
@@ -101,50 +101,21 @@ class TestClosure:
             assert ratio <= 1.1 * half_second * (1.0 + 0.1)
 
 
-class TestChangeOfVariables:
-    def test_equilibrium_maps_to_origin(self, grid16, constants_bz):
-        shape = (16, 16, 16)
-        root = math.sqrt(constants_bz.gamma)
-        state = to_perturbation(
-            np.ones(shape),
-            np.zeros((3,) + shape),
-            np.zeros((3,) + shape),
-            root * np.array([0.0, 0.0, 1.0])[:, None, None, None] * np.ones((3,) + shape),
-            grid16,
-            constants_bz,
-        )
-        for f in state.fields().values():
-            assert np.max(np.abs(f.coeffs)) == 0.0
-
-    def test_roundtrip(self, grid16, constants_bz, rng):
-        shape = (16, 16, 16)
-        n_t = 1.0 + 0.05 * rng.standard_normal(shape)
-        u_t = 0.05 * rng.standard_normal((3,) + shape)
-        e_t = 0.05 * rng.standard_normal((3,) + shape)
-        b_t = 0.05 * rng.standard_normal((3,) + shape)
-        state = to_perturbation(n_t, u_t, e_t, b_t, grid16, constants_bz, time=1.5)
-        back = from_perturbation(state, constants_bz)
-        assert np.max(np.abs(back["n"] - n_t)) <= 1e-12
-        assert np.max(np.abs(back["u"] - u_t)) <= 1e-12
-        assert np.max(np.abs(back["E"] - e_t)) <= 1e-12
-        assert np.max(np.abs(back["B"] - b_t)) <= 1e-12
-        assert back["time"] == pytest.approx(1.5)
-        assert state.time == pytest.approx(1.5 * math.sqrt(constants_bz.gamma))
-
-    def test_log_branch_roundtrip(self, grid16, rng):
-        c = PhysicalConstants(gamma=1.0, b_infty=(0, 0, 0))
-        shape = (16, 16, 16)
-        n_t = np.exp(0.1 * rng.standard_normal(shape))
-        state = to_perturbation(
-            n_t, np.zeros((3,) + shape), np.zeros((3,) + shape), np.zeros((3,) + shape), grid16, c
-        )
-        # at gamma = 1 the closure is expm1, so n = log(n_tilde)
-        assert np.max(np.abs(state.n.physical() - np.log(n_t))) <= 1e-12
-        back = from_perturbation(state, c)
-        assert np.max(np.abs(back["n"] - n_t)) <= 1e-12
+# one bad value per case; the single_mode kind reads none but mode
+BAD_INITIAL_DATA = [
+    {"kind": "x"}, {"amplitude": -1.0}, {"amplitude": "x"}, {"seed": -1}, {"s": "x"},
+    {"rolloff_width": 0.0}, {"rolloff_k": "x"}, {"mode": (0, 0, 0)}, {"mode": "x"}, {"mode": (1.5, 0, 0)},
+    {"bump_radius_fraction": 0.0}, {"include_transverse_e": 1}, {"normalization": "x"},
+]
 
 
 class TestInitialData:
+    @pytest.mark.parametrize("bad", BAD_INITIAL_DATA, ids=lambda bad: "-".join(map(str, bad.items())))
+    def test_every_argument_is_checked_whatever_the_kind(self, grid16, constants_b0, bad):
+        args = {"kind": "single_mode", "amplitude": 1e-2, "seed": 0, "grid": grid16, "constants": constants_b0}
+        with pytest.raises(InvalidArgument):
+            make_initial_data(**{**args, **bad})
+
     def test_zero_amplitude_gives_zero_state(self, grid16, constants_b0):
         st = make_initial_data("flat_low", 0.0, 3, grid16, constants_b0)
         rep = verify_compatibility(st, constants_b0)
