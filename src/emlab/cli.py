@@ -228,14 +228,21 @@ def run_fit(cfg: dict, outdir: Path, csv_path: str | Path) -> dict:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     if not rows or "time" not in rows[0]:
         raise ConfigError(f"{path}: need a CSV with a 'time' column")
-    times = np.array([float(r["time"]) for r in rows])
     fc = cfg["fit"]
     columns = fc["columns"] or [c for c in rows[0] if c != "time"]
+    missing = [c for c in columns if c not in rows[0]]
+    if missing:
+        raise ConfigError(f"{path}: no column {missing[0]!r}")
+    try:
+        table = {c: np.array([float(r[c]) for r in rows]) for c in ["time", *columns]}
+    except (TypeError, ValueError) as exc:  # a non-numeric or missing cell
+        raise ConfigError(f"{path}: {exc}") from exc
+    times = table["time"]
+    if not np.all(np.diff(times) > 0):
+        raise ConfigError(f"{path}: times must be strictly increasing")
     out: dict = {"source": str(path), "fits": {}}
     for col in columns:
-        if col not in rows[0]:
-            raise ConfigError(f"{path}: no column {col!r}")
-        vals = np.array([float(r[col]) for r in rows])
+        vals = table[col]
         keep = vals > 0
         if keep.sum() < 8:
             out["fits"][col] = {"error": "insufficient positive samples"}

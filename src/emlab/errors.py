@@ -75,6 +75,10 @@ class QuadratureNotConverged(EmlabError):
     """Doubling the quadrature nodes moved a reported value by too much."""
 
 
+class NotRealForm(EmlabError):
+    """The similarity D A(xi) D^-1 meant to make the generator real is not real."""
+
+
 # -- energetics ---------------------------------------------------------------
 
 class DerivativeOrderExceedsResolution(UserWarning):

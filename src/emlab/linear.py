@@ -4,15 +4,27 @@ For each wavenumber xi the linearized equations close into a 10x10 constant
 system on S = (n, u, E, B), A(xi) = A0 + i sum_a xi_a A1[a] with the tables
 of model.linear_generator (the solver's linear part reads the same tables).
 Weighted norms over continuous xi (no box truncation) are computed by radial
-Gauss-Legendre quadrature times a spherical rule; with zero background
-magnetic field the flow is rotation equivariant, so a single direction per
-radius suffices and the angular integral is analytic.
+Gauss-Legendre quadrature times an angular rule.  The flow commutes with
+rotations about the background field B_inf and the monitored quantities are
+invariant under them, so for data polarized in a frame that turns with them
+(model._direction_frame about the B_inf axis) the azimuthal integral is 2 pi
+times one azimuth: the rule is one direction per Gauss-Legendre polar node
+about the axis.  With B_inf = 0 one direction per radius suffices.
+QuadratureSpec.n_phi, the azimuthal node count that configs set, is still
+accepted and checked, but not read.
+
+The eigensolves are real.  With D = diag(1, i I6, I3), D A(xi) D^-1 is real:
+the u-E block of A0 is real, the n-u and E-B couplings of i A1 imaginary.
+This is checked once per set of constants on the tables (NotRealForm, never
+a silent real part), and the quadrature propagates D S0 under the real form.
+As |D_jj| = 1, component moduli and the 1-norm eigenvector condition number
+are unchanged, and the functional i xi . u reads xi . (D S)_u.
 
 The quadrature runs in blocks of _MODE_BLOCK (radius, direction) modes.  A
 block assembles its generators and initial vectors as stacks (the direction
 frames are built once per pass), diagonalizes them with one stacked eig and
 one stacked inverse of the eigenvectors, and forms vec . exp(lambda t) . c
-at every time, with c = vec^-1 s0.  Each monitored quantity is a sum of
+at every time, with c = vec^-1 D s0.  Each monitored quantity is a sum of
 squared moduli of linear functionals of the mode state (QUANTITIES): state
 components by index, plus the xi-dependent row i xi . u of n_divu.  One
 einsum reduces every functional at every time over the block's modes.
@@ -27,7 +39,8 @@ block whose stacked decomposition raises LinAlgError is retried one mode at
 a time.  The number of modes, of expm fallbacks and the worst eigenvector
 condition number seen (max_eig_cond, in the 1-norm) are carried in each
 NormSeries' metadata.  The tests compare the batched quadrature against a
-plain sum over modes, written in the test module, of one mode at a time.
+plain sum over modes, written in the test module, of one mode at a time over
+the full (theta, phi) product rule.
 
 Structure worth knowing before reading fits: on the constraint manifold the
 longitudinal (acoustic/electrostatic) sector is uniformly exponentially
@@ -50,7 +63,9 @@ import numpy as np
 
 from . import analysis
 from .analysis import DecayFit, NormSeries, theoretical_exponent
-from .errors import InvalidArgument, QuadratureNotConverged, RequiresBInftyZero, check, is_count, is_real
+from .errors import (
+    InvalidArgument, NotRealForm, QuadratureNotConverged, RequiresBInftyZero, check, is_count, is_real
+)
 from .model import PhysicalConstants, _direction_frame, linear_generator
 
 __all__ = [
@@ -74,12 +89,31 @@ CONVERGENCE_TOL = 5e-3
 _MODE_BLOCK = 16
 
 
-def _mode_matrices(xi, constants: PhysicalConstants) -> np.ndarray:
+# D = diag(1, i I6, I3) on S = (n, u, E, B): D A(xi) D^-1 is real
+_D = np.array([1.0] + [1j] * 6 + [1.0] * 3)
+
+
+def _real_tables(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D A0 D^-1 and D (i A1) D^-1 for generator tables (A0, A1), which must be real."""
+    r0, r1 = (_D[:, None] * table / _D for table in (a0, 1j * np.asarray(a1)))
+    if np.any(r0.imag) or np.any(r1.imag):
+        raise NotRealForm("D A(xi) D^-1 has an imaginary part; the real eigensolves do not apply")
+    return r0.real, r1.real
+
+
+@functools.lru_cache(maxsize=4)
+def _real_generator(constants: PhysicalConstants) -> tuple[np.ndarray, np.ndarray]:
+    return _real_tables(*linear_generator(constants))
+
+
+def _mode_matrices(xi, constants: PhysicalConstants, real: bool = False) -> np.ndarray:
     """The linearized generators A(xi) = A0 + i sum_a xi_a A1[a] at a
-    wavenumber or a stack of them (..., 3): shape (..., 10, 10)."""
+    wavenumber or a stack of them (..., 3): shape (..., 10, 10).  With
+    ``real``, their real form D A(xi) D^-1."""
     xi = np.asarray(xi, dtype=float)
-    a0, a1 = linear_generator(constants)
-    return a0 + 1j * (xi @ a1.reshape(3, 100)).reshape(xi.shape[:-1] + (10, 10))
+    a0, a1 = _real_generator(constants) if real else linear_generator(constants)
+    terms = (xi @ a1.reshape(3, 100)).reshape(xi.shape[:-1] + (10, 10))
+    return a0 + terms if real else a0 + 1j * terms
 
 
 @dataclass
@@ -96,16 +130,12 @@ class _PropagationCounts:
         self.max_eig_cond = max(self.max_eig_cond, max_cond)
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """Dense matrix exponential.  scipy.linalg is imported here, so only a run
-    that takes the fallback pays for loading it."""
+def _expm_states(A: np.ndarray, s0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(t A) s0 at every time by dense expm.  scipy.linalg is imported
+    here, so only a run that takes the fallback pays for loading it."""
     import scipy.linalg
 
-    return scipy.linalg.expm(a)
-
-
-def _expm_states(A: np.ndarray, s0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    return np.stack([_expm(A * t) @ s0 for t in times], axis=1)
+    return np.stack([scipy.linalg.expm(A * t) @ s0 for t in times], axis=1)
 
 
 def _norm1(a: np.ndarray) -> np.ndarray:
@@ -117,6 +147,7 @@ def _propagate(
     A: np.ndarray, s0: np.ndarray, times: np.ndarray, counts: _PropagationCounts
 ) -> np.ndarray:
     """States exp(t A_m) s0_m of a stack of modes at every time: (M, 10, T).
+    The quadrature passes real forms D A D^-1 with D s0, so eig runs real.
 
     One stacked eig and one stacked inverse of the eigenvector matrices for
     the whole stack.  The inverse gives both the coefficients V^-1 s0 and the
@@ -211,7 +242,8 @@ def _initial_vectors(
 
 # -- output functionals ----------------------------------------------------------
 
-# the functional i xi . u, the one row that depends on the wavenumber
+# the functional i xi . u, the one row that depends on the wavenumber; on the
+# real-form state D S it reads xi . (D S)_u
 DIV_U = "div_u"
 
 # each quantity is the sum of |l . S|^2 over its functional rows l: a state
@@ -227,11 +259,12 @@ QUANTITIES: dict[str, tuple] = {
 
 
 def _functional_rows(rows: Sequence, xi: np.ndarray) -> np.ndarray:
-    """The functional rows at each wavenumber of a stack xi (M, 3): (M, R, 10)."""
-    out = np.zeros((len(xi), len(rows), 10), dtype=complex)
+    """The functional rows, acting on the real-form state D S, at each
+    wavenumber of a stack xi (M, 3): (M, R, 10)."""
+    out = np.zeros((len(xi), len(rows), 10))
     for j, row in enumerate(rows):
         if row == DIV_U:
-            out[:, j, 1:4] = 1j * xi
+            out[:, j, 1:4] = xi
         else:
             out[:, j, row] = 1.0
     return out
@@ -251,8 +284,14 @@ _TARGET_QUANTITY = {
 
 @dataclass(frozen=True)
 class QuadratureSpec:
+    """The xi quadrature: ``radial_nodes`` Gauss-Legendre radii on [0, xi_max]
+    (None: from the envelope tail) and, when B_inf != 0, one direction at each
+    of ``n_theta`` Gauss-Legendre polar nodes about the B_inf axis.  ``n_phi``
+    is checked but not read: the azimuthal integral is exact by axisymmetry.
+    ``check_convergence`` repeats the pass with twice the radial nodes."""
+
     radial_nodes: int = 800
-    xi_max: float | None = None  # None: from the envelope tail
+    xi_max: float | None = None
     n_theta: int = 32
     n_phi: int = 64
     check_convergence: bool = True
@@ -276,20 +315,18 @@ def _auto_xi_max(profile: SpectralProfile, k: int) -> float:
 
 
 def _sphere_directions(constants: PhysicalConstants, quad: QuadratureSpec):
-    """(directions, weights) with weights summing to 4*pi."""
+    """(directions, weights summing to 4*pi, frame axis).  With B_inf != 0,
+    one direction cos(theta) axis + sin(theta) normal per Gauss-Legendre node
+    cos(theta), of weight 2 pi w_theta, about the unit axis of B_inf; the
+    normal is e1 of the axis' own frame."""
+    axis = np.array([0.0, 0.0, 1.0])
     if constants.b_infty_is_zero:
-        return np.array([[0.0, 0.0, 1.0]]), np.array([4.0 * math.pi])
+        return axis[None], np.array([4.0 * math.pi]), axis
+    axis = np.asarray(constants.b_infty) / np.linalg.norm(constants.b_infty)
+    normal, _ = _direction_frame(axis)
     ct, wt = np.polynomial.legendre.leggauss(quad.n_theta)
-    phis = 2.0 * math.pi * np.arange(quad.n_phi) / quad.n_phi
-    wphi = 2.0 * math.pi / quad.n_phi
-    dirs = []
-    ws = []
-    st = np.sqrt(1.0 - ct**2)
-    for c, s_t, w in zip(ct, st, wt):
-        for p in phis:
-            dirs.append([s_t * math.cos(p), s_t * math.sin(p), c])
-            ws.append(w * wphi)
-    return np.asarray(dirs), np.asarray(ws)
+    dirs = ct[:, None] * axis + np.sqrt(1.0 - ct**2)[:, None] * normal
+    return dirs, 2.0 * math.pi * wt, axis
 
 
 @functools.lru_cache(maxsize=2)
@@ -313,8 +350,8 @@ def _norm_series_values(
     quad: QuadratureSpec,
     counts: _PropagationCounts,
 ) -> dict[str, np.ndarray]:
-    dirs, dir_ws = _sphere_directions(constants, quad)
-    e1, e2 = _direction_frame(dirs)
+    dirs, dir_ws, axis = _sphere_directions(constants, quad)
+    e1, e2 = _direction_frame(dirs, axis)
     x, wq = _gauss_legendre(radial_nodes)
     radii = (x + 1.0) / 2.0 * xi_max
     radial_ws = wq * xi_max / 2.0
@@ -328,8 +365,8 @@ def _norm_series_values(
         w = radial_ws[i] * dir_ws[j] * r ** (2 * k + 2)
         xi = r[:, None] * omega
         states = _propagate(
-            _mode_matrices(xi, constants),
-            _initial_vectors(profile, r, omega, e1[j], e2[j], constants.nu),
+            _mode_matrices(xi, constants, real=True),
+            _D * _initial_vectors(profile, r, omega, e1[j], e2[j], constants.nu),
             times,
             counts,
         )
@@ -375,7 +412,7 @@ def multi_norm_series(
         "k": k,
         "radial_nodes": quad.radial_nodes,
         "xi_max": xi_max,
-        "angular": "rotational-reduction" if constants.b_infty_is_zero else f"{quad.n_theta}x{quad.n_phi}",
+        "angular": "rotational-reduction" if constants.b_infty_is_zero else f"{quad.n_theta} theta nodes about B_inf",
     }
     if quad.check_convergence:
         refined = _norm_series_values(

@@ -10,6 +10,11 @@ density deviation, and the electrostatic constraint reads
 In these rescaled units the pressure constant, relaxation time, Debye length,
 light speed and background density are one: gamma and B_inf are the only
 parameters.
+
+The polarization frame _direction_frame is covariant about an axis, the z
+axis for ``single_mode`` data.  Its trial vector no longer switches from z to
+x at |omega_z| >= 0.9, so single_mode polarizations changed for modes within
+26 degrees of the z axis; a mode along z keeps the x trial vector.
 """
 
 from __future__ import annotations
@@ -173,12 +178,18 @@ def linear_generator(constants: PhysicalConstants) -> tuple[np.ndarray, np.ndarr
     return a0, a1
 
 
-def _direction_frame(omega) -> tuple[np.ndarray, np.ndarray]:
+def _direction_frame(omega, axis=(0.0, 0.0, 1.0)) -> tuple[np.ndarray, np.ndarray]:
     """Unit vectors (e1, e2) completing a direction, or each of a stack of
-    directions (..., 3), to an orthonormal frame (the polarizations)."""
+    directions (..., 3), to an orthonormal frame (the polarizations).
+
+    e1 = omega x axis / |omega x axis| and e2 = omega x e1, so the frame is
+    covariant under rotations R about the axis: e1(R omega) = R e1(omega).
+    Only a direction along the axis (|omega x axis| <= 1e-6) takes another
+    trial vector: the coordinate axis it is least aligned with (x for z)."""
     omega = np.asarray(omega, dtype=float)
-    trial = np.where(np.abs(omega[..., 2:]) < 0.9, [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-    e1 = np.cross(omega, trial)
+    axis = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    along = np.linalg.norm(np.cross(omega, axis), axis=-1, keepdims=True) <= 1e-6
+    e1 = np.cross(omega, np.where(along, np.eye(3)[np.argmin(np.abs(omega), axis=-1)], axis))
     e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
     e2 = np.cross(omega, e1)
     return e1, e2

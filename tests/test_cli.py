@@ -34,7 +34,7 @@ class TestLinear:
         assert keys == sorted((q, k) for q in ("full_state", "nuE", "n_only", "B_only") for k in (0, 1))
         assert all(isinstance(r["floor_contaminated"], bool) for r in report["rows"])
         metrics = report["metrics"]
-        assert metrics["modes"] == 2 * 8 * 2 * 3  # k in {0, 1}, radial x directions
+        assert metrics["modes"] == 2 * 8 * 2  # k in {0, 1}, radial x theta nodes
         assert metrics["expm_fallbacks"] == 0
         assert metrics["max_eig_cond"] >= 1.0
         assert metrics["quadrature_s"] > 0.0 and metrics["fit_s"] > 0.0
@@ -126,6 +126,17 @@ INVALID_VALUES = {
 }
 
 
+# fit CSVs that parse as CSV but not as a series: each error names the file
+BAD_FIT_CSVS = {
+    "times_not_increasing": "time,E_3\n" + "".join(
+        f"{t},{math.exp(-t)}\n" for t in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.10, 0.11, 0.12)
+    ),
+    "non_numeric_cell": "time,E_3\n" + "".join(
+        f"{0.1 * i},{'x' if i == 5 else math.exp(-0.1 * i)}\n" for i in range(13)
+    ),
+}
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("case", sorted(INVALID_VALUES))
     def test_invalid_values_are_config_errors(self, tmp_path, capsys, case):
@@ -138,6 +149,13 @@ class TestConfigErrors:
             flags = ("--csv", str(csv_path))
         assert _run(tmp_path, command, {"grid": {"points": 16}, **config}, "out", *flags) == 2
         assert capsys.readouterr().err.startswith(f"error: {section}:")
+
+    @pytest.mark.parametrize("case", sorted(BAD_FIT_CSVS))
+    def test_bad_fit_csv_is_a_config_error(self, tmp_path, capsys, case):
+        csv_path = tmp_path / "series.csv"
+        csv_path.write_text(BAD_FIT_CSVS[case])
+        assert _run(tmp_path, "fit", {}, "out", "--csv", str(csv_path)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {csv_path}:")
 
 
 class TestFit:
@@ -190,7 +208,7 @@ class TestImports:
             metrics = {}
             linear.decay_report(constants, s=1.5, k_list=[0], quantities=["full_state"], quad=quad,
                                 num_times=8, metrics=metrics)
-            assert metrics["modes"] == 4 * 2 * 3 and metrics["expm_fallbacks"] == 0
+            assert metrics["modes"] == 4 * 2 and metrics["expm_fallbacks"] == 0
             print(sorted(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules))
         """)
         src = str(Path(emlab.__file__).resolve().parents[1])

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from emlab import linear
-from emlab.errors import QuadratureNotConverged, RequiresBInftyZero
+from emlab.errors import NotRealForm, QuadratureNotConverged, RequiresBInftyZero
 from emlab.linear import QUANTITIES, QuadratureSpec, SpectralProfile, decay_report, multi_norm_series
 from emlab.model import PhysicalConstants, _direction_frame, linear_generator
 
@@ -24,10 +24,12 @@ def evolve_mode(A, t, s0):
     return vec @ (np.exp(lam * t) * np.linalg.solve(vec, s0))
 
 
-def initial_mode_vector(profile, r, omega, nu):
-    """The constraint-consistent 10-vector of the one mode xi = r * omega."""
+def initial_mode_vector(profile, r, omega, nu, axis=(0.0, 0.0, 1.0)):
+    """The constraint-consistent 10-vector of the one mode xi = r * omega,
+    polarized in the frame about ``axis``."""
     omega = np.asarray(omega, dtype=float)[None]
-    return linear._initial_vectors(profile, np.array([r], dtype=float), omega, *_direction_frame(omega), nu)[0]
+    frame = _direction_frame(omega, axis)
+    return linear._initial_vectors(profile, np.array([r], dtype=float), omega, *frame, nu)[0]
 
 
 def _hand_cross_matrix(a):
@@ -78,6 +80,26 @@ class TestLinearGenerator:
                 table[0, 0] = 1.0
         assert linear_generator(PhysicalConstants(b_infty=(0.3, -0.2, 0.9))) is linear_generator(constants)
         assert linear_generator(PhysicalConstants(b_infty=(0, 0, 1))) is not linear_generator(constants)
+
+
+class TestRealForm:
+    @pytest.mark.parametrize("b_infty", [(0, 0, 0), (0, 0, 1), (0.3, -0.2, 0.9)])
+    def test_real_form_is_similar_to_the_generator(self, b_infty, rng):
+        constants = PhysicalConstants(b_infty=b_infty)
+        d = np.array([1.0] + [1j] * 6 + [1.0] * 3)
+        xi = rng.normal(size=(20, 3)) * rng.uniform(0.01, 20.0, size=(20, 1))
+        real = linear._mode_matrices(xi, constants, real=True)
+        assert real.dtype == np.float64
+        similar = d[:, None] * linear._mode_matrices(xi, constants) / d
+        assert np.array_equal(real, similar)
+
+    def test_an_imaginary_entry_is_rejected(self):
+        a0, a1 = linear_generator(PhysicalConstants())
+        linear._real_tables(a0, a1)
+        bad = a0.astype(complex)
+        bad[1, 4] *= 1j  # one entry of the u-E block
+        with pytest.raises(NotRealForm):
+            linear._real_tables(bad, a1)
 
 
 class TestModeMatrix:
@@ -264,27 +286,35 @@ TINY_RULE = QuadratureSpec(radial_nodes=3, xi_max=1.0, n_theta=2, n_phi=3, check
 SHORT_TIMES = [0.0, 0.5, 2.0, 6.0]
 
 
-def _direct_quadrature(profile, k, quantity, times, constants, quad):
-    """The weighted norm as a plain sum over modes of evolve_mode."""
+def _product_rule(axis, n_theta, n_phi):
+    """The full (theta, phi) rule about an axis: Gauss-Legendre in cos(theta)
+    times the trapezoid rule in phi, from the normal y x axis (x for the z
+    axis): (directions, weights)."""
+    axis = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    p = np.cross([0.0, 1.0, 0.0], axis)
+    p /= np.linalg.norm(p)
+    q = np.cross(axis, p)
+    ct, wt = np.polynomial.legendre.leggauss(n_theta)
+    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    dirs = [c * axis + math.sqrt(1 - c**2) * (math.cos(f) * p + math.sin(f) * q) for c in ct for f in phis]
+    return dirs, [w * 2.0 * math.pi / n_phi for w in wt for _ in phis]
+
+
+def _direct_quadrature(profile, k, quantity, times, constants, quad, axis=(0.0, 0.0, 1.0)):
+    """The weighted norm as a plain sum over modes of evolve_mode, over the
+    full (theta, phi) rule about ``axis``, with the data polarized about it."""
     x, wx = np.polynomial.legendre.leggauss(quad.radial_nodes)
     radii, radial_w = (x + 1.0) / 2.0 * quad.xi_max, wx * quad.xi_max / 2.0
     if constants.b_infty_is_zero:
         dirs, dir_w = [np.array([0.0, 0.0, 1.0])], [4.0 * math.pi]
     else:
-        ct, wt = np.polynomial.legendre.leggauss(quad.n_theta)
-        phis = 2.0 * math.pi * np.arange(quad.n_phi) / quad.n_phi
-        dirs = [
-            np.array([math.sqrt(1 - c**2) * math.cos(p), math.sqrt(1 - c**2) * math.sin(p), c])
-            for c in ct
-            for p in phis
-        ]
-        dir_w = [w * 2.0 * math.pi / quad.n_phi for w in wt for _ in phis]
+        dirs, dir_w = _product_rule(axis, quad.n_theta, quad.n_phi)
     total = np.zeros(len(times))
     for r, wr in zip(radii, radial_w):
         for omega, wo in zip(dirs, dir_w):
             xi = r * omega
             mode = linear._mode_matrices(xi, constants)
-            s0 = initial_mode_vector(profile, r, omega, constants.nu)
+            s0 = initial_mode_vector(profile, r, omega, constants.nu, axis)
             for i, t in enumerate(times):
                 st = evolve_mode(mode, t, s0)
                 total[i] += wr * wo * r ** (2 * k + 2) * REFERENCE_QUANTITIES[quantity](st, xi)
@@ -303,7 +333,31 @@ class TestBatchedQuadrature:
         for q in quantities:
             direct = _direct_quadrature(prof, k, q, SHORT_TIMES, constants_bz, TINY_RULE)
             np.testing.assert_allclose(series[q].values, direct, rtol=1e-12, err_msg=q)
-        assert series["full_state"].metadata["modes"] == 3 * 2 * 3
+        assert series["full_state"].metadata["modes"] == 3 * 2
+
+    @pytest.mark.parametrize("b_infty", [(0.0, 0.0, 1.0), (0.6, 0.0, 0.8)])
+    def test_one_direction_per_theta_node_matches_the_full_product_rule(self, b_infty):
+        # n_theta = 8 has nodes at |cos theta| = 0.96, near the axis
+        constants = PhysicalConstants(b_infty=b_infty)
+        quad = replace(TINY_RULE, n_theta=8, n_phi=5)
+        prof = SpectralProfile.decay_class(1.5, include_n=True)
+        series = multi_norm_series(prof, 1, ["full_state", "nuE", "B_only"], SHORT_TIMES, constants, quad)
+        for q in series:
+            direct = _direct_quadrature(prof, 1, q, SHORT_TIMES, constants, quad, axis=b_infty)
+            np.testing.assert_allclose(series[q].values, direct, rtol=1e-12, err_msg=q)
+        assert series["full_state"].metadata["modes"] == 3 * 8
+
+    def test_oblique_background_gives_the_series_of_the_z_axis(self):
+        # the whole problem rotates with B_inf: data, rule and generator
+        prof = SpectralProfile.decay_class(1.5, include_n=True)
+        quad = QuadratureSpec(radial_nodes=40, n_theta=8, check_convergence=False)
+        times = np.geomspace(20.0, 500.0, 8)
+        along_z, oblique = (
+            multi_norm_series(prof, 1, list(QUANTITIES), times, PhysicalConstants(b_infty=b), quad)
+            for b in ((0.0, 0.0, 1.0), (0.6, 0.0, 0.8))
+        )
+        for q in QUANTITIES:
+            np.testing.assert_allclose(oblique[q].values, along_z[q].values, rtol=1e-11, err_msg=q)
 
     def test_n_divu_matches_direct_sum_at_zero_background(self, constants_b0):
         prof = SpectralProfile.decay_class(1.5, include_n=True)
@@ -321,7 +375,7 @@ class TestBatchedQuadrature:
         monkeypatch.setattr(linear, "COND_LIMIT", 0.0)
         forced = multi_norm_series(prof, 0, quantities, times, constants_bz, TINY_RULE)
         meta = forced["full_state"].metadata
-        assert meta["expm_fallbacks"] == meta["modes"] == 3 * 2 * 3
+        assert meta["expm_fallbacks"] == meta["modes"] == 3 * 2
         for q in quantities:
             np.testing.assert_allclose(forced[q].values, eig[q].values, rtol=1e-10, err_msg=q)
 
@@ -355,7 +409,7 @@ class TestBatchedQuadrature:
             retried["full_state"].values, stacked["full_state"].values, rtol=1e-14
         )
         meta = retried["full_state"].metadata
-        assert (meta["modes"], meta["expm_fallbacks"]) == (3 * 2 * 3, 0)
+        assert (meta["modes"], meta["expm_fallbacks"]) == (3 * 2, 0)
 
 
 @pytest.fixture(scope="module")

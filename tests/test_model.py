@@ -109,6 +109,28 @@ BAD_INITIAL_DATA = [
 ]
 
 
+class TestDirectionFrame:
+    @pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (0.6, 0.0, 0.8), (1.0, -2.0, 0.5)])
+    def test_frame_rotates_with_the_direction_about_the_axis(self, axis, rng):
+        a = np.asarray(axis) / np.linalg.norm(axis)
+        cross = np.cross(a, np.eye(3)).T  # v -> a x v
+        R = np.eye(3) + math.sin(0.7) * cross + (1.0 - math.cos(0.7)) * cross @ cross
+        omega = rng.normal(size=(50, 3))
+        omega /= np.linalg.norm(omega, axis=1, keepdims=True)
+        e1, e2 = _direction_frame(omega, axis)
+        r1, r2 = _direction_frame(omega @ R.T, axis)
+        assert np.allclose(r1, e1 @ R.T, rtol=0.0, atol=1e-13)
+        assert np.allclose(r2, e2 @ R.T, rtol=0.0, atol=1e-13)
+        frame = np.stack([omega, e1, e2], axis=1)
+        assert np.allclose(frame @ frame.transpose(0, 2, 1), np.eye(3), rtol=0.0, atol=1e-14)
+
+    def test_a_direction_along_the_axis_takes_the_x_trial_vector(self):
+        e1, e2 = _direction_frame([0.0, 0.0, 1.0])
+        assert np.array_equal(e1, [0.0, 1.0, 0.0]) and np.array_equal(e2, [-1.0, 0.0, 0.0])
+        e1, e2 = _direction_frame(np.array([[0.0, 0.0, -3.0]]) / 3.0, (0.0, 0.0, 2.0))
+        assert np.array_equal(e1, [[0.0, -1.0, 0.0]]) and np.array_equal(e2, [[-1.0, 0.0, 0.0]])
+
+
 class TestInitialData:
     @pytest.mark.parametrize("bad", BAD_INITIAL_DATA, ids=lambda bad: "-".join(map(str, bad.items())))
     def test_every_argument_is_checked_whatever_the_kind(self, grid16, constants_b0, bad):
