@@ -23,7 +23,6 @@ from .model import (
     PerturbationState,
     PhysicalConstants,
     density_closure,
-    density_closure_inverse,
     make_initial_data,
     verify_compatibility,
 )

@@ -24,7 +24,7 @@ from ``step``) has four fields that are zero-copy views of such an array.
 Who writes where.  The solver never writes into an array that a handed-out
 state views: each RK4 step writes its result into a fresh array, and the
 stage and slope buffers are scratch owned by one ``simulate`` (or ``step``)
-call.  A custom ``rhs_fn`` of ``step`` sees a copy of each stage.
+call.
 
 Transforms per RHS.  The 11 masked product inputs (n, u, grad n, div u,
 B - curl u) are transformed back in 3 stacked ``irfftn`` calls of at most 4
@@ -35,6 +35,11 @@ Threads.  Between the transforms, the elementwise work of the RHS and the
 RK4 stage sums runs on x-slabs of the grid, one slab per CPU, from a thread
 pool that one ``simulate``, ``step`` or ``rhs`` call owns.  The slabs are
 disjoint, so the numbers do not depend on the CPU count.
+
+Samples.  Every sample of a run logs the electrostatic (Gauss) and
+solenoidal constraint residuals of ``model.verify_compatibility`` as the
+columns ``gauss_residual`` and ``divB_residual``, next to whatever the
+monitors return.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CflViolation, SimulationDiverged
+from .errors import CflViolation, SimulationDiverged, check, is_count, is_real
 from .model import (
     PerturbationState,
     PhysicalConstants,
@@ -94,19 +99,13 @@ class SolverConfig:
     cfl_safety: float = 0.5
 
     def __post_init__(self):
-        if isinstance(self.dt, str):
-            if self.dt != "auto":
-                raise ValueError("dt must be positive or 'auto'")
-        elif not self.dt > 0:
-            raise ValueError("dt must be positive or 'auto'")
-        if self.end_time < 0:
-            raise ValueError("end_time must be nonnegative")
-        if self.output_stride < 1:
-            raise ValueError("output_stride must be >= 1")
-        if self.gauss_projection_stride is not None and self.gauss_projection_stride < 1:
-            raise ValueError("gauss_projection_stride must be >= 1 or None")
-        if not self.cfl_safety > 0:
-            raise ValueError("cfl_safety must be positive")
+        check(self.dt, lambda v: v == "auto" or (is_real(v) and v > 0), "dt", "positive or 'auto'")
+        check(self.end_time, lambda v: is_real(v) and v >= 0, "end_time", "nonnegative")
+        check(self.gauss_projection_stride, lambda v: v is None or is_count(v, 1),
+              "gauss_projection_stride", "null or a positive integer")
+        check(self.output_stride, lambda v: is_count(v, 1), "output_stride", "a positive integer")
+        check(self.gauss_tol, lambda v: is_real(v) and v >= 0, "gauss_tol", "nonnegative")
+        check(self.cfl_safety, lambda v: is_real(v) and v > 0, "cfl_safety", "positive")
 
 
 def _pack(state: PerturbationState, out: np.ndarray | None = None) -> np.ndarray:
@@ -294,18 +293,6 @@ class _Rhs:
         de += prods[1:4]
 
 
-def _hook(rhs_fn: Callable, grid: GridSpec):
-    """Adapt a state-to-state ``rhs_fn`` to the packed kernel interface.
-
-    The hook sees a copy of each stage, so no state it keeps is overwritten.
-    """
-
-    def f(y: np.ndarray, time: float, out: np.ndarray):
-        _pack(rhs_fn(_view(y.copy(), grid, time)), out)
-
-    return f
-
-
 def _rk4(f, y: np.ndarray, time: float, dt: float, k: np.ndarray, stage: np.ndarray, slabs: _Slabs) -> np.ndarray:
     """One classical RK4 step of the packed state ``y`` into a fresh array.
 
@@ -386,19 +373,13 @@ def _cfl_margin(state: PerturbationState, dt: float, constants: PhysicalConstant
     return advisory / dt
 
 
-def step(
-    state: PerturbationState,
-    dt: float,
-    constants: PhysicalConstants,
-    rhs_fn: Callable | None = None,
-) -> PerturbationState:
-    """One classical RK4 step; ``rhs_fn(state)`` replaces the physics if given."""
+def step(state: PerturbationState, dt: float, constants: PhysicalConstants) -> PerturbationState:
+    """One classical RK4 step."""
     _cfl_margin(state, dt, constants, 0.5, stacklevel=3)
     g = state.grid
     y = _pack(state)
     with _Slabs(g.n) as slabs:
-        f = _Rhs(g, constants, slabs) if rhs_fn is None else _hook(rhs_fn, g)
-        out = _rk4(f, y, state.time, dt, np.empty_like(y), np.empty_like(y), slabs)
+        out = _rk4(_Rhs(g, constants, slabs), y, state.time, dt, np.empty_like(y), np.empty_like(y), slabs)
     if not np.isfinite(out).all():
         raise SimulationDiverged(f"non-finite state after step at t={state.time}")
     return _view(out, g, state.time + dt)
@@ -450,8 +431,10 @@ def simulate(
 
     Results inside one wraparound horizon (box_length / 4 time units at unit
     wave speeds) approximate free-space evolution; the horizon is recorded in
-    the log metadata.  The electrostatic residual is always logged before any
-    projection so the projector cannot mask integrator drift.
+    the log metadata.  Every sample logs ``gauss_residual`` and
+    ``divB_residual``, with or without monitors.  The largest in-run Gauss
+    residual, each one measured before any projection so the projector
+    cannot mask integrator drift, is recorded as ``gauss_residual_max``.
 
     dt is fixed from the initial state, so at every sample it is compared
     with the advisory ``cfl_dt`` of the current state: a step above 1.0001x
@@ -481,8 +464,11 @@ def simulate(
         row: dict[str, float] = {}
         for mon in monitors:
             row.update(mon(st))
+        compat = verify_compatibility(st, constants)
+        row["gauss_residual"] = compat.gauss_residual
+        row["divB_residual"] = compat.divb_residual
         log.append(st.time, row)
-        return row
+        return compat.gauss_residual
 
     y = _pack(initial)
     with _Slabs(grid.n) as slabs:
@@ -506,9 +492,7 @@ def simulate(
                 y = _project_gauss(state, constants)
                 state = _view(y, grid, state.time)
             if istep % config.output_stride == 0 or istep == n_steps:
-                row = sample(state)
-                if "gauss_residual" in row:
-                    max_gauss = max(max_gauss, row["gauss_residual"])
+                max_gauss = max(max_gauss, sample(state))
 
     state_scale = max(l2_norm(f) for f in state.fields().values())
     budget = max(config.gauss_tol, 10.0 * dt**4 * (dt * n_steps) * max(state_scale, 1e-300))

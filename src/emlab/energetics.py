@@ -6,33 +6,28 @@ fields up to order N; the matching dissipation rate loses one derivative of
 the electric field and both end derivatives of the magnetic field, which is
 the structural signature of the electromagnetic regularity loss.
 
-One sample builds one table: the power spectra of the four fields, the cross
-spectra of the interactive and equivalent energies, |div u_hat|^2 and the
-top-of-band power go into one stack, reduced once per derivative order by
-spectral's weighted sum.  Every functional is a private lookup in that
-table; ``evaluate_report`` builds the table once per sample and
-``standard_monitor`` turns the report into a CSV row.
+One sample builds one table and one row: the power spectra of the four
+fields, the cross spectra of the interactive and equivalent energies,
+|div u_hat|^2 and the top-of-band power go into one stack, reduced once per
+derivative order by spectral's weighted sum.  Every functional is a private
+lookup in that table, and the monitor that ``standard_monitor`` returns
+writes each one straight into the sample's CSV row.  The constraint
+residuals are not functionals of the table; the simulator logs them.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import DerivativeOrderExceedsResolution, EquivalenceViolated, check, is_count, is_real
-from .model import PerturbationState, PhysicalConstants, verify_compatibility
+from .model import PerturbationState, PhysicalConstants
 from .spectral import _cross_power, _field_power, _sums, _weights, curl, divergence
 
-__all__ = [
-    "InteractiveTerms",
-    "FunctionalReport",
-    "evaluate_report",
-    "standard_monitor",
-]
+__all__ = ["standard_monitor"]
 
 
 _FIELDS = ("n", "u", "E", "B")
@@ -76,7 +71,7 @@ def _check_resolution(t: dict, order: int):
             f"order-{order} derivative weights are dominated by the top of the "
             "resolved band; the value is aliasing-limited",
             DerivativeOrderExceedsResolution,
-            stacklevel=4,
+            stacklevel=3,
         )
 
 
@@ -115,20 +110,14 @@ def _window_energy(t: dict, k: int) -> tuple[float, float]:
     return e, d
 
 
-@dataclass(frozen=True)
-class InteractiveTerms:
-    """Signed cross terms that recover dissipation of n, E and B."""
-
-    n_coupling: float  # sum_l <grad^l u, grad grad^l n>, l = k..k+1
-    e_coupling: float  # sum_l <grad^l u, grad^l E>, l = k..k+1
-    b_coupling: float  # -<grad^k E, curl grad^k B>
-
-
-def _interactive(t: dict, k: int) -> InteractiveTerms:
+def _interactive(t: dict, k: int) -> tuple[float, float, float]:
+    """Signed cross terms that recover dissipation of n, E and B:
+    sum_l <grad^l u, grad grad^l n> and sum_l <grad^l u, grad^l E> over
+    l = k..k+1, and -<grad^k E, curl grad^k B>."""
     # <u, grad n> = -<div u, n> mode by mode
     i_n = -sum(t["divu_n", l] for l in (k, k + 1))
     i_e = sum(t["uE", l] for l in (k, k + 1))
-    return InteractiveTerms(i_n, i_e, -t["E_curlB", k])
+    return i_n, i_e, -t["E_curlB", k]
 
 
 # a label names its fields one letter each, plus div u
@@ -186,75 +175,6 @@ def _acoustic_energy(t: dict, k: int, eps: float, nu: float) -> float:
     return _certified(value, base, eps / (2.0 * nu), "acoustic energy")
 
 
-@dataclass
-class FunctionalReport:
-    """One monitored sample: all requested functionals at one time."""
-
-    time: float
-    energies: dict[int, float] = dc_field(default_factory=dict)
-    dissipations: dict[int, float] = dc_field(default_factory=dict)
-    windows: dict[int, tuple[float, float]] = dc_field(default_factory=dict)
-    interactions: dict[int, InteractiveTerms] = dc_field(default_factory=dict)
-    cross_ue: dict[int, float] = dc_field(default_factory=dict)
-    acoustic: dict[int, float] = dc_field(default_factory=dict)
-    grad_norms: dict[tuple[int, str], float] = dc_field(default_factory=dict)
-    gauss_residual: float = 0.0
-    divb_residual: float = 0.0
-
-    def as_row(self) -> dict[str, float]:
-        row: dict[str, float] = {"time": self.time}
-        for n, v in sorted(self.energies.items()):
-            row[f"E_{n}"] = v
-        for n, v in sorted(self.dissipations.items()):
-            row[f"D_{n}"] = v
-        for k, (e, d) in sorted(self.windows.items()):
-            row[f"window_E_{k}"] = e
-            row[f"window_D_{k}"] = d
-        for k, it in sorted(self.interactions.items()):
-            row[f"I_n_{k}"] = it.n_coupling
-            row[f"I_E_{k}"] = it.e_coupling
-            row[f"I_B_{k}"] = it.b_coupling
-        for k, v in sorted(self.cross_ue.items()):
-            row[f"cross_uE_{k}"] = v
-        for k, v in sorted(self.acoustic.items()):
-            row[f"acoustic_{k}"] = v
-        for (k, which), v in sorted(self.grad_norms.items()):
-            row[f"grad{k}_{which}"] = v
-        row["gauss_residual"] = self.gauss_residual
-        row["divB_residual"] = self.divb_residual
-        return row
-
-
-def evaluate_report(
-    state: PerturbationState,
-    constants: PhysicalConstants,
-    energy_orders: tuple[int, ...] = (3,),
-    window_orders: tuple[int, ...] = (0,),
-    eps: float = 0.1,
-    grad_norms: tuple[tuple[int, str], ...] = (),
-) -> FunctionalReport:
-    rep = FunctionalReport(time=state.time)
-    orders = {l for n in energy_orders for l in range(n + 1)}
-    orders |= {l for k in window_orders for l in range(k, k + 3)}
-    orders |= {k for k, _ in grad_norms}
-    t = _table(state, orders)
-    for n in energy_orders:
-        rep.energies[n] = _energy(t, n)
-        if n >= 1:
-            rep.dissipations[n] = _dissipation(t, n)
-    for k in window_orders:
-        rep.windows[k] = _window_energy(t, k)
-        rep.interactions[k] = _interactive(t, k)
-        rep.cross_ue[k] = _cross_energy_ue(t, k, eps)
-        rep.acoustic[k] = _acoustic_energy(t, k, eps, constants.nu)
-    for k, which in grad_norms:
-        rep.grad_norms[(k, which)] = _grad_norm(t, k, which)
-    compat = verify_compatibility(state, constants)
-    rep.gauss_residual = compat.gauss_residual
-    rep.divb_residual = compat.divb_residual
-    return rep
-
-
 def standard_monitor(
     constants: PhysicalConstants,
     energy_orders: tuple[int, ...] = (3,),
@@ -262,8 +182,9 @@ def standard_monitor(
     eps: float = 0.1,
     grad_norms: tuple[tuple[int, str], ...] = (),
 ) -> Callable[[PerturbationState], dict[str, float]]:
-    """Monitor callable for the simulator; returns flat CSV-ready rows.
-    The arguments are checked (InvalidArgument) before the first sample."""
+    """Monitor callable for the simulator: one table and one flat CSV row
+    per sample.  The arguments are checked (InvalidArgument) before the
+    first sample."""
     for name, ks in (("energy_orders", energy_orders), ("window_orders", window_orders)):
         check(ks, lambda v: all(is_count(k) for k in v), name, "a list of nonnegative integers")
     check(grad_norms, lambda gs: all(is_count(k) and w in _NORM_LABELS for k, w in gs),
@@ -272,17 +193,24 @@ def standard_monitor(
         limit = min(1.0, _acoustic_eps_limit(constants.nu))
         check(eps, lambda e: is_real(e) and 0 < e < limit, "eps", f"in (0, {limit:.6g})")
 
+    orders = {l for n in energy_orders for l in range(n + 1)}
+    orders |= {l for k in window_orders for l in range(k, k + 3)}
+    orders |= {k for k, _ in grad_norms}
+
     def monitor(state: PerturbationState) -> dict[str, float]:
-        rep = evaluate_report(
-            state,
-            constants,
-            energy_orders=energy_orders,
-            window_orders=window_orders,
-            eps=eps,
-            grad_norms=grad_norms,
-        )
-        row = rep.as_row()
-        row.pop("time", None)
+        t = _table(state, orders)
+        row: dict[str, float] = {}
+        for n in energy_orders:
+            row[f"E_{n}"] = _energy(t, n)
+            if n >= 1:
+                row[f"D_{n}"] = _dissipation(t, n)
+        for k in window_orders:
+            row[f"window_E_{k}"], row[f"window_D_{k}"] = _window_energy(t, k)
+            row[f"I_n_{k}"], row[f"I_E_{k}"], row[f"I_B_{k}"] = _interactive(t, k)
+            row[f"cross_uE_{k}"] = _cross_energy_ue(t, k, eps)
+            row[f"acoustic_{k}"] = _acoustic_energy(t, k, eps, constants.nu)
+        for k, which in grad_norms:
+            row[f"grad{k}_{which}"] = _grad_norm(t, k, which)
         return row
 
     return monitor

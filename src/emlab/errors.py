@@ -47,10 +47,6 @@ class DensityNonpositive(EmlabError):
     """The transformed density leaves the admissible range 1 + mu*n > 0."""
 
 
-class OutOfRange(EmlabError):
-    """Argument outside the domain of the closure inverse."""
-
-
 class AmplitudeTooLarge(EmlabError):
     """Requested perturbation amplitude violates pointwise positivity."""
 

@@ -183,8 +183,8 @@ def _propagate(
 class SpectralProfile:
     """Radial amplitude profile and component loading for per-mode data.
 
-    ``envelope`` gives the coefficient modulus per included component as a
-    function of |xi|.  The longitudinal electric part is always solved from
+    ``envelope`` gives the coefficient modulus per loaded component as a
+    function of |xi|: u, E and B always, n when ``include_n``.  The longitudinal electric part is always solved from
     the electrostatic constraint (zero when the density is not loaded) and
     the magnetic part is loaded transverse, so the data sit on the
     constraint manifold exactly.
@@ -192,9 +192,6 @@ class SpectralProfile:
 
     envelope: Callable[[np.ndarray], np.ndarray]
     include_n: bool = False
-    include_u: bool = True
-    include_e: bool = True
-    include_b: bool = True
     label: str = "profile"
 
     @staticmethod
@@ -227,16 +224,13 @@ def _initial_vectors(
     s = np.zeros((len(r), 10), dtype=complex)
     if profile.include_n:
         s[:, 0] = g[:, 0]
-    if profile.include_u:
-        s[:, 1:4] = g * (omega + e1 + e2) / math.sqrt(3.0)
-    if profile.include_e:
-        s[:, 4:7] = g * (e1 + e2) / math.sqrt(2.0)
+    s[:, 1:4] = g * (omega + e1 + e2) / math.sqrt(3.0)
+    s[:, 4:7] = g * (e1 + e2) / math.sqrt(2.0)
     if profile.include_n:
         # electrostatic constraint: i xi . E = -nu n
         pos = r > 0
         s[pos, 4:7] += (1j * nu * s[pos, 0] / r[pos])[:, None] * omega[pos]
-    if profile.include_b:
-        s[:, 7:10] = g * (e1 + e2) / math.sqrt(2.0)
+    s[:, 7:10] = g * (e1 + e2) / math.sqrt(2.0)
     return s
 
 

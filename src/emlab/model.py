@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AmplitudeTooLarge, ClosureShiftNotConverged, DensityNonpositive, OutOfRange, check, is_count, is_real
+    AmplitudeTooLarge, ClosureShiftNotConverged, DensityNonpositive, check, is_count, is_real
 )
 from .spectral import (
     Field,
@@ -43,7 +43,6 @@ __all__ = [
     "PerturbationState",
     "CompatibilityReport",
     "density_closure",
-    "density_closure_inverse",
     "closure_field",
     "linear_generator",
     "make_initial_data",
@@ -125,22 +124,6 @@ def density_closure(n, gamma: float):
             out = n.copy()  # gamma = 3 collapses the exponent exactly
         else:
             out = np.expm1(np.log1p(mu * n) / mu)
-    return float(out) if out.ndim == 0 else out
-
-
-def density_closure_inverse(y, gamma: float):
-    """Closed-form inverse of the closure; requires 1 + y > 0."""
-    y = np.asarray(y, dtype=float)
-    if np.any(1.0 + y <= 0):
-        raise OutOfRange("closure inverse requires 1 + y > 0")
-    if gamma == 1.0:
-        out = np.log1p(y)
-    else:
-        mu = (gamma - 1.0) / 2.0
-        if mu == 1.0:
-            out = y.copy()
-        else:
-            out = np.expm1(mu * np.log1p(y)) / mu
     return float(out) if out.ndim == 0 else out
 
 
@@ -437,13 +420,6 @@ class CompatibilityReport:
     gauss_residual: float
     divb_residual: float
     positivity_margin: float
-
-    def ok(self, gauss_tol: float = 1e-8, divb_tol: float = 1e-10) -> bool:
-        return (
-            self.gauss_residual <= gauss_tol
-            and self.divb_residual <= divb_tol
-            and self.positivity_margin > 0
-        )
 
 
 def verify_compatibility(state: PerturbationState, constants: PhysicalConstants) -> CompatibilityReport:

@@ -17,6 +17,17 @@ from emlab import cli, model
 TINY_LINEAR = {"linear": {"radial_nodes": 8, "n_theta": 2, "n_phi": 3, "check_convergence": False}}
 # N = 16 for two RK4 steps, sampled at both ends
 TINY_SIMULATE = {"grid": {"points": 16}, "solver": {"end_time": 0.05}}
+# the monitors of the sim32diag benchmark workload, and the CSV headers of
+# those and of the default monitors
+DIAG_MONITORS = {"energy_orders": [1, 2, 3], "window_orders": [0, 1, 2], "grad_norms": [[1, "u"], [2, "E"]]}
+DIAG_HEADER = (
+    "time,D_1,D_2,D_3,E_1,E_2,E_3,I_B_0,I_B_1,I_B_2,I_E_0,I_E_1,I_E_2,I_n_0,I_n_1,I_n_2,"
+    "acoustic_0,acoustic_1,acoustic_2,cross_uE_0,cross_uE_1,cross_uE_2,divB_residual,gauss_residual,"
+    "grad1_u,grad2_E,window_D_0,window_D_1,window_D_2,window_E_0,window_E_1,window_E_2"
+)
+DEFAULT_HEADER = (
+    "time,D_3,E_3,I_B_0,I_E_0,I_n_0,acoustic_0,cross_uE_0,divB_residual,gauss_residual,window_D_0,window_E_0"
+)
 
 
 def _run(tmp_path, command, config, out, *flags):
@@ -73,6 +84,11 @@ class TestSimulate:
         for name in ("timeseries.csv", "summary.json"):
             assert (tmp_path / "second" / name).read_bytes() == (first / name).read_bytes()
 
+    @pytest.mark.parametrize("monitors, header", [({}, DEFAULT_HEADER), (DIAG_MONITORS, DIAG_HEADER)])
+    def test_exact_header(self, tmp_path, monitors, header):
+        assert _run(tmp_path, "simulate", {**TINY_SIMULATE, "monitors": monitors}, "sim") == 0
+        assert (tmp_path / "sim" / "timeseries.csv").read_text().splitlines()[0] == header
+
     def test_removed_keys_are_rejected(self, tmp_path):
         assert _run(tmp_path, "simulate", {"monitors": {"eta": 0.1}}, "eta") == 2
         assert _run(tmp_path, "simulate", {"emit_plot_script": False}, "plot") == 2
@@ -103,6 +119,14 @@ INVALID_VALUES = {
     "solver.end_time": ("simulate", {"solver": {"end_time": -1}}, "solver"),
     "solver.cfl_safety=0": ("simulate", {"solver": {"cfl_safety": 0}}, "solver"),
     "solver.cfl_safety=-1": ("simulate", {"solver": {"cfl_safety": -1}}, "solver"),
+    # finite reals and integers only: each of these once crashed or misled a run
+    "solver.end_time=nan": ("simulate", {"solver": {"end_time": math.nan}}, "solver"),
+    "solver.end_time=inf": ("simulate", {"solver": {"end_time": math.inf}}, "solver"),
+    "solver.output_stride=2.5": ("simulate", {"solver": {"output_stride": 2.5}}, "solver"),
+    "solver.gauss_projection_stride=2.5": ("simulate", {"solver": {"gauss_projection_stride": 2.5}}, "solver"),
+    "solver.gauss_tol=nan": ("simulate", {"solver": {"gauss_tol": math.nan}}, "solver"),
+    "solver.cfl_safety=inf": ("simulate", {"solver": {"cfl_safety": math.inf}}, "solver"),
+    "solver.dt=inf": ("simulate", {"solver": {"dt": math.inf}}, "solver"),
     "grid.points": ("simulate", {"grid": {"points": 15}}, "grid"),
     "seed": ("simulate", {"seed": "x"}, "seed"),
     "constants.b_infty=2": ("simulate", {"constants": {"b_infty": [0, 1]}}, "constants"),

@@ -7,7 +7,7 @@ import pytest
 
 from emlab import energetics as en
 from emlab.dynamics import SolverConfig, simulate
-from emlab.energetics import evaluate_report, standard_monitor
+from emlab.energetics import standard_monitor
 from emlab.errors import DerivativeOrderExceedsResolution
 from emlab.model import PerturbationState, make_initial_data
 from emlab.spectral import Field, divergence, gradient, inner_product, l2_norm
@@ -130,17 +130,16 @@ class TestWindowFunctionals:
 class TestInteractive:
     def test_zero_state(self, grid16, constants_bz):
         st = make_initial_data("flat_low", 0.0, 0, grid16, constants_bz)
-        it = en._interactive(table(st), 0)
-        assert (it.n_coupling, it.e_coupling, it.b_coupling) == (0.0, 0.0, 0.0)
+        assert en._interactive(table(st), 0) == (0.0, 0.0, 0.0)
 
     def test_parallel_ue_closed_form(self, grid32):
         # u = E = (a cos kz, 0, 0): I_E = int u.E + int grad u : grad E
         a, kappa = 0.25, 2.0
         st_u = single_mode_state(grid32, amp=a, kmod=(0, 0, 2), which="u")
         st = PerturbationState(n=st_u.n, u=st_u.u, E=st_u.u, B=st_u.B)
-        it = en._interactive(table(st), 0)
+        _, i_e, _ = en._interactive(table(st), 0)
         base = l2_norm(st.u) ** 2
-        assert it.e_coupling == pytest.approx(base * (1.0 + kappa**2), rel=1e-12)
+        assert i_e == pytest.approx(base * (1.0 + kappa**2), rel=1e-12)
 
     def test_n_coupling_closed_form(self, grid32):
         # u = (a sin kz ez), n = a cos kz: int u . grad n = -a^2 k int sin^2 = -a^2 k L^3/2
@@ -155,11 +154,11 @@ class TestInteractive:
             E=Field.zeros(grid32, vector=True),
             B=Field.zeros(grid32, vector=True),
         )
-        it = en._interactive(table(st), 0)
+        i_n, _, _ = en._interactive(table(st), 0)
         L = grid32.box_length
         # l=0 term: -a^2 km L^3 / 2; l=1 term: same times km^2
         expected = -(a**2) * km * L**3 / 2.0 * (1.0 + km**2)
-        assert it.n_coupling == pytest.approx(expected, rel=1e-12)
+        assert i_n == pytest.approx(expected, rel=1e-12)
         # independent check of the l=0 term by direct inner product
         direct = inner_product(st.u, gradient(st.n))
         assert direct == pytest.approx(-(a**2) * km * L**3 / 2.0, rel=1e-12)
@@ -168,11 +167,11 @@ class TestInteractive:
         from emlab.spectral import homog_norm
 
         st = make_initial_data("flat_low", 1e-2, 4, grid16, constants_bz)
-        it = en._interactive(table(st), 0)
+        i_n, _, _ = en._interactive(table(st), 0)
         bound = sum(
             homog_norm(st.u, l) * homog_norm(st.n, l + 1) for l in (0, 1)
         )
-        assert abs(it.n_coupling) <= bound * (1.0 + 1e-12)
+        assert abs(i_n) <= bound * (1.0 + 1e-12)
 
 
 class TestEquivalentEnergies:
@@ -241,38 +240,35 @@ class TestEquivalentEnergies:
 
 class TestReportsAndMonitors:
     def test_report_row_keys(self, grid16, constants_bz):
+        # the residuals and the time are the simulator's columns, not the monitor's
         st = make_initial_data("flat_low", 1e-2, 4, grid16, constants_bz)
-        rep = evaluate_report(
-            st, constants_bz, energy_orders=(3,), window_orders=(0,), grad_norms=((0, "B"),)
-        )
-        row = rep.as_row()
-        for key in ("time", "E_3", "D_3", "window_E_0", "window_D_0", "cross_uE_0",
-                    "acoustic_0", "grad0_B", "gauss_residual", "divB_residual"):
-            assert key in row
+        row = standard_monitor(constants_bz, energy_orders=(3,), window_orders=(0,), grad_norms=((0, "B"),))(st)
+        assert sorted(row) == sorted(["E_3", "D_3", "window_E_0", "window_D_0", "I_n_0", "I_E_0", "I_B_0",
+                                      "cross_uE_0", "acoustic_0", "grad0_B"])
 
     def test_report_takes_powers_once_per_sample(self, grid16, constants_bz, monkeypatch):
         st = make_initial_data("flat_low", 1e-2, 4, grid16, constants_bz)
         calls = []
         original = en._table
         monkeypatch.setattr(en, "_table", lambda s, orders: calls.append(s) or original(s, orders))
-        rep = evaluate_report(
-            st,
+        monitor = standard_monitor(
             constants_bz,
             energy_orders=(1, 2, 3),
             window_orders=(0, 1, 2),
             grad_norms=((1, "u"), (2, "E")),
         )
+        row = monitor(st)
         assert len(calls) == 1  # one table of |f_hat|^2 of n, u, E and B, shared by every functional
         monkeypatch.undo()
         # each order is its own reduction: a table of other orders agrees exactly
         t = table(st)
         for n in (1, 2, 3):
-            assert rep.energies[n] == en._energy(t, n)
-            assert rep.dissipations[n] == en._dissipation(t, n)
+            assert row[f"E_{n}"] == en._energy(t, n)
+            assert row[f"D_{n}"] == en._dissipation(t, n)
         for k in (0, 1, 2):
-            assert rep.windows[k] == en._window_energy(t, k)
-        assert rep.grad_norms[(1, "u")] == en._grad_norm(t, 1, "u")
-        assert rep.grad_norms[(2, "E")] == en._grad_norm(t, 2, "E")
+            assert (row[f"window_E_{k}"], row[f"window_D_{k}"]) == en._window_energy(t, k)
+        assert row["grad1_u"] == en._grad_norm(t, 1, "u")
+        assert row["grad2_E"] == en._grad_norm(t, 2, "E")
 
     def test_report_takes_cross_spectra_once_per_sample(self, grid16, constants_bz, monkeypatch):
         st = make_initial_data("flat_low", 1e-2, 4, grid16, constants_bz)
@@ -280,7 +276,7 @@ class TestReportsAndMonitors:
         original = en._table
         monkeypatch.setattr(en, "_table", lambda s, orders: calls.append(s) or original(s, orders))
         norms = ((0, "divu"), (1, "ndivu"), (2, "u"))
-        rep = evaluate_report(st, constants_bz, window_orders=(0, 1, 2), eps=0.1, grad_norms=norms)
+        row = standard_monitor(constants_bz, window_orders=(0, 1, 2), eps=0.1, grad_norms=norms)(st)
         assert len(calls) == 1  # one table: the cross terms of every window order, and div u
         monkeypatch.undo()
 
@@ -289,15 +285,12 @@ class TestReportsAndMonitors:
 
         t = table(st)
         for k in (0, 1, 2):
-            want = en._interactive(t, k)
-            got = rep.interactions[k]
-            assert close(got.n_coupling, want.n_coupling)
-            assert close(got.e_coupling, want.e_coupling)
-            assert close(got.b_coupling, want.b_coupling)
-            assert close(rep.cross_ue[k], en._cross_energy_ue(t, k, 0.1))
-            assert close(rep.acoustic[k], en._acoustic_energy(t, k, 0.1, constants_bz.nu))
+            for name, want in zip(("I_n", "I_E", "I_B"), en._interactive(t, k)):
+                assert close(row[f"{name}_{k}"], want)
+            assert close(row[f"cross_uE_{k}"], en._cross_energy_ue(t, k, 0.1))
+            assert close(row[f"acoustic_{k}"], en._acoustic_energy(t, k, 0.1, constants_bz.nu))
         for k, which in norms:
-            assert close(rep.grad_norms[(k, which)], en._grad_norm(t, k, which))
+            assert close(row[f"grad{k}_{which}"], en._grad_norm(t, k, which))
 
     def test_window_energy_decay_balance_on_linear_run(self, grid16, constants_b0):
         # d/dt(window E) + lambda (window D) <= 0 for some lambda in (0, 1]

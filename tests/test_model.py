@@ -7,14 +7,13 @@ import pytest
 
 from emlab import model
 from emlab.errors import (
-    AmplitudeTooLarge, ClosureShiftNotConverged, DensityNonpositive, InvalidArgument, OutOfRange
+    AmplitudeTooLarge, ClosureShiftNotConverged, DensityNonpositive, InvalidArgument
 )
 from emlab.model import (
     PerturbationState,
     PhysicalConstants,
     _direction_frame,
     density_closure,
-    density_closure_inverse,
     make_initial_data,
     solve_gauss_longitudinal,
     verify_compatibility,
@@ -70,20 +69,13 @@ class TestClosure:
         with pytest.raises(DensityNonpositive):
             density_closure(-4.0, 5.0 / 3.0)
 
-    def test_inverse_trivials(self):
-        assert density_closure_inverse(0.0, 1.7) == 0.0
-        y = np.linspace(-0.5, 0.8, 17)
-        assert np.max(np.abs(density_closure_inverse(y, 3.0) - y)) == 0.0
-
-    def test_inverse_roundtrip(self):
+    def test_matches_closed_form(self):
+        # (1 + mu n)^(1/mu) - 1 with mu = (gamma - 1)/2, and its limit expm1(n) at gamma = 1
+        n = np.linspace(-0.6, 1.2, 37)
         for gamma in (1.0, 1.4, 5.0 / 3.0, 2.0):
-            y = np.linspace(-0.6, 1.2, 37)
-            back = density_closure(density_closure_inverse(y, gamma), gamma)
-            assert np.max(np.abs(back - y)) <= 1e-12
-
-    def test_inverse_domain(self):
-        with pytest.raises(OutOfRange):
-            density_closure_inverse(-1.0, 1.4)
+            mu = (gamma - 1.0) / 2.0
+            want = np.expm1(n) if gamma == 1.0 else (1.0 + mu * n) ** (1.0 / mu) - 1.0
+            assert np.max(np.abs(density_closure(n, gamma) - want)) <= 1e-12
 
     @pytest.mark.parametrize("gamma", [1.4, 5.0 / 3.0, 2.0, 3.0])
     def test_quadratic_remainder_bound(self, gamma):

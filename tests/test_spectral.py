@@ -471,12 +471,12 @@ class TestHalfLayoutAgainstFullSpectrum:
         d_ref = orders("nu", k, k + 2) + orders("E", k, k + 1) + orders("B", k + 1, k + 1)
         assert d_win == pytest.approx(d_ref, rel=1e-12)
 
-        it = en._interactive(table, k)
+        i_n, i_e, i_b = en._interactive(table, k)
         grad_n, curl_b = full_gradient(g, full["n"]), full_curl(g, full["B"])
         refs = [
-            (it.n_coupling, [(full["u"], grad_n, l) for l in (k, k + 1)]),
-            (it.e_coupling, [(full["u"], full["E"], l) for l in (k, k + 1)]),
-            (-it.b_coupling, [(full["E"], curl_b, k)]),
+            (i_n, [(full["u"], grad_n, l) for l in (k, k + 1)]),
+            (i_e, [(full["u"], full["E"], l) for l in (k, k + 1)]),
+            (-i_b, [(full["E"], curl_b, k)]),
         ]
         for got, terms in refs:
             want = sum(full_sum(g, l, a, b) for a, b, l in terms)
