@@ -27,9 +27,10 @@ stage and slope buffers are scratch owned by one ``simulate`` (or ``step``)
 call.
 
 Transforms per RHS.  The 11 masked product inputs (n, u, grad n, div u,
-B - curl u) are transformed back in 3 stacked ``irfftn`` calls of at most 4
-fields, grouped so that pocketfft's internal temporary stays small; the 8
-products are transformed forward in 1 stacked ``rfftn`` call.
+B - curl u) go back in one ``_band_irfftn`` call and the 8 products forward
+in one ``_band_rfftn`` call: a pass along z, and an (x, y) pass only on the
+kz planes below b = n//3 + 1, which the two-thirds rule keeps.  The numbers
+are those of full transforms, bit for bit.
 
 Threads.  Between the transforms, the elementwise work of the RHS and the
 RK4 stage sums runs on x-slabs of the grid, one slab per CPU, from a thread
@@ -64,7 +65,7 @@ from .model import (
     solve_gauss_longitudinal,
     verify_compatibility,
 )
-from .spectral import Field, GridSpec, _irfftn, _rfftn, l2_norm
+from .spectral import Field, GridSpec, _band_irfftn, _band_rfftn, _irfftn, l2_norm
 
 __all__ = [
     "SolverConfig",
@@ -178,15 +179,17 @@ class _Rhs:
     writes the time derivative of the packed state ``y`` into ``out`` (the
     system is autonomous, so ``time`` is unused).  It writes nothing else
     outside its own buffers.  The elementwise stages run on the x-slabs of
-    ``slabs``; the transforms between them run on whole stacks.
+    ``slabs``; the transforms between them run on whole stacks.  The
+    transforms skip the kz planes from b = n//3 + 1 up, where the masked
+    product inputs are zero and the mask discards the products; the
+    elementwise stages still run on whole planes, because numpy's passes
+    over the planes below b alone, strided, were slower.  The products are
+    formed in each call's c2r output.
 
     The linear part is read off ``model.linear_generator``: row r of
     A(k) = A0 + i sum_a k_a A1[a] is a list of nonzero terms (a, column,
     coefficient), taken times i*k_a, or times 1 for a = 3 (the A0 entries).
     """
-
-    # slots of the spectral and physical work stacks: the product inputs
-    _GROUPS = ((0, 4), (4, 7), (7, 11))  # n u | grad n | div u, B - curl u
 
     def __init__(self, grid: GridSpec, constants: PhysicalConstants, slabs: _Slabs):
         n, h = grid.n, grid.n // 2 + 1
@@ -197,20 +200,19 @@ class _Rhs:
         a0, a1 = linear_generator(constants)
         table = np.concatenate([a1, a0[None]])
         self.terms = [[(a, c, table[a, r, c]) for a, c in zip(*np.nonzero(table[:, r]))] for r in range(_SLOTS)]
-        self.mask = grid.dealias_mask
+        # complex, so that no multiply casts it; 1+0j and 0j are what a bool casts to
+        self.mask = grid.dealias_mask.astype(np.complex128)
         self.spec = np.empty((11, n, n, h), dtype=np.complex128)
-        self.phys = np.empty((11, n, n, n))
         self.tmp = np.empty((n, n, h), dtype=np.complex128)
         self.work = np.empty((2, n, n, n))
 
     def __call__(self, y: np.ndarray, time: float, out: np.ndarray):
         self.slabs.run(lambda slab: self._linear(y, out, slab))
-        for lo, hi in self._GROUPS:
-            self.phys[lo:hi] = _irfftn(self.spec[lo:hi], self.n)
-        closure = density_closure(self.phys[0], self.gamma)
-        self.slabs.run(lambda slab: self._products(closure, slab))
+        phys = _band_irfftn(self.spec, self.n)
+        closure = density_closure(phys[0], self.gamma)
+        self.slabs.run(lambda slab: self._products(phys, closure, slab))
         # [0] |u|^2/2, [1:4] closure(n) u, [4:7] the vector term, [7] the density term
-        prods = _rfftn(self.phys[0:8])
+        prods = _band_rfftn(phys[0:8])
         self.slabs.run(lambda slab: self._accumulate(prods, out, slab))
 
     def _multipliers(self, slab: slice):
@@ -244,11 +246,11 @@ class _Rhs:
         np.multiply(y[0:4], m, out=spec[0:4])
         spec[4:11] *= m
 
-    def _products(self, closure: np.ndarray, slab: slice):
+    def _products(self, phys: np.ndarray, closure: np.ndarray, slab: slice):
         """The 8 products into slots 0-7 of ``phys``, each written into a slot
         whose input is dead."""
         x = _x(slab)
-        phys = self.phys[x]
+        phys = phys[x]
         acc, prod = self.work[x]
         pn, pu, pg, pd, pw = phys[0], phys[1:4], phys[4:7], phys[7], phys[8:11]
         pn *= self.mu  # mu n

@@ -24,11 +24,11 @@ def check(value, ok, name: str, what: str):
 
 
 def is_count(value, minimum: int = 0) -> bool:
-    return isinstance(value, numbers.Integral) and value >= minimum
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum
 
 
 def is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and math.isfinite(value)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 # -- spectral calculus --------------------------------------------------------

@@ -13,6 +13,8 @@ Conventions used throughout the package:
   (Nyquist) plane are their own mirrors and count once.  Only this module
   knows the layout; other modules broadcast against ``GridSpec.k_axis`` and
   take sums through ``GridSpec.weight``.
+* ``_band_irfftn`` and ``_band_rfftn`` give the full transforms' numbers on
+  the kz planes the two-thirds rule keeps, and run their (x, y) passes there only.
 * Every weighted Fourier-side quantity is one reduction, ``_sums``: a stack
   of power spectra summed against per-mode weight columns (the |k|^(2l)
   weights, the Sobolev column of order -s, or the 2^(-2sj)-scaled dyadic
@@ -84,6 +86,32 @@ def _rfftn(values: np.ndarray) -> np.ndarray:
 def _irfftn(coeffs: np.ndarray, n: int) -> np.ndarray:
     workers = _workers(coeffs.size // coeffs.shape[-1] * n)
     return sfft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), workers=workers)
+
+
+def _xy_pass(fft, band: np.ndarray, workers: int, norm: str):
+    """The c2c pass ``fft`` over (x, y) of ``band``, written back into it; ``norm`` leaves it unscaled."""
+    got = fft(band, axes=(-3, -2), norm=norm, overwrite_x=True, workers=workers)
+    if not np.shares_memory(got, band):  # overwrite_x permits in place, it does not promise it
+        band[...] = got
+
+
+def _band_irfftn(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """``_irfftn``, bit for bit, of a stack that is zero from kz plane n//3+1 up
+    (the planes the two-thirds rule drops); overwrites the planes below.
+    irfftn makes the same passes and scales once, at the end, as here."""
+    workers = _workers(coeffs.size // coeffs.shape[-1] * n)
+    _xy_pass(sfft.ifftn, coeffs[..., : n // 3 + 1], workers, "forward")
+    out = sfft.irfft(coeffs, n, axis=-1, norm="forward", workers=workers)
+    out *= 1.0 / n**3
+    return out
+
+
+def _band_rfftn(values: np.ndarray) -> np.ndarray:
+    """``_rfftn`` on the kz planes 0..n//3, bit for bit; above them, only the z pass."""
+    workers = _workers(values.size)
+    out = sfft.rfft(values, axis=-1, workers=workers)
+    _xy_pass(sfft.fftn, out[..., : values.shape[-1] // 3 + 1], workers, "backward")
+    return out
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,10 @@ INVALID_VALUES = {
     "solver.gauss_tol=nan": ("simulate", {"solver": {"gauss_tol": math.nan}}, "solver"),
     "solver.cfl_safety=inf": ("simulate", {"solver": {"cfl_safety": math.inf}}, "solver"),
     "solver.dt=inf": ("simulate", {"solver": {"dt": math.inf}}, "solver"),
+    # booleans are not numbers, although Python counts them as integers
+    "solver.output_stride=true": ("simulate", {"solver": {"output_stride": True}}, "solver"),
+    "initial_data.amplitude=true": ("simulate", {"initial_data": {"amplitude": True}}, "initial_data"),
+    "monitors.energy_orders=[true]": ("simulate", {"monitors": {"energy_orders": [True]}}, "monitors"),
     "grid.points": ("simulate", {"grid": {"points": 15}}, "grid"),
     "seed": ("simulate", {"seed": "x"}, "seed"),
     "constants.b_infty=2": ("simulate", {"constants": {"b_infty": [0, 1]}}, "constants"),

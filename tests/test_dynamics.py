@@ -16,6 +16,7 @@ from emlab.model import (
     PerturbationState,
     PhysicalConstants,
     density_closure,
+    linear_generator,
     make_initial_data,
     verify_compatibility,
 )
@@ -193,22 +194,75 @@ class TestFusedRhs:
         assert max_rel_diff(got, want) <= 1e-13
 
     def test_transform_count(self, grid16, constants_bz, monkeypatch):
-        # 11 product inputs in 3 stacked inverse calls, 8 products in 1 forward call
+        # the 11 product inputs go through one inverse (x, y) pass and one c2r
+        # pass along z, the 8 products through one r2c pass along z and one
+        # forward (x, y) pass; both (x, y) passes see only the n//3+1 kz planes
+        # that the two-thirds rule keeps
         st = random_state(grid16, 4)
-        calls = {"rfftn": 0, "irfftn": 0}
-        fields = {"rfftn": 0, "irfftn": 0}
-        for name in calls:
+        shapes = {name: [] for name in ("ifftn", "irfft", "rfft", "fftn", "irfftn", "rfftn")}
+        for name in shapes:
             original = getattr(scipy.fft, name)
 
             def counting(x, *args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                fields[_name] += x[..., 0, 0, 0].size
+                shapes[_name].append(x.shape)
                 return _original(x, *args, **kwargs)
 
             monkeypatch.setattr(scipy.fft, name, counting)
         rhs(st, constants_bz)
-        assert calls == {"rfftn": 1, "irfftn": 3}
-        assert fields == {"rfftn": 8, "irfftn": 11}
+        n, b, h = 16, 6, 9
+        assert shapes == {
+            "ifftn": [(11, n, n, b)],
+            "irfft": [(11, n, n, h)],
+            "rfft": [(8, n, n, n)],
+            "fftn": [(8, n, n, b)],
+            "irfftn": [],
+            "rfftn": [],
+        }
+
+
+class TestOutsideTheBand:
+    def test_input_planes_above_the_band_stay_zero(self, grid16, constants_bz, monkeypatch):
+        # the inverse band transform skips these planes in its (x, y) pass,
+        # so it is exact only while they hold zeros
+        b = grid16.n // 3 + 1
+        kernels = []
+
+        class Recording(dynamics._Rhs):
+            def __init__(self, *args):
+                super().__init__(*args)
+                kernels.append(self)
+
+        y = dynamics._pack(random_state(grid16, 7))
+        with dynamics._Slabs(grid16.n) as slabs:
+            kernel = Recording(grid16, constants_bz, slabs)
+            kernel(y, 0.0, np.empty_like(y))
+        monkeypatch.setattr(dynamics, "_Rhs", Recording)
+        cfg = SolverConfig(end_time=0.05, gauss_projection_stride=2, output_stride=1)
+        simulate(random_state(grid16, 8), cfg, constants_bz)
+        assert len(kernels) == 2
+        for kernel in kernels:
+            assert kernel.spec[..., :b].any()
+            assert not kernel.spec[..., b:].any()
+
+    @pytest.mark.parametrize("b_infty", [(0, 0, 0), (0.3, -0.2, 0.9)])
+    def test_a_mode_above_the_band_gets_the_linear_generator(self, grid16, b_infty):
+        # every product input is masked to zero, so the RHS is the linear
+        # generator A(k) = A0 + i sum_a k_a A1[a] applied to the one mode
+        constants = PhysicalConstants(b_infty=b_infty)
+        mode = (2, 13, grid16.n // 3 + 2)  # kz above the band, below Nyquist
+        rng = np.random.default_rng(9)
+        y = np.zeros((10, grid16.n, grid16.n, grid16.n // 2 + 1), dtype=complex)
+        y[(slice(None), *mode)] = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        out = np.empty_like(y)
+        with dynamics._Slabs(grid16.n) as slabs:
+            dynamics._Rhs(grid16, constants, slabs)(y, 0.0, out)
+        a0, a1 = linear_generator(constants)
+        k = [grid16.k_axis(a).ravel()[m] for a, m in enumerate(mode)]
+        want = (a0 + 1j * np.einsum("a,aij->ij", k, a1)) @ y[(slice(None), *mode)]
+        got = out[(slice(None), *mode)]
+        assert np.allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+        out[(slice(None), *mode)] = 0
+        assert not out.any()
 
 
 class TestSlabs:

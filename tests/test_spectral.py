@@ -101,6 +101,26 @@ class TestGridAndField:
         assert seen[3:] == [-1, -1, 1]
 
 
+class TestBandTransforms:
+    @pytest.mark.parametrize("n", [4, 6, 16, 18, 32])
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_match_the_full_transforms(self, n, threaded, rng, monkeypatch):
+        from emlab import spectral
+
+        if threaded:
+            monkeypatch.setattr(spectral, "_THREADED_MIN_POINTS", 0)
+        grid = GridSpec(n, 2.0 * math.pi)
+        b, h = n // 3 + 1, n // 2 + 1
+        # the band is the kz extent of the dealias mask
+        assert grid.dealias_mask[..., b - 1].any() and not grid.dealias_mask[..., b:].any()
+        coeffs = (rng.standard_normal((3, n, n, h)) + 1j * rng.standard_normal((3, n, n, h))) * grid.dealias_mask
+        work = coeffs.copy()
+        assert np.array_equal(spectral._band_irfftn(work, n), spectral._irfftn(coeffs, n))
+        assert np.array_equal(work[..., b:], coeffs[..., b:])
+        values = rng.standard_normal((3, n, n, n))
+        assert np.array_equal(spectral._band_rfftn(values)[..., :b], spectral._rfftn(values)[..., :b])
+
+
 class TestDifferentialOperators:
     def test_derivative_of_constant_is_zero(self, grid16):
         f = Field.from_physical(grid16, np.full((16, 16, 16), 3.7))
