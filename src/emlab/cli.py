@@ -32,10 +32,7 @@ import numpy as np
 from . import analysis, energetics, inequalities, linear
 from .analysis import NormSeries, check_s, fit_decay, s_of_p
 from .dynamics import SolverConfig, simulate
-from .errors import (
-    ConfigError, EmlabError, InsufficientSamples, InvalidArgument, NonpositiveValue, POutOfRange, SOutOfRange,
-    is_count,
-)
+from .errors import ConfigError, EmlabError, InsufficientSamples, InvalidArgument, NonpositiveValue, is_count
 from .model import PhysicalConstants, make_initial_data
 from .spectral import GridSpec
 
@@ -98,18 +95,18 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"unknown experiment {cfg['experiment']!r}")
     dc = cfg["data_class"]
     if dc["p"] is not None:
-        dc["s"] = _section("data_class", lambda: s_of_p(dc["p"]), POutOfRange)
-    _section("data_class", lambda: check_s(dc["s"]), SOutOfRange)
+        dc["s"] = _section("data_class", lambda: s_of_p(dc["p"]))
+    _section("data_class", lambda: check_s(dc["s"]))
     return cfg
 
 
-def _section(name: str, build, errors=(TypeError, ValueError)):
-    """build(), with the given errors reported as a ConfigError naming the
-    section its values came from.  A call that runs more than a constructor
-    passes InvalidArgument, which only argument checks raise."""
+def _section(name: str, build):
+    """build(), with an InvalidArgument, which only argument checks raise,
+    reported as a ConfigError naming the section its values came from.  Any
+    other error is a fault of the program and propagates."""
     try:
         return build()
-    except errors as exc:
+    except InvalidArgument as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
@@ -155,7 +152,7 @@ def run_simulate(cfg: dict, outdir: Path) -> dict:
     seed = _seed(cfg)
     state = _section("initial_data", lambda: make_initial_data(
         seed=seed, grid=grid, constants=constants, **cfg["initial_data"]
-    ), InvalidArgument)
+    ))
     config = _section("solver", lambda: SolverConfig(**cfg["solver"]))
     monitor = _section("monitors", lambda: energetics.standard_monitor(constants, **cfg["monitors"]))
     result = simulate(state, config, constants, monitors=[monitor])
@@ -190,7 +187,7 @@ def run_linear(cfg: dict, outdir: Path) -> dict:
     metrics: dict = {}
     rows = _section("linear", lambda: linear.decay_report(
         constants, s=s, quad=quad, metrics=metrics, **report_args
-    ), InvalidArgument)
+    ))
     report = {
         "s": s,
         "rows": [r.as_dict() for r in rows],
@@ -208,7 +205,7 @@ def run_inequalities(cfg: dict, outdir: Path) -> dict:
     grid = None if points == 16 else _section("inequalities", lambda: GridSpec(points, 2.0 * math.pi))
     reports = _section("inequalities", lambda: inequalities.default_suite(
         ic["trials"], seed, grid
-    ), InvalidArgument)
+    ))
     payload = {
         "reports": [r.as_dict() for r in reports],
         "all_plateaued": all(r.plateau_ok for r in reports),
@@ -251,7 +248,7 @@ def run_fit(cfg: dict, outdir: Path, csv_path: str | Path) -> dict:
         try:
             fit = _section("fit", lambda: fit_decay(
                 series, window=fc["window"] or None, target=fc["target"], tol=fc["tolerance"]
-            ), InvalidArgument)
+            ))
         except (InsufficientSamples, NonpositiveValue) as exc:
             out["fits"][col] = {"error": str(exc)}
             continue

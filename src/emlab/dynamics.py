@@ -40,7 +40,8 @@ disjoint, so the numbers do not depend on the CPU count.
 Samples.  Every sample of a run logs the electrostatic (Gauss) and
 solenoidal constraint residuals of ``model.verify_compatibility`` as the
 columns ``gauss_residual`` and ``divB_residual``, next to whatever the
-monitors return.
+monitors return.  The Gauss projection every ``gauss_projection_stride``
+steps is ``model._project_gauss``, the solve that builds the initial data.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,11 +59,9 @@ from .errors import CflViolation, SimulationDiverged, check, is_count, is_real
 from .model import (
     PerturbationState,
     PhysicalConstants,
-    _transverse_project,
-    closure_field,
+    _project_gauss,
     density_closure,
     linear_generator,
-    solve_gauss_longitudinal,
     verify_compatibility,
 )
 from .spectral import Field, GridSpec, _band_irfftn, _band_rfftn, _irfftn, l2_norm
@@ -327,15 +326,6 @@ def _rk4(f, y: np.ndarray, time: float, dt: float, k: np.ndarray, stage: np.ndar
     return out
 
 
-def _project_gauss(state: PerturbationState, constants: PhysicalConstants) -> np.ndarray:
-    """The packed state with its longitudinal electric part replaced by the
-    constraint-consistent solve."""
-    g = state.grid
-    e_long = solve_gauss_longitudinal(closure_field(state.n, constants.gamma), constants.nu)
-    e_new = _transverse_project(state.E.coeffs, g) + e_long
-    return _pack(replace(state, E=Field(g, e_new)))
-
-
 # -- public operations -------------------------------------------------------------
 
 
@@ -441,7 +431,8 @@ def simulate(
     dt is fixed from the initial state, so at every sample it is compared
     with the advisory ``cfl_dt`` of the current state: a step above 1.0001x
     the advisory one warns ``CflViolation``, and the smallest ratio
-    advisory / dt is recorded as ``cfl_margin_min``.
+    advisory / dt is recorded as ``cfl_margin_min``.  The smallest positivity
+    margin min(1 + mu*n) over the samples is recorded as ``positivity_margin_min``.
     """
     grid = initial.grid
     dt = cfl_dt(initial, grid, constants, config.cfl_safety) if config.dt == "auto" else float(config.dt)
@@ -458,10 +449,10 @@ def simulate(
             "gauss_projection_stride": config.gauss_projection_stride,
         }
     )
-    cfl_margin_min = math.inf
+    cfl_margin_min = positivity_margin_min = math.inf
 
     def sample(st):
-        nonlocal cfl_margin_min
+        nonlocal cfl_margin_min, positivity_margin_min
         cfl_margin_min = min(cfl_margin_min, _cfl_margin(st, dt, constants, config.cfl_safety, stacklevel=4))
         row: dict[str, float] = {}
         for mon in monitors:
@@ -469,6 +460,7 @@ def simulate(
         compat = verify_compatibility(st, constants)
         row["gauss_residual"] = compat.gauss_residual
         row["divB_residual"] = compat.divb_residual
+        positivity_margin_min = min(positivity_margin_min, compat.positivity_margin)
         log.append(st.time, row)
         return compat.gauss_residual
 
@@ -491,7 +483,7 @@ def simulate(
                 # measure before projecting so projection cannot mask drift
                 res = verify_compatibility(state, constants).gauss_residual
                 max_gauss = max(max_gauss, res)
-                y = _project_gauss(state, constants)
+                y = _pack(_project_gauss(state, constants))
                 state = _view(y, grid, state.time)
             if istep % config.output_stride == 0 or istep == n_steps:
                 max_gauss = max(max_gauss, sample(state))
@@ -502,4 +494,5 @@ def simulate(
     log.metadata["gauss_drift_budget"] = budget
     log.metadata["gauss_within_budget"] = bool(max_gauss <= budget)
     log.metadata["cfl_margin_min"] = cfl_margin_min
+    log.metadata["positivity_margin_min"] = positivity_margin_min
     return SimulationResult(log=log, final_state=state)

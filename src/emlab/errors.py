@@ -99,11 +99,11 @@ class RequiresBInftyZero(EmlabError):
     """Requested quantity is only defined for zero background magnetic field."""
 
 
-class SOutOfRange(EmlabError):
+class SOutOfRange(InvalidArgument):
     """Negative-regularity index outside the admissible range."""
 
 
-class POutOfRange(EmlabError):
+class POutOfRange(InvalidArgument):
     """Lebesgue exponent outside [1, 2]."""
 
 

@@ -11,6 +11,10 @@ In these rescaled units the pressure constant, relaxation time, Debye length,
 light speed and background density are one: gamma and B_inf are the only
 parameters.
 
+States on the constraint manifold are built here only: the initial-data
+kinds build raw parts, and one tail of ``make_initial_data`` puts them on the
+manifold through the Gauss solve that the solver's ``_project_gauss`` calls.
+
 The polarization frame _direction_frame is covariant about an axis, the z
 axis for ``single_mode`` data.  Its trial vector no longer switches from z to
 x at |omega_z| >= 0.9, so single_mode polarizations changed for modes within
@@ -22,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,12 +65,9 @@ class PhysicalConstants:
     b_infty: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        if not self.gamma >= 1.0:
-            raise ValueError("gamma must be >= 1")
-        b = np.asarray(self.b_infty, dtype=float)
-        if b.shape != (3,) or not np.all(np.isfinite(b)):
-            raise ValueError(f"b_infty must be 3 finite numbers, got {self.b_infty!r}")
-        object.__setattr__(self, "b_infty", tuple(b.tolist()))
+        check(self.gamma, lambda v: is_real(v) and v >= 1.0, "gamma", "a finite number >= 1")
+        check(self.b_infty, lambda b: len(b) == 3 and all(map(is_real, b)), "b_infty", "3 finite numbers")
+        object.__setattr__(self, "b_infty", tuple(float(b) for b in self.b_infty))
 
     @property
     def mu(self) -> float:
@@ -271,9 +272,23 @@ def _envelope_low_freq(s: float, rolloff_k: float):
     return env
 
 
-def _normalize_max(phys: np.ndarray, target: float) -> np.ndarray:
-    m = float(np.max(np.abs(phys)))
-    return phys * (target / m) if m > 0 else phys
+def _normalize_max(values: np.ndarray, target: float, grid: GridSpec | None = None) -> np.ndarray:
+    """values scaled so that max |samples| = target (unscaled if all are zero); the
+    samples are values itself or, given a grid, those of the coefficients values."""
+    m = float(np.max(np.abs(values if grid is None else Field(grid, values).physical())))
+    return values * (target / m) if m > 0 else values
+
+
+def _gauss_e(e_t: np.ndarray, n: Field, constants: PhysicalConstants) -> Field:
+    """E with the given transverse part e_t plus the longitudinal solve of
+    the electrostatic constraint div E = -nu * closure(n)."""
+    return Field(n.grid, e_t + solve_gauss_longitudinal(closure_field(n, constants.gamma), constants.nu))
+
+
+def _project_gauss(state: PerturbationState, constants: PhysicalConstants) -> PerturbationState:
+    """The state with its longitudinal electric part replaced by the
+    constraint-consistent solve."""
+    return replace(state, E=_gauss_e(_transverse_project(state.E.coeffs, state.grid), state.n, constants))
 
 
 _KINDS = ("low_freq", "flat_low", "bump", "single_mode")
@@ -303,9 +318,11 @@ def make_initial_data(
       * ``bump``: compactly supported physical bump, the L^p class.
       * ``single_mode``: one Fourier mode, for exactness tests.
 
-    In every kind the magnetic perturbation is projected exactly transverse
-    and the longitudinal electric part is solved from the electrostatic
-    constraint; the transverse electric part defaults to zero.
+    Each kind builds only raw parts: the density samples, the velocity, the
+    exactly transverse magnetic part and, with ``include_transverse_e``, a
+    transverse electric part (else zero).  One tail puts them on the
+    constraint manifold: the zero-mean closure shift of the density, the
+    positivity check, and the longitudinal electric part from Gauss's law.
 
     For the random kinds, ``normalization="physical"`` scales each component
     to max-abs amplitude (solver experiments), while ``"continuum"`` scales
@@ -328,14 +345,10 @@ def make_initial_data(
     check(include_transverse_e, lambda v: isinstance(v, bool), "include_transverse_e", "true or false")
     check(normalization, lambda v: v in ("physical", "continuum"), "normalization", "'physical' or 'continuum'")
     if amplitude == 0.0:
-        return PerturbationState(
-            n=Field.zeros(grid),
-            u=Field.zeros(grid, vector=True),
-            E=Field.zeros(grid, vector=True),
-            B=Field.zeros(grid, vector=True),
-        )
+        zero = Field.zeros(grid, vector=True)
+        return PerturbationState(n=Field.zeros(grid), u=zero, E=zero, B=zero)
     rng = np.random.default_rng(seed)
-    ga = constants.gamma
+    e_t = None
 
     if kind == "single_mode":
         x, y, z = grid.coordinates()
@@ -347,10 +360,8 @@ def make_initial_data(
         e1, e2 = _direction_frame(khat)
         u_phys = amplitude * (e1[:, None, None, None] * np.cos(phase) + khat[:, None, None, None] * np.sin(phase))
         b_phys = amplitude * e2[:, None, None, None] * np.cos(phase)
-        n0 = Field.from_physical(grid, _shift_to_zero_closure_mean(n_phys, ga))
         u0 = Field.from_physical(grid, u_phys)
         b_coeffs = _transverse_project(Field.from_physical(grid, b_phys).coeffs, grid)
-        e_t = np.zeros_like(b_coeffs)
     elif kind == "bump":
         x, y, z = grid.coordinates()
         L = grid.box_length
@@ -359,7 +370,7 @@ def make_initial_data(
         rho2 = ((x - c) ** 2 + (y - c) ** 2 + (z - c) ** 2) / R**2
         with np.errstate(divide="ignore", over="ignore"):
             b = np.where(rho2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1e-300, 1.0 - rho2)), 0.0)
-        n0 = Field.from_physical(grid, _shift_to_zero_closure_mean(amplitude * b, ga))
+        n_phys = amplitude * b
         shifts = [np.roll(b, grid.n // 7 * (a + 1), axis=a) for a in range(3)]
         u0 = Field.from_physical(grid, amplitude * np.stack(shifts))
         braw = Field.from_physical(grid, amplitude * np.stack(shifts[::-1]))
@@ -368,51 +379,32 @@ def make_initial_data(
             e_t = _transverse_project(
                 Field.from_physical(grid, amplitude * np.stack([b, shifts[0], shifts[2]])).coeffs, grid
             )
-        else:
-            e_t = np.zeros_like(b_coeffs)
     else:  # low_freq, flat_low
         env = _envelope_flat_low(rolloff_width) if kind == "flat_low" else _envelope_low_freq(s, rolloff_k)
-        coeff_scale = amplitude * grid.n**3 / grid.box_length**3
         n_f = random_phase_field(grid, rng, env)
         u_f = random_phase_field(grid, rng, env, vector=True)
-        b_f = random_phase_field(grid, rng, env, vector=True)
+        # B, then E if loaded; freeing the raw draws early raised simulate's peak RSS by 6 MB at N=64
+        raw = [random_phase_field(grid, rng, env, vector=True) for _ in range(2 if include_transverse_e else 1)]
+        parts = [_transverse_project(f.coeffs, grid) for f in raw]
         if normalization == "continuum":
-            n0 = Field(grid, coeff_scale * n_f.coeffs)
-            n0 = Field.from_physical(grid, _shift_to_zero_closure_mean(n0.physical(), ga))
+            coeff_scale = amplitude * grid.n**3 / grid.box_length**3
+            n_phys = Field(grid, coeff_scale * n_f.coeffs).physical()
             u0 = Field(grid, coeff_scale * u_f.coeffs)
-            b_coeffs = coeff_scale * _transverse_project(b_f.coeffs, grid)
+            parts = [coeff_scale * v for v in parts]
         else:
-            n0 = Field.from_physical(grid, _shift_to_zero_closure_mean(_normalize_max(n_f.physical(), amplitude), ga))
+            n_phys = _normalize_max(n_f.physical(), amplitude)
             u0 = Field.from_physical(grid, _normalize_max(u_f.physical(), amplitude))
-            b_coeffs = _transverse_project(b_f.coeffs, grid)
-            scale = float(np.max(np.abs(Field(grid, b_coeffs).physical())))
-            if scale > 0:
-                b_coeffs = b_coeffs * (amplitude / scale)
-        if include_transverse_e:
-            e_t = _transverse_project(random_phase_field(grid, rng, env, vector=True).coeffs, grid)
-            if normalization == "continuum":
-                e_t = e_t * coeff_scale
-            else:
-                esc = float(np.max(np.abs(Field(grid, e_t).physical())))
-                if esc > 0:
-                    e_t = e_t * (amplitude / esc)
-        else:
-            e_t = np.zeros((3,) + n0.coeffs.shape, dtype=np.complex128)
+            parts = [_normalize_max(v, amplitude, grid) for v in parts]
+        b_coeffs, e_t = parts[0], parts[1] if include_transverse_e else None
 
+    n0 = Field.from_physical(grid, _shift_to_zero_closure_mean(n_phys, constants.gamma))
     margin = float(np.min(1.0 + constants.mu * n0.physical()))
     if margin <= 0:
         raise AmplitudeTooLarge(
             f"amplitude {amplitude} drives 1 + mu*n to {margin:.3e}"
         )
-
-    e_long = solve_gauss_longitudinal(closure_field(n0, ga), constants.nu)
-    state = PerturbationState(
-        n=n0,
-        u=u0,
-        E=Field(grid, e_t + e_long),
-        B=Field(grid, b_coeffs),
-    )
-    return state
+    e_t = np.zeros_like(b_coeffs) if e_t is None else e_t
+    return PerturbationState(n=n0, u=u0, E=_gauss_e(e_t, n0, constants), B=Field(grid, b_coeffs))
 
 
 @dataclass(frozen=True)

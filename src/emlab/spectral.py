@@ -47,7 +47,7 @@ from typing import Callable, Iterator
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import BlockOutOfRange, NegativePowerOnNonzeroMean, is_count
+from .errors import BlockOutOfRange, NegativePowerOnNonzeroMean, check, is_count, is_real
 
 __all__ = [
     "GridSpec",
@@ -122,10 +122,8 @@ class GridSpec:
     box_length: float
 
     def __post_init__(self):
-        if not is_count(self.points_per_axis, 4) or self.points_per_axis % 2:
-            raise ValueError("points_per_axis must be an even integer >= 4")
-        if not self.box_length > 0:
-            raise ValueError("box_length must be positive")
+        check(self.points_per_axis, lambda v: is_count(v, 4) and v % 2 == 0, "points_per_axis", "an even integer >= 4")
+        check(self.box_length, lambda v: is_real(v) and v > 0, "box_length", "a finite positive number")
 
     # cached derived arrays; frozen dataclass, so stash via __dict__
     def _cache(self, name: str, build: Callable[[], np.ndarray]) -> np.ndarray:

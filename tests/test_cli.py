@@ -151,6 +151,12 @@ INVALID_VALUES = {
     "fit.window=1": ("fit", {"fit": {"window": [1]}}, "fit"),
     "fit.target": ("fit", {"fit": {"target": "x"}}, "fit"),
     "fit.tolerance": ("fit", {"fit": {"tolerance": "x", "target": -1}}, "fit"),
+    # the grid and the constants take finite reals only, and no booleans
+    "grid.box_length=inf": ("simulate", {"grid": {"points": 16, "box_length": math.inf}}, "grid"),
+    "grid.box_length=true": ("simulate", {"grid": {"points": 16, "box_length": True}}, "grid"),
+    "constants.gamma=true": ("simulate", {"constants": {"gamma": True}}, "constants"),
+    "constants.gamma=inf": ("linear", {"constants": {"gamma": math.inf}}, "constants"),
+    "constants.b_infty=true": ("simulate", {"constants": {"b_infty": [True, 0, 1]}}, "constants"),
 }
 
 

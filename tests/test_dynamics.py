@@ -393,6 +393,25 @@ class TestCfl:
         assert len(margins) == 6 and margins[0] == 1.0
         assert res.log.metadata["cfl_margin_min"] == min(margins) < 0.99
 
+    def test_simulate_records_the_smallest_positivity_margin(self, grid16, constants_bz):
+        # a compressive velocity from rest: the density grows, then falls
+        # back, so 1 + mu*n dips below its initial 1 between the end samples
+        zero = Field.zeros(grid16, vector=True)
+        x, _, _ = grid16.coordinates()
+        u = Field.from_physical(grid16, np.stack([0.3 * np.sin(2.0 * x), 0.0 * x, 0.0 * x]))
+        st = PerturbationState(n=Field.zeros(grid16), u=u, E=zero, B=zero)
+        margins = []
+
+        def margin(state):
+            margins.append(verify_compatibility(state, constants_bz).positivity_margin)
+            return {}
+
+        # |n|_inf grows, so a step below the initial advisory one stays inside the later ones
+        cfg = SolverConfig(dt=0.9 * cfl_dt(st, grid16, constants_bz), end_time=1.5, output_stride=3)
+        res = simulate(st, cfg, constants_bz, monitors=[margin])
+        assert len(margins) == len(res.log.times) and margins[0] == 1.0
+        assert res.log.metadata["positivity_margin_min"] == min(margins) < min(margins[1], margins[-1])
+
 
 class TestStep:
     def test_zero_state_fixed_point(self, grid16, constants_bz):

@@ -13,6 +13,7 @@ from emlab.model import (
     PerturbationState,
     PhysicalConstants,
     _direction_frame,
+    closure_field,
     density_closure,
     make_initial_data,
     solve_gauss_longitudinal,
@@ -206,6 +207,70 @@ class TestInitialData:
         b = make_initial_data("flat_low", 1e-2, 42, grid16, constants_b0)
         for fa, fb in zip(a.fields().values(), b.fields().values()):
             assert np.array_equal(fa.coeffs, fb.coeffs)
+
+
+# the envelopes of the random kinds at their rolloff defaults, low_freq at
+# s = 1, written out here as the oracle
+ENVELOPES = {
+    "flat_low": lambda r: np.where(r <= 1.0, 1.0, np.exp(-(((r - 1.0) / 0.5) ** 2))),
+    "low_freq": lambda r: np.minimum(1.0, np.where(r > 0, r, 1.0)) ** -0.5 * np.exp(-((r / 2.0) ** 2)),
+}
+KINDS = ["low_freq", "flat_low", "bump", "single_mode"]
+TRANSVERSE_E = pytest.mark.parametrize("transverse_e", [False, True], ids=["no_te", "te"])
+NORMALIZATIONS = pytest.mark.parametrize("normalization", ["physical", "continuum"])
+
+
+def _contract_state(grid, constants, kind, transverse_e, normalization):
+    return make_initial_data(kind, 1e-2, 11, grid, constants, s=1.0, mode=(1, 2, 0),
+                             include_transverse_e=transverse_e, normalization=normalization)
+
+
+class TestInitialDataContract:
+    """The contract of make_initial_data on every kind, with and without a
+    transverse E, under both normalizations."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @TRANSVERSE_E
+    @NORMALIZATIONS
+    def test_on_the_constraint_manifold(self, grid16, constants_bz, kind, transverse_e, normalization):
+        st = _contract_state(grid16, constants_bz, kind, transverse_e, normalization)
+        rep = verify_compatibility(st, constants_bz)
+        scale = max(l2_norm(f) for f in st.fields().values())
+        assert scale > 0
+        assert rep.gauss_residual <= 1e-10 * scale
+        assert rep.divb_residual <= 1e-12 * scale
+        assert rep.positivity_margin > 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @NORMALIZATIONS
+    def test_e_is_the_gauss_solve_without_transverse_e(self, grid16, constants_bz, kind, normalization):
+        st = _contract_state(grid16, constants_bz, kind, False, normalization)
+        e_long = solve_gauss_longitudinal(closure_field(st.n, constants_bz.gamma), constants_bz.nu)
+        assert np.array_equal(st.E.coeffs, e_long)
+
+    @pytest.mark.parametrize("kind", sorted(ENVELOPES))
+    @TRANSVERSE_E
+    def test_physical_normalization_sets_the_max_sample(self, grid16, constants_bz, kind, transverse_e):
+        st = _contract_state(grid16, constants_bz, kind, transverse_e, "physical")
+        e_long = solve_gauss_longitudinal(closure_field(st.n, constants_bz.gamma), constants_bz.nu)
+        parts = [st.u, st.B] + ([Field(grid16, st.E.coeffs - e_long)] if transverse_e else [])
+        for f in parts:
+            assert float(np.max(np.abs(f.physical()))) == pytest.approx(1e-2, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(ENVELOPES))
+    @TRANSVERSE_E
+    def test_continuum_normalization_sets_the_coefficients(self, grid16, constants_bz, kind, transverse_e):
+        # |u_a(k)| = amplitude n^3 / L^3 envelope(|k|) on the modes the
+        # envelope reaches, off the zero mode and the Nyquist planes
+        st = _contract_state(grid16, constants_bz, kind, transverse_e, "continuum")
+        g = grid16
+        env = ENVELOPES[kind](g.k_mag)
+        reached = (env > 0) & (g.k_squared > 0)
+        ny = g.n // 2
+        reached[ny, :, :] = reached[:, ny, :] = reached[:, :, ny] = False
+        want = 1e-2 * g.n**3 / g.box_length**3 * env[reached]
+        for a in range(3):
+            assert np.allclose(np.abs(st.u.coeffs[a][reached]), want, rtol=1e-12, atol=0.0)
 
 
 def _brentq_shift(n_phys, gamma):
