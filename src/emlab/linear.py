@@ -13,6 +13,12 @@ about the axis.  With B_inf = 0 one direction per radius suffices.
 QuadratureSpec.n_phi, the azimuthal node count that configs set, is still
 accepted and checked, but not read.
 
+The radial and polar rules are one Gauss-Legendre rule, _gauss_legendre:
+Newton on the three-term Legendre recurrence from Tricomi's initial guesses,
+O(n^2) time and O(n) memory, where a companion-matrix eigensolve would take
+O(n^3) and an n x n matrix.  It integrates every polynomial of degree up to
+2n - 1 to roundoff, and a pass of the report reuses it for every k.
+
 The eigensolves are real.  With D = diag(1, i I6, I3), D A(xi) D^-1 is real:
 the u-E block of A0 is real, the n-u and E-B couplings of i A1 imaginary.
 This is checked once per set of constants on the tables (NotRealForm, never
@@ -318,16 +324,43 @@ def _sphere_directions(constants: PhysicalConstants, quad: QuadratureSpec):
         return axis[None], np.array([4.0 * math.pi]), axis
     axis = np.asarray(constants.b_infty) / np.linalg.norm(constants.b_infty)
     normal, _ = _direction_frame(axis)
-    ct, wt = np.polynomial.legendre.leggauss(quad.n_theta)
+    ct, wt = _gauss_legendre(quad.n_theta)
     dirs = ct[:, None] * axis + np.sqrt(1.0 - ct**2)[:, None] * normal
     return dirs, 2.0 * math.pi * wt, axis
 
 
-@functools.lru_cache(maxsize=2)
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence; x inside (-1, 1)."""
+    p_prev, p = np.ones_like(x), x.copy()
+    for j in range(2, n + 1):
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    return p, n * (p_prev - x * p) / (1.0 - x * x)
+
+
+@functools.lru_cache(maxsize=4)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre rule on [-1, 1].  leggauss costs O(n^3); a
-    report needs the same coarse and refined rule for every k."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Read-only n-point Gauss-Legendre rule on [-1, 1], nodes ascending.
+
+    Newton on P_n from Tricomi's guesses cos(pi (i - 1/4) / (n + 1/2)) for the
+    nodes in [0, 1), mirrored; weights 2 / ((1 - x^2) P_n'(x)^2).  O(n^2) time
+    and O(n) memory.  A report needs the same coarse and refined radial rule,
+    and the theta rule, for every k."""
+    x = np.cos(math.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(n, x)
+        dx = p / dp
+        x -= dx
+        if np.abs(dx).max() <= 1e-15:
+            break
+    else:
+        raise ArithmeticError(f"Gauss-Legendre nodes for n={n} did not converge")
+    odd = n % 2
+    if odd:
+        x[-1] = 0.0
+    _, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x = np.concatenate([-x[: x.size - odd], x[::-1]])
+    w = np.concatenate([w[: w.size - odd], w[::-1]])
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

@@ -15,6 +15,11 @@ Conventions used throughout the package:
   take sums through ``GridSpec.weight``.
 * ``_band_irfftn`` and ``_band_rfftn`` give the full transforms' numbers on
   the kz planes the two-thirds rule keeps, and run their (x, y) passes there only.
+* The transforms run on scipy.fft, which this module imports on the first
+  transform (``_fft``), not with itself: a caller that makes none, such as
+  the linear analyzer, never loads it.  Every transform looks its function
+  up on the module at call time (``_fft().rfftn``), never through a name
+  bound at import, so a wrapper set on ``scipy.fft`` itself sees every call.
 * Every weighted Fourier-side quantity is one reduction, ``_sums``: a stack
   of power spectra summed against per-mode weight columns (the |k|^(2l)
   weights, the Sobolev column of order -s, or the 2^(-2sj)-scaled dyadic
@@ -45,7 +50,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterator
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import BlockOutOfRange, NegativePowerOnNonzeroMean, check, is_count, is_real
 
@@ -79,13 +83,21 @@ def _workers(points: int) -> int:
     return -1 if points >= _THREADED_MIN_POINTS else 1
 
 
+@functools.cache
+def _fft():
+    """The transform backend, scipy.fft, imported on the first call."""
+    import scipy.fft
+
+    return scipy.fft
+
+
 def _rfftn(values: np.ndarray) -> np.ndarray:
-    return sfft.rfftn(values, axes=(-3, -2, -1), workers=_workers(values.size))
+    return _fft().rfftn(values, axes=(-3, -2, -1), workers=_workers(values.size))
 
 
 def _irfftn(coeffs: np.ndarray, n: int) -> np.ndarray:
     workers = _workers(coeffs.size // coeffs.shape[-1] * n)
-    return sfft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), workers=workers)
+    return _fft().irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), workers=workers)
 
 
 def _xy_pass(fft, band: np.ndarray, workers: int, norm: str):
@@ -100,8 +112,8 @@ def _band_irfftn(coeffs: np.ndarray, n: int) -> np.ndarray:
     (the planes the two-thirds rule drops); overwrites the planes below.
     irfftn makes the same passes and scales once, at the end, as here."""
     workers = _workers(coeffs.size // coeffs.shape[-1] * n)
-    _xy_pass(sfft.ifftn, coeffs[..., : n // 3 + 1], workers, "forward")
-    out = sfft.irfft(coeffs, n, axis=-1, norm="forward", workers=workers)
+    _xy_pass(_fft().ifftn, coeffs[..., : n // 3 + 1], workers, "forward")
+    out = _fft().irfft(coeffs, n, axis=-1, norm="forward", workers=workers)
     out *= 1.0 / n**3
     return out
 
@@ -109,8 +121,8 @@ def _band_irfftn(coeffs: np.ndarray, n: int) -> np.ndarray:
 def _band_rfftn(values: np.ndarray) -> np.ndarray:
     """``_rfftn`` on the kz planes 0..n//3, bit for bit; above them, only the z pass."""
     workers = _workers(values.size)
-    out = sfft.rfft(values, axis=-1, workers=workers)
-    _xy_pass(sfft.fftn, out[..., : values.shape[-1] // 3 + 1], workers, "backward")
+    out = _fft().rfft(values, axis=-1, workers=workers)
+    _xy_pass(_fft().fftn, out[..., : values.shape[-1] // 3 + 1], workers, "backward")
     return out
 
 

@@ -227,10 +227,64 @@ class TestInequalities:
         assert (tmp_path / "second" / name).read_bytes() == (first / name).read_bytes()
 
 
+def _fresh_interpreter(script: str) -> str:
+    """Run a script in a new interpreter that imports this emlab; its stdout."""
+    src = str(Path(emlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 class TestImports:
+    def test_linear_and_fit_load_no_scipy(self, tmp_path):
+        config = tmp_path / "linear.json"
+        config.write_text(json.dumps(TINY_LINEAR))
+        csv = tmp_path / "series.csv"
+        times = [1.0 + 0.5 * i for i in range(16)]
+        csv.write_text("time,decay\n" + "".join(f"{t!r},{(1.0 + t) ** -0.75!r}\n" for t in times))
+        loaded = _fresh_interpreter(f"""
+            import sys
+            from emlab import cli
+            assert cli.main(["linear", "--config", {str(config)!r}, "--out", {str(tmp_path / "lin")!r}]) == 0
+            assert cli.main(["fit", "--csv", {str(csv)!r}, "--out", {str(tmp_path / "fit")!r}]) == 0
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """)
+        assert loaded == "[]"
+        fits = json.loads((tmp_path / "fit" / "fit_report.json").read_text())["fits"]
+        assert fits["decay"]["slope"] == pytest.approx(-0.75)
+
+    @pytest.mark.parametrize(
+        "command, config", [("simulate", TINY_SIMULATE), ("inequalities", {"inequalities": {"trials": 20}})]
+    )
+    def test_transforming_commands_load_scipy_fft_in_set_up(self, tmp_path, command, config):
+        # set-up ends where the compute call (simulate, default_suite) is
+        # entered: a stand-in there sees whether the transform backend loaded
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        seen = _fresh_interpreter(f"""
+            import sys
+            from emlab import cli, inequalities
+
+            class Entered(Exception):
+                pass
+
+            def stand_in(*args, **kwargs):
+                raise Entered("scipy.fft" in sys.modules)
+
+            cli.simulate = inequalities.default_suite = stand_in
+            before = "scipy.fft" in sys.modules
+            try:
+                cli.main([{command!r}, "--config", {str(path)!r}, "--out", {str(tmp_path / "out")!r}])
+            except Entered as entered:
+                print(before, entered.args[0])
+        """)
+        assert seen == "False True"
+
     def test_cli_path_loads_neither_scipy_optimize_nor_linalg(self):
         # a fresh interpreter: this test process may have loaded them already
-        script = textwrap.dedent("""
+        loaded = _fresh_interpreter("""
             import math, sys
             import emlab.cli
             from emlab import linear
@@ -245,9 +299,4 @@ class TestImports:
             assert metrics["modes"] == 4 * 2 and metrics["expm_fallbacks"] == 0
             print(sorted(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules))
         """)
-        src = str(Path(emlab.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert loaded == "[]"

@@ -1,6 +1,7 @@
 """Mode system structure, propagation, quadrature, and decay fits."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -281,6 +282,46 @@ REFERENCE_QUANTITIES = {
     "B_only": lambda st, xi: np.sum(np.abs(st[7:10]) ** 2),
     "n_divu": lambda st, xi: np.abs(st[0]) ** 2 + np.abs(1j * (xi @ st[1:4])) ** 2,
 }
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 800])
+    def test_exact_for_every_degree_up_to_2n_minus_1(self, n):
+        x, w = linear._gauss_legendre(n)
+        moments = np.polynomial.legendre.legvander(x, 2 * n - 1).T @ w
+        expected = np.zeros(2 * n)
+        expected[0] = 2.0
+        assert np.max(np.abs(moments - expected)) <= 1e-14
+
+    def test_nodes_ascending_symmetric_and_those_of_leggauss(self):
+        for n in range(1, 101):
+            x, w = linear._gauss_legendre(n)
+            assert np.all(np.diff(x) > 0)
+            assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+            assert np.max(np.abs(x - np.polynomial.legendre.leggauss(n)[0])) <= 1e-15
+
+    def test_memory_is_linear_in_the_node_count(self):
+        # leggauss builds a dense n x n companion matrix: 32 MB at n = 2000
+        tracemalloc.start()
+        try:
+            linear._gauss_legendre.__wrapped__(2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_rules_are_read_only(self):
+        x, w = linear._gauss_legendre(5)
+        assert not x.flags.writeable and not w.flags.writeable
+
+    def test_theta_rule_does_not_evict_the_radial_rules(self, constants_bz):
+        # coarse and refined radial rules plus the theta rule: built once
+        # each over a report, whatever the number of k
+        quad = QuadratureSpec(radial_nodes=40, n_theta=2, check_convergence=True)
+        linear._gauss_legendre.cache_clear()
+        decay_report(constants_bz, s=1.5, k_list=[0, 1, 2], quantities=["full_state"], quad=quad, num_times=8)
+        assert linear._gauss_legendre.cache_info().misses == 3
+
 
 TINY_RULE = QuadratureSpec(radial_nodes=3, xi_max=1.0, n_theta=2, n_phi=3, check_convergence=False)
 SHORT_TIMES = [0.0, 0.5, 2.0, 6.0]
