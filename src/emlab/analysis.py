@@ -41,6 +41,8 @@ __all__ = [
 
 LINEAR_FIT_TOLERANCE = 0.08
 NONLINEAR_FIT_TOLERANCE = 0.25
+# fewest samples a fit window may hold
+_MIN_FIT_SAMPLES = 8
 
 NONREPRODUCIBILITY_STATEMENT = (
     "Whole-space algebraic decay of the full nonlinear system is not "
@@ -97,12 +99,12 @@ def fit_decay(
     target: float | None = None,
     tol: float = LINEAR_FIT_TOLERANCE,
     floor: float | None = None,
-    min_samples: int = 8,
 ) -> DecayFit:
     """Least-squares slope of log(value) vs log(1 + t) inside the window.
 
     ``floor`` marks an additive noise floor: samples below 100x the floor
-    contaminate the fit and are flagged.  ``window`` (null, or a pair
+    contaminate the fit and are flagged; the window must hold at least
+    _MIN_FIT_SAMPLES samples.  ``window`` (null, or a pair
     0 <= start < end), ``target`` (null or a number) and the tolerance
     ``tol`` (positive) are checked (InvalidArgument) before the fit.
     """
@@ -113,9 +115,9 @@ def fit_decay(
     if window is None:
         window = (float(series.times[0]), float(series.times[-1]))
     sub = series.restrict(window)
-    if len(sub.times) < min_samples:
+    if len(sub.times) < _MIN_FIT_SAMPLES:
         raise InsufficientSamples(
-            f"{len(sub.times)} samples in window {window}, need >= {min_samples}"
+            f"{len(sub.times)} samples in window {window}, need >= {_MIN_FIT_SAMPLES}"
         )
     if np.any(sub.values <= 0.0):
         raise NonpositiveValue("log-log fit requires positive values")
@@ -147,7 +149,10 @@ class ExponentTarget:
     min_regularity: int
 
 
-_ADMISSIBLE = {"full_state", "nuE", "n_only", "n_divu"}
+# projection order m of each quantity: its order-k norm gains m derivatives
+# of decay.  B decays no faster than the basic rate (regularity loss), and uE
+# shares the nuE improvement.
+_PROJECTION_ORDER = {"full_state": 0, "B_only": 0, "nuE": 1, "uE": 1, "n_only": 2}
 
 
 def theoretical_exponent(
@@ -156,24 +161,23 @@ def theoretical_exponent(
     """Theoretical decay exponent of (1+t) for the order-k norm, plus the
     minimum total regularity the statement requires.
 
-    full_state: -(k+s)/2 at N >= 2k+2+s; nuE: -(k+1+s)/2 at N >= 2k+4+s;
-    n_only: -(k+2+s)/2 at N >= 2k+6+s; n_divu: -(k/2+7/4+s) at N >= 2k+10+s,
-    the last requiring a zero background magnetic field.
+    A quantity of projection order m (0: full_state, B_only; 1: nuE, uE;
+    2: n_only) decays like -((k+m)+s)/2 at N >= 2k+2+2m+s.  n_divu decays
+    like -(k/2+7/4+s) at N >= 2k+10+s and requires a zero background
+    magnetic field.
     """
-    if quantity not in _ADMISSIBLE:
-        raise ValueError(f"unknown quantity {quantity!r}; known: {sorted(_ADMISSIBLE)}")
+    known = [*_PROJECTION_ORDER, "n_divu"]
+    if quantity not in known:
+        raise ValueError(f"unknown quantity {quantity!r}; known: {sorted(known)}")
     check_s(s)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if quantity == "n_divu" and not b_infty_zero:
-        raise RequiresBInftyZero("n_divu rate requires zero background magnetic field")
-    if quantity == "full_state":
-        return ExponentTarget(-(k + s) / 2.0, math.ceil(2 * k + 2 + s))
-    if quantity == "nuE":
-        return ExponentTarget(-(k + 1 + s) / 2.0, math.ceil(2 * k + 4 + s))
-    if quantity == "n_only":
-        return ExponentTarget(-(k + 2 + s) / 2.0, math.ceil(2 * k + 6 + s))
-    return ExponentTarget(-(k / 2.0 + 7.0 / 4.0 + s), math.ceil(2 * k + 10 + s))
+    if quantity == "n_divu":
+        if not b_infty_zero:
+            raise RequiresBInftyZero("n_divu rate requires zero background magnetic field")
+        return ExponentTarget(-(k / 2.0 + 7.0 / 4.0 + s), math.ceil(2 * k + 10 + s))
+    m = _PROJECTION_ORDER[quantity]
+    return ExponentTarget(-((k + m) + s) / 2.0, math.ceil(2 * k + 2 + 2 * m + s))
 
 
 def check_s(s: float) -> None:

@@ -12,7 +12,8 @@ re-running from that file reproduces the outputs byte for byte on the same
 platform, except the wall times in the ``metrics`` block of
 decay_report.json.  Unknown config keys exit 2, as does a resolved_config.json
 carrying a removed key (such as the old constants besides gamma and b_infty,
-or ``solver.dealias``: the solver always dealiases).
+``solver.dealias``: the solver always dealiases, or
+``inequalities.grid_points``: the suite's grids are fixed).
 Section defaults are the library's own; an invalid value exits 2 with
 ``error: <section>: ...``, keeping exit 1 for failed --ci verdicts.
 """
@@ -59,7 +60,7 @@ _DEFAULTS: dict = {
         **asdict(linear.QuadratureSpec()),
         **_keyword_defaults(linear.decay_report, "s", "p", "quad", "profile", "metrics"),
     },
-    "inequalities": {**_keyword_defaults(inequalities.default_suite, "seed", "grid"), "grid_points": 16},
+    "inequalities": _keyword_defaults(inequalities.default_suite, "seed"),
     "fit": {"window": None, "columns": None, "target": None, "tolerance": analysis.NONLINEAR_FIT_TOLERANCE},
 }
 
@@ -199,15 +200,10 @@ def run_linear(cfg: dict, outdir: Path) -> dict:
 
 
 def run_inequalities(cfg: dict, outdir: Path) -> dict:
-    ic = cfg["inequalities"]
     seed = _seed(cfg)
-    points = ic["grid_points"]
-    grid = None if points == 16 else _section("inequalities", lambda: GridSpec(points, 2.0 * math.pi))
-    reports = _section("inequalities", lambda: inequalities.default_suite(
-        ic["trials"], seed, grid
-    ))
+    reports = _section("inequalities", lambda: inequalities.default_suite(cfg["inequalities"]["trials"], seed))
     payload = {
-        "reports": [r.as_dict() for r in reports],
+        "reports": [asdict(r) for r in reports],
         "all_plateaued": all(r.plateau_ok for r in reports),
     }
     _write_json(outdir / "inequality_report.json", payload)
@@ -241,7 +237,7 @@ def run_fit(cfg: dict, outdir: Path, csv_path: str | Path) -> dict:
     for col in columns:
         vals = table[col]
         keep = vals > 0
-        if keep.sum() < 8:
+        if keep.sum() < analysis._MIN_FIT_SAMPLES:
             out["fits"][col] = {"error": "insufficient positive samples"}
             continue
         series = NormSeries(label=col, times=times[keep], values=vals[keep])
@@ -287,6 +283,8 @@ def main(argv=None) -> int:
             cfg["seed"] = int(args.seed)
         if args.out:
             cfg["output_dir"] = args.out
+        if not isinstance(cfg["output_dir"], str):
+            raise ConfigError(f"output_dir: must be a path string, got {cfg['output_dir']!r}")
         outdir = Path(cfg["output_dir"])
         outdir.mkdir(parents=True, exist_ok=True)
         _emit_resolved(cfg, outdir)

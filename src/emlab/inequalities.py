@@ -82,6 +82,9 @@ _BLOCK_POINTS = 8 * 16**3
 # spectral slopes; 3 is one random mode, 4 the two-mode field, 5 the spike
 _SLOPES = (0.0, -1.0, -2.0)
 
+# largest relative gap between the commutator and its Leibniz expansion
+_IDENTITY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class InequalityReport:
@@ -92,17 +95,6 @@ class InequalityReport:
     plateau_ok: bool
     params: dict = dc_field(default_factory=dict)
     seed: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "trials": self.trials,
-            "max_ratio": self.max_ratio,
-            "exact": self.exact,
-            "plateau_ok": self.plateau_ok,
-            "params": dict(self.params),
-            "seed": self.seed,
-        }
 
 
 def _plateau_ok(ratios) -> bool:
@@ -354,12 +346,11 @@ def check_commutator(
     trials: int = 100,
     grid: GridSpec | None = None,
     seed: int = 0,
-    identity_tol: float = 1e-10,
 ) -> InequalityReport:
     """Commutator [grad^k, g]h = grad^k(gh) - g grad^k h, two ways and bounded.
 
     The definition is compared against the Leibniz expansion term by term
-    (they must agree to identity_tol; band-limited inputs make the products
+    (they must agree to _IDENTITY_TOL; band-limited inputs make the products
     exact on the grid), and the aggregated norm is checked against
     C (||grad g||_inf ||grad^(k-1) h|| + ||grad^k g|| ||h||_inf).
 
@@ -422,7 +413,7 @@ def check_commutator(
     values = _trial_values(trials, _block_size(grid, len(betas)), 3, fixed, evaluate_drawn)
     ratios = _kept(values[:, 0])
     worst_identity = float(values[:, 1].max(initial=0.0))
-    if worst_identity > identity_tol:
+    if worst_identity > _IDENTITY_TOL:
         raise ExactViolated(
             f"commutator definition and Leibniz expansion differ by {worst_identity:.2e}"
         )
@@ -592,12 +583,13 @@ def check_exact_interpolation(
     )
 
 
-def default_suite(trials: int = 500, seed: int = 0, grid: GridSpec | None = None) -> list[InequalityReport]:
-    """The standard oracle battery used by the CLI and the acceptance tests;
-    trials is checked (InvalidArgument) before any oracle runs."""
+def default_suite(trials: int = 500, seed: int = 0) -> list[InequalityReport]:
+    """The standard oracle battery used by the CLI and the acceptance tests,
+    on 16^3 grids and, for the embeddings, 32^3; trials is checked
+    (InvalidArgument) before any oracle runs."""
     check(trials, lambda v: is_count(v, 1), "trials", "a positive integer")
-    grid16 = grid or GridSpec(16, 2.0 * math.pi)
-    grid32 = GridSpec(32, 2.0 * math.pi) if grid is None else grid
+    grid16 = GridSpec(16, 2.0 * math.pi)
+    grid32 = GridSpec(32, 2.0 * math.pi)
     reports = [
         check_gagliardo_nirenberg(2.0, 1.0, 0.0, 2.0, trials=trials, grid=grid16, seed=seed),
         check_gagliardo_nirenberg(6.0, 0.0, 1.0, 1.0, trials=trials, grid=grid16, seed=seed + 1),

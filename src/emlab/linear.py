@@ -13,11 +13,12 @@ about the axis.  With B_inf = 0 one direction per radius suffices.
 QuadratureSpec.n_phi, the azimuthal node count that configs set, is still
 accepted and checked, but not read.
 
-The radial and polar rules are one Gauss-Legendre rule, _gauss_legendre:
-Newton on the three-term Legendre recurrence from Tricomi's initial guesses,
-O(n^2) time and O(n) memory, where a companion-matrix eigensolve would take
-O(n^3) and an n x n matrix.  It integrates every polynomial of degree up to
-2n - 1 to roundoff, and a pass of the report reuses it for every k.
+The radial and polar rules are one Gauss-Legendre rule, spectral's
+_gauss_legendre, which also serves the Littlewood-Paley cutoff: Newton on the
+three-term Legendre recurrence from Tricomi's initial guesses, O(n^2) time
+and O(n) memory, where a companion-matrix eigensolve would take O(n^3) and an
+n x n matrix.  It integrates every polynomial of degree up to 2n - 1 to
+roundoff, and a pass of the report reuses it for every k.
 
 The eigensolves are real.  With D = diag(1, i I6, I3), D A(xi) D^-1 is real:
 the u-E block of A0 is real, the n-u and E-B couplings of i A1 imaginary.
@@ -72,7 +73,8 @@ from .analysis import DecayFit, NormSeries, theoretical_exponent
 from .errors import (
     InvalidArgument, NotRealForm, QuadratureNotConverged, RequiresBInftyZero, check, is_count, is_real
 )
-from .model import PhysicalConstants, _direction_frame, linear_generator
+from .model import PhysicalConstants, _decay_class_envelope, _direction_frame, linear_generator
+from .spectral import _gauss_legendre
 
 __all__ = [
     "SpectralProfile",
@@ -210,15 +212,7 @@ class SpectralProfile:
         The plateau edge sits well inside the weakly damped band so that the
         default fit window is transient-clean; see the module docstring.
         """
-        a = s - 1.5
-
-        def env(r):
-            r = np.asarray(r, dtype=float)
-            ramp = np.where(r <= plateau, 1.0, np.exp(-(((r - plateau) / rolloff) ** 2)))
-            with np.errstate(divide="ignore"):
-                core = np.where(r > 0, np.minimum(1.0, r / plateau) ** a, 0.0)
-            return core * ramp
-
+        env = _decay_class_envelope(s, plateau, rolloff)
         return SpectralProfile(envelope=env, label=f"decay_class(s={s})", **kwargs)
 
 def _initial_vectors(
@@ -270,18 +264,6 @@ def _functional_rows(rows: Sequence, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-# fit targets: B decays no faster than the basic rate (regularity loss), and
-# uE shares the nuE improvement
-_TARGET_QUANTITY = {
-    "full_state": "full_state",
-    "nuE": "nuE",
-    "uE": "nuE",
-    "n_only": "n_only",
-    "B_only": "full_state",
-    "n_divu": "n_divu",
-}
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """The xi quadrature: ``radial_nodes`` Gauss-Legendre radii on [0, xi_max]
@@ -327,43 +309,6 @@ def _sphere_directions(constants: PhysicalConstants, quad: QuadratureSpec):
     ct, wt = _gauss_legendre(quad.n_theta)
     dirs = ct[:, None] * axis + np.sqrt(1.0 - ct**2)[:, None] * normal
     return dirs, 2.0 * math.pi * wt, axis
-
-
-def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) by the three-term recurrence; x inside (-1, 1)."""
-    p_prev, p = np.ones_like(x), x.copy()
-    for j in range(2, n + 1):
-        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-    return p, n * (p_prev - x * p) / (1.0 - x * x)
-
-
-@functools.lru_cache(maxsize=4)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only n-point Gauss-Legendre rule on [-1, 1], nodes ascending.
-
-    Newton on P_n from Tricomi's guesses cos(pi (i - 1/4) / (n + 1/2)) for the
-    nodes in [0, 1), mirrored; weights 2 / ((1 - x^2) P_n'(x)^2).  O(n^2) time
-    and O(n) memory.  A report needs the same coarse and refined radial rule,
-    and the theta rule, for every k."""
-    x = np.cos(math.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5))
-    for _ in range(100):
-        p, dp = _legendre(n, x)
-        dx = p / dp
-        x -= dx
-        if np.abs(dx).max() <= 1e-15:
-            break
-    else:
-        raise ArithmeticError(f"Gauss-Legendre nodes for n={n} did not converge")
-    odd = n % 2
-    if odd:
-        x[-1] = 0.0
-    _, dp = _legendre(n, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    x = np.concatenate([-x[: x.size - odd], x[::-1]])
-    w = np.concatenate([w[: w.size - odd], w[::-1]])
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
 
 
 def _norm_series_values(
@@ -552,9 +497,7 @@ def decay_report(
             meta = next(iter(series.values())).metadata
             counts.add(meta["modes"], meta["expm_fallbacks"], meta["max_eig_cond"])
         for q in kept:
-            target_info = theoretical_exponent(
-                _TARGET_QUANTITY[q], k, s, b_infty_zero=constants.b_infty_is_zero
-            )
+            target_info = theoretical_exponent(q, k, s, b_infty_zero=constants.b_infty_is_zero)
             start = time.perf_counter()
             fit = analysis.fit_decay(
                 series[q],

@@ -14,11 +14,6 @@ parameters.
 States on the constraint manifold are built here only: the initial-data
 kinds build raw parts, and one tail of ``make_initial_data`` puts them on the
 manifold through the Gauss solve that the solver's ``_project_gauss`` calls.
-
-The polarization frame _direction_frame is covariant about an axis, the z
-axis for ``single_mode`` data.  Its trial vector no longer switches from z to
-x at |omega_z| >= 0.9, so single_mode polarizations changed for modes within
-26 degrees of the z axis; a mode along z keeps the x trial vector.
 """
 
 from __future__ import annotations
@@ -253,10 +248,18 @@ def _shift_to_zero_closure_mean(n_phys: np.ndarray, gamma: float) -> np.ndarray:
     raise ClosureShiftNotConverged(f"closure shift did not converge in {_SHIFT_MAX_STEPS} steps")
 
 
-def _envelope_flat_low(rolloff_width: float):
+def _decay_class_envelope(s: float, plateau: float, rolloff: float):
+    """Borderline envelope of the negative-index-s class: |xi|^(s-3/2) below
+    the plateau edge, Gaussian rolloff above it, zero at xi = 0.  flat_low
+    data and linear.SpectralProfile.decay_class both read it."""
+    a = s - 1.5
+
     def env(r):
         r = np.asarray(r, dtype=float)
-        return np.where(r <= 1.0, 1.0, np.exp(-(((r - 1.0) / rolloff_width) ** 2)))
+        ramp = np.where(r <= plateau, 1.0, np.exp(-(((r - plateau) / rolloff) ** 2)))
+        with np.errstate(divide="ignore"):
+            core = np.where(r > 0, np.minimum(1.0, r / plateau) ** a, 0.0)
+        return core * ramp
 
     return env
 
@@ -340,7 +343,8 @@ def make_initial_data(
         ("rolloff_width", rolloff_width), ("rolloff_k", rolloff_k), ("bump_radius_fraction", bump_radius_fraction)
     ):
         check(value, lambda v: is_real(v) and v > 0, name, "positive")
-    check(mode, lambda m: len(m) == 3 and all(isinstance(i, numbers.Integral) for i in m) and any(m),
+    check(mode, lambda m: len(m) == 3 and any(m)
+          and all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in m),
           "mode", "three integers, not all zero")
     check(include_transverse_e, lambda v: isinstance(v, bool), "include_transverse_e", "true or false")
     check(normalization, lambda v: v in ("physical", "continuum"), "normalization", "'physical' or 'continuum'")
@@ -380,7 +384,10 @@ def make_initial_data(
                 Field.from_physical(grid, amplitude * np.stack([b, shifts[0], shifts[2]])).coeffs, grid
             )
     else:  # low_freq, flat_low
-        env = _envelope_flat_low(rolloff_width) if kind == "flat_low" else _envelope_low_freq(s, rolloff_k)
+        if kind == "flat_low":  # the s = 3/2 class with its plateau edge at |k| = 1
+            env = _decay_class_envelope(1.5, 1.0, rolloff_width)
+        else:
+            env = _envelope_low_freq(s, rolloff_k)
         n_f = random_phase_field(grid, rng, env)
         u_f = random_phase_field(grid, rng, env, vector=True)
         # B, then E if loaded; freeing the raw draws early raised simulate's peak RSS by 6 MB at N=64

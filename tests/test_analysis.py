@@ -114,6 +114,22 @@ class TestTheoreticalExponents:
         assert theoretical_exponent("n_only", 0, 0.0).min_regularity == 6
         assert theoretical_exponent("n_divu", 0, 1.5, True).min_regularity == 12
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.5])
+    def test_table_is_the_written_out_formulas(self, k, s):
+        # B_only takes the basic rate and uE the nuE rate, bit for bit
+        written_out = {
+            "full_state": (-(k + s) / 2.0, math.ceil(2 * k + 2 + s)),
+            "B_only": (-(k + s) / 2.0, math.ceil(2 * k + 2 + s)),
+            "nuE": (-(k + 1 + s) / 2.0, math.ceil(2 * k + 4 + s)),
+            "uE": (-(k + 1 + s) / 2.0, math.ceil(2 * k + 4 + s)),
+            "n_only": (-(k + 2 + s) / 2.0, math.ceil(2 * k + 6 + s)),
+            "n_divu": (-(k / 2.0 + 7.0 / 4.0 + s), math.ceil(2 * k + 10 + s)),
+        }
+        for quantity, target in written_out.items():
+            got = theoretical_exponent(quantity, k, s, b_infty_zero=True)
+            assert (got.exponent, got.min_regularity) == target, quantity
+
     def test_guards(self):
         with pytest.raises(RequiresBInftyZero):
             theoretical_exponent("n_divu", 0, 1.5, b_infty_zero=False)

@@ -93,6 +93,7 @@ class TestSimulate:
         assert _run(tmp_path, "simulate", {"monitors": {"eta": 0.1}}, "eta") == 2
         assert _run(tmp_path, "simulate", {"emit_plot_script": False}, "plot") == 2
         assert _run(tmp_path, "simulate", {"solver": {"dealias": True}}, "dealias") == 2
+        assert _run(tmp_path, "inequalities", {"inequalities": {"grid_points": 16}}, "grid_points") == 2
 
     def test_a_fault_inside_initial_data_is_not_a_config_error(self, tmp_path, monkeypatch):
         # only the argument checks of make_initial_data report a config error
@@ -146,6 +147,9 @@ INVALID_VALUES = {
     "inequalities.trials=-3": ("inequalities", {"inequalities": {"trials": -3}}, "inequalities"),
     # checked whatever the kind, so under the default flat_low too
     "initial_data.mode": ("simulate", {"initial_data": {"mode": "x"}}, "initial_data"),
+    "initial_data.mode=[true, 0, 0]": (
+        "simulate", {"initial_data": {"kind": "single_mode", "mode": [True, 0, 0]}}, "initial_data"
+    ),
     "initial_data.s": ("simulate", {"initial_data": {"s": "x"}}, "initial_data"),
     "fit.window=x": ("fit", {"fit": {"window": "x"}}, "fit"),
     "fit.window=1": ("fit", {"fit": {"window": [1]}}, "fit"),
@@ -184,6 +188,15 @@ class TestConfigErrors:
         assert _run(tmp_path, command, {"grid": {"points": 16}, **config}, "out", *flags) == 2
         assert capsys.readouterr().err.startswith(f"error: {section}:")
 
+    @pytest.mark.parametrize("output_dir", [5, None])
+    def test_output_dir_must_be_a_string(self, tmp_path, monkeypatch, capsys, output_dir):
+        # without --out, which _run always passes, the config's output_dir is used
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TINY_SIMULATE, "output_dir": output_dir}))
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: output_dir:")
+
     @pytest.mark.parametrize("case", sorted(BAD_FIT_CSVS))
     def test_bad_fit_csv_is_a_config_error(self, tmp_path, capsys, case):
         csv_path = tmp_path / "series.csv"
@@ -214,6 +227,8 @@ class TestInequalities:
         payload = json.loads((tmp_path / "ineq" / "inequality_report.json").read_text())
         assert payload["all_plateaued"] is True
         assert len(payload["reports"]) == 11
+        keys = ["exact", "lemma", "max_ratio", "params", "plateau_ok", "seed", "trials"]
+        assert all(sorted(r) == keys for r in payload["reports"])
         commutators = [r for r in payload["reports"] if r["lemma"] == "commutator"]
         assert len(commutators) == 2
         assert all(r["params"]["identity_residual"] <= 1e-10 for r in commutators)
@@ -281,6 +296,15 @@ class TestImports:
                 print(before, entered.args[0])
         """)
         assert seen == "False True"
+
+    def test_import_loads_no_numpy_polynomial(self):
+        # the quadrature rules are spectral's own, not numpy's leggauss
+        loaded = _fresh_interpreter("""
+            import sys
+            import emlab.cli
+            print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
+        """)
+        assert loaded == "[]"
 
     def test_cli_path_loads_neither_scipy_optimize_nor_linalg(self):
         # a fresh interpreter: this test process may have loaded them already

@@ -9,6 +9,7 @@ from emlab import model
 from emlab.errors import (
     AmplitudeTooLarge, ClosureShiftNotConverged, DensityNonpositive, InvalidArgument
 )
+from emlab.linear import SpectralProfile
 from emlab.model import (
     PerturbationState,
     PhysicalConstants,
@@ -256,6 +257,32 @@ class TestInitialDataContract:
         parts = [st.u, st.B] + ([Field(grid16, st.E.coeffs - e_long)] if transverse_e else [])
         for f in parts:
             assert float(np.max(np.abs(f.physical()))) == pytest.approx(1e-2, rel=1e-12)
+
+    @pytest.mark.parametrize("width", [0.3, 0.5])
+    @TRANSVERSE_E
+    @NORMALIZATIONS
+    def test_flat_low_is_the_decay_class_envelope(
+        self, grid16, constants_bz, monkeypatch, width, transverse_e, normalization
+    ):
+        # the same draws under linear's s = 3/2 decay-class envelope with its
+        # plateau edge at 1 give the same state, bit for bit
+        def build():
+            return make_initial_data("flat_low", 1e-2, 11, grid16, constants_bz, rolloff_width=width,
+                                     include_transverse_e=transverse_e, normalization=normalization)
+
+        own = build()
+        envelope = SpectralProfile.decay_class(1.5, plateau=1.0, rolloff=width).envelope
+        draw, calls = model.random_phase_field, []
+
+        def draw_under_decay_class(grid, rng, env, vector=False):
+            calls.append(vector)
+            return draw(grid, rng, envelope, vector)
+
+        monkeypatch.setattr(model, "random_phase_field", draw_under_decay_class)
+        reference = build()
+        assert len(calls) == (4 if transverse_e else 3)
+        for name, f in own.fields().items():
+            assert np.array_equal(f.coeffs, reference.fields()[name].coeffs), name
 
     @pytest.mark.parametrize("kind", sorted(ENVELOPES))
     @TRANSVERSE_E
