@@ -26,20 +26,6 @@ from .model import (
     make_initial_data,
     verify_compatibility,
 )
-from .spectral import (
-    Field,
-    GridSpec,
-    LPFamily,
-    besov_norm,
-    curl,
-    differentiate,
-    divergence,
-    fractional,
-    gradient,
-    homog_norm,
-    l2_norm,
-    lp_norm,
-    neg_sobolev_norm,
-)
+from .spectral import Field, GridSpec, curl, divergence, homog_norm, l2_norm
 
 __version__ = "0.1.0"

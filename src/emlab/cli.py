@@ -14,8 +14,9 @@ decay_report.json.  Unknown config keys exit 2, as does a resolved_config.json
 carrying a removed key (such as the old constants besides gamma and b_infty,
 ``solver.dealias``: the solver always dealiases, or
 ``inequalities.grid_points``: the suite's grids are fixed).
-Section defaults are the library's own; an invalid value exits 2 with
-``error: <section>: ...``, keeping exit 1 for failed --ci verdicts.
+Section defaults are the library's own; an invalid value, or a section
+given as a non-object, exits 2 with ``error: <section>: ...``, keeping exit
+1 for failed --ci verdicts.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ _DEFAULTS: dict = {
     "data_class": {"s": 1.5, "p": None},
     "linear": {
         **asdict(linear.QuadratureSpec()),
-        **_keyword_defaults(linear.decay_report, "s", "p", "quad", "profile", "metrics"),
+        **_keyword_defaults(linear.decay_report, "quad", "metrics"),
     },
     "inequalities": _keyword_defaults(inequalities.default_suite, "seed"),
     "fit": {"window": None, "columns": None, "target": None, "tolerance": analysis.NONLINEAR_FIT_TOLERANCE},
@@ -70,7 +71,9 @@ def _merge(defaults: dict, given: dict, path: str = "") -> dict:
     for key, dval in defaults.items():
         # a default section is merged with {}, so the caller gets its own copy
         gval = given.get(key, {} if isinstance(dval, dict) else dval)
-        if isinstance(dval, dict) and isinstance(gval, dict):
+        if isinstance(dval, dict):
+            if not isinstance(gval, dict):
+                raise ConfigError(f"{path}{key}: must be an object, got {gval!r}")
             out[key] = _merge(dval, gval, f"{path}{key}.")
         else:
             out[key] = gval

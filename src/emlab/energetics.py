@@ -77,8 +77,6 @@ def _check_resolution(t: dict, order: int):
 
 def _energy(t: dict, order: int) -> float:
     """Sum over derivative orders 0..N of the squared norms of all four fields."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     _check_resolution(t, order)
     return sum(t[f, l] for f in _FIELDS for l in range(order + 1))
 
@@ -86,8 +84,6 @@ def _energy(t: dict, order: int) -> float:
 def _dissipation(t: dict, order: int) -> float:
     """Dissipation rate matching ``_energy``: E enters only to order N-1 and
     B only from 1 to N-1 (the regularity-loss index ranges)."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
     total = sum(t[f, l] for f in ("n", "u") for l in range(order + 1))
     total += sum(t["E", l] for l in range(order))
     total += sum(t["B", l] for l in range(1, order))
@@ -100,8 +96,6 @@ def _window_energy(t: dict, k: int) -> tuple[float, float]:
     The window dissipation keeps (n, u) over the whole window, E over
     k..k+1, and only the single order k+1 of B.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     _check_resolution(t, k + 2)
     e = sum(t[f, l] for f in _FIELDS for l in range(k, k + 3))
     d = sum(t[f, l] for f in ("n", "u") for l in range(k, k + 3))
@@ -129,8 +123,6 @@ def _grad_norm(t: dict, k: int, which: str) -> float:
 
     Grouped labels sum squares: "nuE", "nuEB" (full state), "uE", "ndivu".
     """
-    if which not in _NORM_LABELS:
-        raise ValueError(f"unknown norm label {which!r}")
     total = sum(t[f, k] for f in which.removesuffix("divu"))
     if which.endswith("divu"):
         total += t["divu", k]
@@ -151,8 +143,6 @@ def _cross_energy_ue(t: dict, k: int, eps: float) -> float:
     Cauchy-Schwarz forces the value between (1 -+ eps/2) times the plain norm
     square; a violation can only come from an implementation bug.
     """
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
     base = t["u", k] + t["E", k]
     return _certified(base + eps * t["uE", k], base, eps / 2.0, "cross energy")
 
@@ -167,8 +157,6 @@ def _acoustic_energy(t: dict, k: int, eps: float, nu: float) -> float:
     Equivalent to the plain sum for eps below 2*nu*min(nu, 1); certified per
     evaluation.
     """
-    if not 0 < eps < _acoustic_eps_limit(nu):
-        raise ValueError("eps must lie in (0, 2*nu*min(nu,1))")
     base = nu**2 * t["n", k] + t["divu", k]
     value = base - eps * t["divu_n", k]
     # |<psi, n>| <= (nu^2||n||^2 + ||psi||^2) / (2 nu) with psi = div u

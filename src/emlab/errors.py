@@ -31,16 +31,6 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
-# -- spectral calculus --------------------------------------------------------
-
-class NegativePowerOnNonzeroMean(EmlabError):
-    """Negative fractional power applied to a field with non-negligible mean."""
-
-
-class BlockOutOfRange(EmlabError):
-    """Dyadic block index outside the family resolved on this grid."""
-
-
 # -- model / initial data -----------------------------------------------------
 
 class DensityNonpositive(EmlabError):

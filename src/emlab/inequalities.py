@@ -21,7 +21,7 @@ random numbers as a one-at-a-time sweep would.  It makes one stacked
 transform per quantity and takes every L2-type norm through spectral's one
 weighted reduction: the block's power spectra against a matrix of per-mode
 weight columns (the |k|^(2l) weights of GridSpec.weight, or the negative-order
-columns that neg_sobolev_norm and besov_norm read); L^p norms are sums over
+columns of _negative_weights); L^p norms are sums over
 the stacked physical samples.  The two-mode field and the focusing spike
 (and the canonical bump of the embedding ensemble) are the same field in
 every cycle: each is evaluated once per oracle and its values are repeated
@@ -47,9 +47,8 @@ from .errors import (
     check,
     is_count,
 )
-from .model import density_closure
+from .model import _unit_bump, density_closure
 from .spectral import (
-    DerivativeTensor,
     GridSpec,
     _band_limited_block,
     _derivative_multiplier,
@@ -117,7 +116,8 @@ def _plateau_ok(ratios) -> bool:
 
 
 def _fractional(grid: GridSpec, coeffs: np.ndarray, s: float) -> np.ndarray:
-    """The oracles' grad^s: the identity at s = 0, else spectral.fractional."""
+    """The oracles' grad^s, s >= 0: the identity at s = 0, else the radial
+    multiplier |k|^s with the zero mode dropped."""
     return _fractional_coeffs(grid, coeffs, s) if s else coeffs
 
 
@@ -238,6 +238,8 @@ def check_gagliardo_nirenberg(
     """
     if p < 2:
         raise ValueError("p must be >= 2")
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
     gap = alpha + 3.0 * (0.5 - (0.0 if math.isinf(p) else 1.0 / p))
     if l == m:
         if abs(gap - m) > 1e-12:
@@ -292,6 +294,8 @@ def check_closure_estimates(
       * ||grad^k closure(n)||_inf <= C ||grad^k n||^(1/4) ||grad^(k+2) n||^(3/4)
       * ||grad^k (closure(n) - n)|| <= C ||n||_{H^3} ||grad^k n|| (quadratic remainder)
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if amplitude > 0.1:
         raise AmplitudeTooLarge("the estimates hold in the small-data regime")
     grid = grid or GridSpec(16, 2.0 * math.pi)
@@ -362,13 +366,14 @@ def check_commutator(
     grid = grid or GridSpec(16, 2.0 * math.pi)
     n, shape = grid.n, grid.k_squared.shape
     # every derivative of g and h up to order k, by multi-index; the last
-    # `top` are those of order k, in the order of differentiate
+    # `top` are those of order k, in the order of _multi_indices
     betas = [a for order in range(k + 1) for a in _multi_indices(order)]
     index = {beta: i for i, beta in enumerate(betas)}
     mults = np.stack([np.broadcast_to(_derivative_multiplier(grid, b), shape) for b in betas])
     top = list(range(len(betas) - (k + 1) * (k + 2) // 2, len(betas)))
     grad = [index[a] for a in _multi_indices(1)]
-    weight_of = np.array([DerivativeTensor(k, ()).multiplicity(betas[i]) for i in top], dtype=float)
+    # multinomial weight k! / (a! b! c!) of each order-k alpha = (a, b, c)
+    weight_of = np.array([math.factorial(k) // math.prod(map(math.factorial, betas[i])) for i in top], dtype=float)
     # Leibniz expansion of each order-k alpha: sum over beta <= alpha, beta != 0
     leibniz = []
     for i in top:
@@ -451,10 +456,7 @@ def _bump_block(grid: GridSpec, bumps) -> np.ndarray:
             rho2 = (
                 (bx[:, None, None] - c[0]) ** 2 + (by[None, :, None] - c[1]) ** 2 + (bz[None, None, :] - c[2]) ** 2
             ) / r**2
-            with np.errstate(over="ignore"):
-                out[box] += amp * np.where(
-                    rho2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1e-300, 1.0 - rho2)), 0.0
-                )
+            out[box] += amp * _unit_bump(rho2)
         out -= out.mean()
     return _zero_nyquist(_rfftn(phys))
 

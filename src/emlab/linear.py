@@ -71,7 +71,7 @@ import numpy as np
 from . import analysis
 from .analysis import DecayFit, NormSeries, theoretical_exponent
 from .errors import (
-    InvalidArgument, NotRealForm, QuadratureNotConverged, RequiresBInftyZero, check, is_count, is_real
+    NotRealForm, QuadratureNotConverged, RequiresBInftyZero, check, is_count, is_real
 )
 from .model import PhysicalConstants, _decay_class_envelope, _direction_frame, linear_generator
 from .spectral import _gauss_legendre
@@ -441,23 +441,21 @@ class DecayReportRow:
 
 def decay_report(
     constants: PhysicalConstants,
-    s: float | None = None,
-    p: float | None = None,
+    s: float,
     k_list: Sequence[int] = (0, 1),
     quantities: Sequence[str] | None = None,
     fit_window: tuple[float, float] = (20.0, 500.0),
     num_times: int = 32,
     quad: QuadratureSpec = QuadratureSpec(),
-    profile: SpectralProfile | None = None,
     tolerance: float = analysis.LINEAR_FIT_TOLERANCE,
     metrics: dict | None = None,
 ) -> list[DecayReportRow]:
     """Fitted decay exponents of the linearized flow against their targets.
 
-    The data class is given by the negative index s in (0, 3/2] or by a
-    Lebesgue exponent p (mapped through the standard index relation).  By
-    default all quantities are fitted, n_divu only with a zero background
-    field; requesting n_divu explicitly with a nonzero background raises.
+    The data class is given by the negative index s in (0, 3/2] (a Lebesgue
+    exponent p maps to s through analysis.s_of_p).  By default all
+    quantities are fitted, n_divu only with a zero background field;
+    requesting n_divu explicitly with a nonzero background raises.
     Samples within 100x of the propagation's roundoff floor mark a fit
     ``floor_contaminated`` and fail its verdict.
 
@@ -468,10 +466,6 @@ def decay_report(
     the propagation counts of multi_norm_series, and the wall time spent in
     the quadrature (``quadrature_s``) and in the fits (``fit_s``).
     """
-    if (s is None) == (p is None):
-        raise InvalidArgument("give exactly one of s or p")
-    if p is not None:
-        s = analysis.s_of_p(p)
     check(k_list, lambda ks: all(is_count(k) for k in ks), "k_list", "a list of nonnegative integers")
     check(quantities, lambda qs: qs is None or set(qs) <= QUANTITIES.keys(), "quantities", f"from {sorted(QUANTITIES)}")
     check(fit_window, lambda w: len(w) == 2 and all(map(is_real, w)) and 0 < w[0] < w[1], "fit_window", "0 < start < end")
@@ -483,7 +477,7 @@ def decay_report(
             quantities.append("n_divu")
     elif "n_divu" in quantities and not constants.b_infty_is_zero:
         raise RequiresBInftyZero("n_divu requires a zero background magnetic field")
-    prof = profile or SpectralProfile.decay_class(s)
+    prof = SpectralProfile.decay_class(s)
     times = np.geomspace(fit_window[0], fit_window[1], num_times)
     rows: list[DecayReportRow] = []
     counts = _PropagationCounts()

@@ -275,6 +275,13 @@ def _envelope_low_freq(s: float, rolloff_k: float):
     return env
 
 
+def _unit_bump(rho2: np.ndarray) -> np.ndarray:
+    """exp(1 - 1/(1 - rho^2)) inside the unit ball, 0 outside, of squared radii
+    rho2: the profile of bump data and of the embedding oracles' bumps."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(rho2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1e-300, 1.0 - rho2)), 0.0)
+
+
 def _normalize_max(values: np.ndarray, target: float, grid: GridSpec | None = None) -> np.ndarray:
     """values scaled so that max |samples| = target (unscaled if all are zero); the
     samples are values itself or, given a grid, those of the coefficients values."""
@@ -371,9 +378,7 @@ def make_initial_data(
         L = grid.box_length
         R = bump_radius_fraction * L
         c = L / 2.0
-        rho2 = ((x - c) ** 2 + (y - c) ** 2 + (z - c) ** 2) / R**2
-        with np.errstate(divide="ignore", over="ignore"):
-            b = np.where(rho2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1e-300, 1.0 - rho2)), 0.0)
+        b = _unit_bump(((x - c) ** 2 + (y - c) ** 2 + (z - c) ** 2) / R**2)
         n_phys = amplitude * b
         shifts = [np.roll(b, grid.n // 7 * (a + 1), axis=a) for a in range(3)]
         u0 = Field.from_physical(grid, amplitude * np.stack(shifts))

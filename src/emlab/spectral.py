@@ -32,44 +32,34 @@ Conventions used throughout the package:
 * All L2-type norms use box-measure quadrature: ``||f||^2 = w * sum|f_hat|^2``
   over the full spectrum, with ``w = box_length^3 / points^6``, matching the
   continuum scaling of norms with the box size.
-* Homogeneous norms of negative order are defined modulo constants; the zero
-  mode is excluded, and applying a negative power to a field with
-  non-negligible mean is an error.
+* Homogeneous norms of negative order are defined modulo constants; their
+  weight columns (``_negative_weights``) exclude the zero mode.
 
-On a truncated box the negative-order norms approximate their whole-space
-counterparts only for data localized well inside the box; the ``with_info``
-variants report the smallest contributing wavenumber so callers can judge
-the truncation.
+The module holds the calculus that the solver, the monitors, the linear
+analyzer and the inequality oracles run.  The per-field reference forms
+(gradient, derivative tensors, fractional powers, the negative-order and
+L^p norms of one field, random band-limited fields) live in the test suite,
+``tests/spectral_reference.py``, which checks the batched code against them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import BlockOutOfRange, NegativePowerOnNonzeroMean, check, is_count, is_real
+from .errors import check, is_count, is_real
 
 __all__ = [
     "GridSpec",
     "Field",
-    "LPFamily",
-    "DerivativeTensor",
-    "gradient",
     "divergence",
     "curl",
-    "differentiate",
-    "fractional",
     "homog_norm",
-    "neg_sobolev_norm",
-    "besov_norm",
-    "lp_norm",
     "l2_norm",
-    "inner_product",
-    "random_band_limited",
     "random_phase_field",
 ]
 
@@ -311,19 +301,6 @@ class Field:
             object.__setattr__(self, "_phys", phys)
         return self.__dict__["_phys"]
 
-    def mean(self) -> complex | np.ndarray:
-        return self.coeffs[..., 0, 0, 0] / self.grid.n**3
-
-    def is_mean_zero(self) -> bool:
-        """Zero-mode coefficient at most 1e-12 times the root-sum-square of all of them."""
-        scale = l2_norm(self) / math.sqrt(self.grid.norm_weight) or 1.0
-        return float(np.max(np.abs(np.atleast_1d(self.coeffs[..., 0, 0, 0])))) <= 1e-12 * scale
-
-    def component(self, i: int) -> "Field":
-        if not self.is_vector:
-            raise ValueError("component() requires a vector field")
-        return Field(self.grid, self.coeffs[i])
-
     # -- arithmetic (convenience for tests and monitors) -------------------
 
     def __add__(self, other: "Field") -> "Field":
@@ -339,17 +316,6 @@ class Field:
 
 
 # -- differential operators ----------------------------------------------------
-
-
-def gradient(f: Field) -> Field:
-    """Spectral gradient of a scalar field."""
-    if f.is_vector:
-        raise ValueError("gradient expects a scalar field")
-    g = f.grid
-    out = np.empty((3,) + f.coeffs.shape, dtype=np.complex128)
-    for a in range(3):
-        out[a] = 1j * g.k_axis(a) * f.coeffs
-    return Field(g, out)
 
 
 def divergence(v: Field) -> Field:
@@ -377,37 +343,6 @@ def _multi_indices(order: int) -> Iterator[tuple[int, int, int]]:
             yield (a, b, order - a - b)
 
 
-@dataclass(frozen=True)
-class DerivativeTensor:
-    """All order-l spatial derivatives of a field, with multinomial weights.
-
-    The weighted Frobenius norm reproduces the aggregated identity
-    ``||grad^l f||^2 = sum_k |k|^{2l} |f_hat(k)|^2`` exactly.
-    """
-
-    order: int
-    entries: tuple[tuple[tuple[int, int, int], Field], ...]
-
-    def multiplicity(self, alpha: tuple[int, int, int]) -> int:
-        a, b, c = alpha
-        return math.factorial(self.order) // (math.factorial(a) * math.factorial(b) * math.factorial(c))
-
-    def norm(self) -> float:
-        return math.sqrt(sum(self.multiplicity(alpha) * l2_norm(fld) ** 2 for alpha, fld in self.entries))
-
-    def component(self, alpha: tuple[int, int, int]) -> Field:
-        return dict(self.entries)[alpha]
-
-
-def differentiate(f: Field, order: int) -> DerivativeTensor:
-    """All spatial derivatives of the given order as a weighted tensor."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    entries = [(alpha, Field(f.grid, _derivative_multiplier(f.grid, alpha) * f.coeffs))
-               for alpha in _multi_indices(order)]
-    return DerivativeTensor(order, tuple(entries))
-
-
 def _derivative_multiplier(g: GridSpec, alpha: tuple[int, int, int]):
     """(i kx)^a (i ky)^b (i kz)^c for alpha = (a, b, c); 1.0 for alpha = 0."""
     mult = (1j * g.k_axis(0)) ** alpha[0] if alpha[0] else 1.0
@@ -427,29 +362,10 @@ def resolved_part(f: Field) -> Field:
     return Field(f.grid, c)
 
 
-def fractional(f: Field, s: float) -> Field:
-    """Radial Fourier multiplier |k|^s; the zero mode maps to zero.
-
-    For s < 0 the field must be mean-zero (homogeneous norms of negative
-    order are defined modulo constants).
-    """
-    if s < 0 and not f.is_mean_zero():
-        raise NegativePowerOnNonzeroMean("negative power |k|^s requires a mean-zero field")
-    return Field(f.grid, _fractional_coeffs(f.grid, f.coeffs, s))
-
-
 def _fractional_coeffs(g: GridSpec, coeffs: np.ndarray, s: float) -> np.ndarray:
-    """The multiplier of fractional applied to half-spectra (or a stack of them)."""
-    kmag = g.k_mag
-    if s < 0:
-        with np.errstate(divide="ignore"):
-            mult = np.where(kmag > 0, kmag, 1.0) ** s
-        mult = np.where(kmag > 0, mult, 0.0)
-    else:
-        mult = kmag**s
-        if s == 0:
-            mult = np.where(kmag > 0, 1.0, 0.0)
-    out = mult * coeffs
+    """The radial multiplier |k|^s, s > 0, applied to half-spectra (or a stack
+    of them); the zero mode maps to zero."""
+    out = g.k_mag**s * coeffs
     out[..., 0, 0, 0] = 0.0
     return out
 
@@ -492,60 +408,24 @@ def _sums(power: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _negative_weights(grid: GridSpec, s: float, kind: str) -> np.ndarray:
     """Columns whose largest weighted sum is the squared negative-order norm:
-    the single neg_sobolev_norm weight, or 2^(-2sj) times each dyadic ring of
-    besov_norm."""
+    the one weight of the homogeneous Sobolev norm of order -s, or 2^(-2sj)
+    times each dyadic ring j of the Besov norm B^{-s}_{2,inf}."""
     if kind == "sobolev":
         # the zero mode is excluded at every s, including s = 0
         w = grid.weight(-s) if s > 0 else np.where(grid.k_squared > 0, grid.weight(0), 0.0)
         return w.reshape(-1, 1)
-    fam = lp_family(grid)
-    rings = [2.0 ** (-2.0 * s * j) * fam.ring_weights(j) * grid.weight(0) for j in fam.indices()]
-    return np.stack([r.ravel() for r in rings], axis=1)
+    j_min, rings = _lp_rings(grid)
+    scaled = [2.0 ** (-2.0 * s * j) * ring * grid.weight(0) for j, ring in enumerate(rings, j_min)]
+    return np.stack([r.ravel() for r in scaled], axis=1)
 
 
 def l2_norm(f: Field) -> float:
     return homog_norm(f, 0)
 
 
-def inner_product(f: Field, g: Field, order: float = 0) -> float:
-    """Real inner product <grad^l f, grad^l g> over the box (order l; 0 is L2)."""
-    return float(_sums(_cross_power(f, g), _weights(f.grid, [order]))[0])
-
-
 def homog_norm(f: Field, order: float) -> float:
     """Homogeneous norm ||grad^l f||_{L2} via the |k|^{2l} weighted sum."""
     return math.sqrt(float(_sums(_field_power(f), _weights(f.grid, [order]))[0]))
-
-
-def neg_sobolev_norm(f: Field, s: float, with_info: bool = False):
-    """Negative-order homogeneous norm ||f|| with multiplier |k|^{-s}, s in [0, 3/2).
-
-    When ``with_info`` is true, also returns a dict with the smallest
-    contributing wavenumber (to judge box truncation of the infrared sum).
-    """
-    if not 0 <= s < 1.5:
-        raise ValueError("s must lie in [0, 3/2)")
-    if s > 0 and not f.is_mean_zero():
-        raise NegativePowerOnNonzeroMean("negative-order norm requires a mean-zero field")
-    g = f.grid
-    power = _field_power(f)
-    value = math.sqrt(float(_sums(power, _negative_weights(g, s, "sobolev"))[0]))
-    if not with_info:
-        return value
-    k2 = g.k_squared
-    active = power > (power.max() * 1e-28 if power.max() > 0 else np.inf)
-    active &= k2 > 0
-    kmin = float(np.sqrt(k2[active].min())) if active.any() else math.inf
-    return value, {"min_contributing_k": kmin, "box_k_min": g.k_min}
-
-
-def lp_norm(f: Field, p: float) -> float:
-    """Physical-space L^p norm by box quadrature; p = inf gives the max."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    phys = f.physical()
-    mag = np.sqrt((phys**2).sum(axis=0)) if f.is_vector else np.abs(phys)
-    return float(_lp_of_magnitude(f.grid, mag, p))
 
 
 def _lp_of_magnitude(g: GridSpec, mag: np.ndarray, p: float) -> np.ndarray:
@@ -632,67 +512,21 @@ def cutoff_profile(r: np.ndarray) -> np.ndarray:
     return 1.0 - _smoothstep(2.0 * r - 3.0)
 
 
-@dataclass(frozen=True)
-class LPFamily:
-    """Dyadic ring decomposition covering the resolved band of a grid."""
+def _lp_rings(grid: GridSpec) -> tuple[int, np.ndarray]:
+    """The dyadic rings covering the resolved band of a grid: j_min, and the
+    rings phi_j(k) = phi(k/2^j) - phi(k/2^(j-1)) for j = j_min..j_max stacked
+    along the first axis (cached on the grid)."""
+    j_min = math.floor(math.log2(grid.k_min))
 
-    grid: GridSpec
-    j_min: int = dc_field(init=False)
-    j_max: int = dc_field(init=False)
+    def build():
+        j_max = math.ceil(math.log2(math.sqrt(3.0) * grid.k_max))
+        m2 = grid.mode_squared
+        uniq, inv = np.unique(m2, return_inverse=True)
+        r = np.sqrt(uniq.astype(float)) * grid.k_min
+        vals = [cutoff_profile(r * 2.0**-j) - cutoff_profile(r * 2.0 ** (-j + 1)) for j in range(j_min, j_max + 1)]
+        return np.stack(vals)[:, inv.ravel()].reshape((-1,) + m2.shape)
 
-    def __post_init__(self):
-        g = self.grid
-        kmax = math.sqrt(3.0) * g.k_max
-        object.__setattr__(self, "j_min", math.floor(math.log2(g.k_min)))
-        object.__setattr__(self, "j_max", math.ceil(math.log2(kmax)))
-        object.__setattr__(self, "_rings", {})
-
-    def ring_weights(self, j: int) -> np.ndarray:
-        """phi_j(k) = phi(k/2^j) - phi(k/2^(j-1)) evaluated on the grid."""
-        if not self.j_min <= j <= self.j_max:
-            raise BlockOutOfRange(f"block {j} outside [{self.j_min}, {self.j_max}]")
-        rings = self.__dict__["_rings"]
-        if j not in rings:
-            g = self.grid
-            m2 = g.mode_squared
-            uniq, inv = np.unique(m2, return_inverse=True)
-            r = np.sqrt(uniq.astype(float)) * g.k_min
-            vals = cutoff_profile(r * 2.0**-j) - cutoff_profile(r * 2.0 ** (-j + 1))
-            ring = vals[inv].reshape(m2.shape)
-            ring.setflags(write=False)
-            rings[j] = ring
-        return rings[j]
-
-    def indices(self) -> range:
-        return range(self.j_min, self.j_max + 1)
-
-    def partition_residual(self) -> float:
-        """max over resolved nonzero modes of |sum_j phi_j - 1|."""
-        g = self.grid
-        total = np.zeros(g.mode_squared.shape)
-        for j in self.indices():
-            total += self.ring_weights(j)
-        mask = g.mode_squared > 0
-        return float(np.max(np.abs(total[mask] - 1.0)))
-
-
-@functools.lru_cache(maxsize=4)
-def lp_family(grid: GridSpec) -> LPFamily:
-    return LPFamily(grid)
-
-
-def besov_norm(f: Field, s: float, with_info: bool = False):
-    """sup_j 2^{-s j} || block_j f ||_{L2} over the resolved dyadic range, s in (0, 3/2]."""
-    if not 0 < s <= 1.5:
-        raise ValueError("s must lie in (0, 3/2]")
-    if not f.is_mean_zero():
-        raise NegativePowerOnNonzeroMean("Besov norm of negative order requires a mean-zero field")
-    sums = _sums(_field_power(f), _negative_weights(f.grid, s, "besov"))
-    best_j = lp_family(f.grid).j_min + int(np.argmax(sums))
-    best = math.sqrt(float(sums.max()))
-    if not with_info:
-        return best
-    return best, {"arg_j": best_j, "block_k_low": 2.0 ** (best_j - 1), "box_k_min": f.grid.k_min}
+    return j_min, grid._cache("_lp_rings", build)
 
 
 # -- random field factories -------------------------------------------------------
@@ -722,39 +556,18 @@ def _band_envelope(grid: GridSpec, slope: float, band_fraction: float) -> np.nda
     return grid._cache(f"_band_{float(slope)!r}_{float(band_fraction)!r}", build)
 
 
-def _band_limited_block(
-    grid: GridSpec, white: np.ndarray, slopes, band_fraction: float, mean_zero: bool = True
-) -> np.ndarray:
-    """Half-spectra of a stack of real samples, row i shaped as random_band_limited
-    shapes white noise with slope slopes[i]; a row whose slope is None is only
-    transformed (callers mix exact test fields into the same stacked transform).
+def _band_limited_block(grid: GridSpec, white: np.ndarray, slopes, band_fraction: float) -> np.ndarray:
+    """Half-spectra of a stack of real samples: row i is white noise shaped by
+    the envelope |k|^slopes[i] on |m_i| <= band_fraction * n per axis, mean
+    zero; a row whose slope is None is only transformed (callers mix exact
+    test fields into the same stacked transform).
     """
     coeffs = _rfftn(white)
     for row, slope in zip(coeffs, slopes):
         if slope is not None:
             row *= _band_envelope(grid, slope, band_fraction)
-            if mean_zero:
-                row[..., 0, 0, 0] = 0.0
+            row[..., 0, 0, 0] = 0.0
     return coeffs
-
-
-def random_band_limited(
-    grid: GridSpec,
-    rng: np.random.Generator,
-    slope: float = 0.0,
-    band_fraction: float = 1.0 / 3.0,
-    vector: bool = False,
-    mean_zero: bool = True,
-) -> Field:
-    """Gaussian random field with power-law spectral envelope |k|^slope.
-
-    Content is confined to |m_i| <= band_fraction * n per axis, which keeps
-    pointwise products of two such fields alias-free on the same grid.  The
-    one-row case of _band_limited_block.
-    """
-    n = grid.n
-    white = rng.standard_normal((1, 3, n, n, n) if vector else (1, n, n, n))
-    return Field(grid, _band_limited_block(grid, white, [slope], band_fraction, mean_zero)[0])
 
 
 def random_phase_field(

@@ -55,6 +55,18 @@ class TestLinear:
         again = json.loads((tmp_path / "second" / "decay_report.json").read_text())
         assert again["rows"] == report["rows"]
 
+    def test_p_parameterization_matches_s(self, tmp_path):
+        # data_class.p = 1 is the class s = 3 (1/p - 1/2) = 3/2
+        config = {
+            "constants": {"b_infty": [0.0, 0.0, 0.0]},
+            "linear": {"radial_nodes": 100, "check_convergence": False, "k_list": [0],
+                       "quantities": ["full_state"], "num_times": 12},
+        }
+        assert _run(tmp_path, "linear", {**config, "data_class": {"s": 1.5}}, "by_s") == 0
+        assert _run(tmp_path, "linear", {**config, "data_class": {"p": 1.0}}, "by_p") == 0
+        by_s, by_p = (json.loads((tmp_path / out / "decay_report.json").read_text()) for out in ("by_s", "by_p"))
+        assert by_s["rows"] == by_p["rows"]
+
     def test_ci_fails_on_collapsed_density_at_zero_background(self, tmp_path):
         config = {
             "constants": {"b_infty": [0.0, 0.0, 0.0]},
@@ -187,6 +199,19 @@ class TestConfigErrors:
             flags = ("--csv", str(csv_path))
         assert _run(tmp_path, command, {"grid": {"points": 16}, **config}, "out", *flags) == 2
         assert capsys.readouterr().err.startswith(f"error: {section}:")
+
+    @pytest.mark.parametrize("command, config", [
+        ("simulate", {"grid": 5}),
+        ("simulate", {"solver": []}),
+        ("simulate", {"data_class": 2}),
+        ("simulate", {"monitors": None}),
+        ("linear", {"linear": 3}),
+    ])
+    def test_non_object_section_is_a_config_error(self, tmp_path, capsys, command, config):
+        # once a TypeError traceback, exit 1, the code of a failed --ci verdict
+        assert _run(tmp_path, command, config, "out") == 2
+        (section,) = config
+        assert capsys.readouterr().err.startswith(f"error: {section}: must be an object")
 
     @pytest.mark.parametrize("output_dir", [5, None])
     def test_output_dir_must_be_a_string(self, tmp_path, monkeypatch, capsys, output_dir):

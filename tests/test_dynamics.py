@@ -20,7 +20,8 @@ from emlab.model import (
     make_initial_data,
     verify_compatibility,
 )
-from emlab.spectral import Field, curl, divergence, gradient, l2_norm, random_band_limited
+from emlab.spectral import Field, curl, divergence, l2_norm
+from spectral_reference import gradient, random_band_limited
 
 
 def reference_rhs(state, constants):

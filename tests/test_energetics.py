@@ -10,7 +10,8 @@ from emlab.dynamics import SolverConfig, simulate
 from emlab.energetics import standard_monitor
 from emlab.errors import DerivativeOrderExceedsResolution
 from emlab.model import PerturbationState, make_initial_data
-from emlab.spectral import Field, divergence, gradient, inner_product, l2_norm
+from emlab.spectral import Field, divergence, l2_norm
+from spectral_reference import gradient, inner_product
 
 
 def table(state):

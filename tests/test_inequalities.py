@@ -14,14 +14,8 @@ from emlab.inequalities import (
     check_gagliardo_nirenberg,
     default_suite,
 )
-from emlab.spectral import (
-    Field,
-    GridSpec,
-    fractional,
-    homog_norm,
-    l2_norm,
-    neg_sobolev_norm,
-)
+from emlab.spectral import Field, GridSpec, homog_norm, l2_norm
+from spectral_reference import neg_sobolev_norm
 
 
 class TestGagliardoNirenberg:
@@ -49,6 +43,13 @@ class TestGagliardoNirenberg:
     def test_theta_out_of_range(self, grid16):
         with pytest.raises(ThetaOutOfRange):
             check_gagliardo_nirenberg(2.0, 3.0, 0.0, 1.0, trials=5, grid=grid16)
+
+    def test_negative_orders_are_rejected(self, grid16):
+        # the oracles' multiplier |k|^s is defined for s >= 0 only
+        with pytest.raises(ValueError, match="alpha"):
+            check_gagliardo_nirenberg(6.0, -0.5, 0.0, 1.0, trials=5, grid=grid16)
+        with pytest.raises(ValueError, match="k must"):
+            check_closure_estimates(-1, 1.4, trials=5, grid=grid16)
 
     def test_p_inf_endpoint_guard(self, grid16):
         # theta = 1 exactly is excluded at p = infinity

@@ -25,16 +25,13 @@ from emlab.inequalities import (
     check_gagliardo_nirenberg,
 )
 from emlab.model import density_closure
-from emlab.spectral import (
+from emlab.spectral import Field, GridSpec, homog_norm, l2_norm
+from spectral_reference import (
     DerivativeTensor,
-    Field,
-    GridSpec,
     besov_norm,
     differentiate,
     fractional,
     gradient,
-    homog_norm,
-    l2_norm,
     lp_norm,
     neg_sobolev_norm,
     random_band_limited,

@@ -503,10 +503,3 @@ class TestDecayReport:
                 quantities=["n_divu"],
                 quad=QuadratureSpec(radial_nodes=50, check_convergence=False),
             )
-
-    def test_p_parameterization_matches_s(self, constants_b0):
-        qs = QuadratureSpec(radial_nodes=100, check_convergence=False)
-        by_s = decay_report(constants_b0, s=1.5, k_list=[0], quantities=["full_state"], quad=qs, num_times=12)
-        by_p = decay_report(constants_b0, p=1.0, k_list=[0], quantities=["full_state"], quad=qs, num_times=12)
-        assert by_s[0].target == by_p[0].target
-        assert by_s[0].fit.slope == pytest.approx(by_p[0].fit.slope, rel=1e-12)

@@ -20,7 +20,8 @@ from emlab.model import (
     solve_gauss_longitudinal,
     verify_compatibility,
 )
-from emlab.spectral import Field, besov_norm, divergence, l2_norm
+from emlab.spectral import Field, divergence, l2_norm
+from spectral_reference import besov_norm
 
 
 class TestConstants:
