@@ -12,11 +12,17 @@ re-running from that file reproduces the outputs byte for byte on the same
 platform, except the wall times in the ``metrics`` block of
 decay_report.json.  Unknown config keys exit 2, as does a resolved_config.json
 carrying a removed key (such as the old constants besides gamma and b_infty,
-``solver.dealias``: the solver always dealiases, or
-``inequalities.grid_points``: the suite's grids are fixed).
+``solver.dealias``: the solver always dealiases,
+``inequalities.grid_points``: the suite's grids are fixed, or
+``initial_data.s``: the data class is set once, in ``data_class``).
 Section defaults are the library's own; an invalid value, or a section
 given as a non-object, exits 2 with ``error: <section>: ...``, keeping exit
 1 for failed --ci verdicts.
+
+``data_class`` (s, or a Lebesgue exponent p mapped to s = 3(1/p - 1/2)) is
+the one setting of the data class: ``linear`` reports the decay rates of
+that class, and ``simulate`` draws ``low_freq`` initial data from it; the
+other initial-data kinds and the other commands do not read it.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ _DEFAULTS: dict = {
     "output_dir": "runs/out",
     "grid": {"points": 32, "box_length": 2.0 * math.pi},
     "constants": asdict(PhysicalConstants()),
-    "initial_data": {"kind": "flat_low", "amplitude": 1e-2, **_keyword_defaults(make_initial_data)},
+    "initial_data": {"kind": "flat_low", "amplitude": 1e-2, **_keyword_defaults(make_initial_data, "s")},
     "solver": asdict(SolverConfig()),
     "monitors": _keyword_defaults(energetics.standard_monitor),
     "data_class": {"s": 1.5, "p": None},
@@ -155,7 +161,7 @@ def run_simulate(cfg: dict, outdir: Path) -> dict:
     grid = _grid(cfg)
     seed = _seed(cfg)
     state = _section("initial_data", lambda: make_initial_data(
-        seed=seed, grid=grid, constants=constants, **cfg["initial_data"]
+        seed=seed, grid=grid, constants=constants, s=cfg["data_class"]["s"], **cfg["initial_data"]
     ))
     config = _section("solver", lambda: SolverConfig(**cfg["solver"]))
     monitor = _section("monitors", lambda: energetics.standard_monitor(constants, **cfg["monitors"]))

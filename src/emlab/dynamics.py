@@ -64,7 +64,7 @@ from .model import (
     linear_generator,
     verify_compatibility,
 )
-from .spectral import Field, GridSpec, _band_irfftn, _band_rfftn, _irfftn, l2_norm
+from .spectral import Field, GridSpec, _band_irfftn, _band_rfftn, l2_norm
 
 __all__ = [
     "SolverConfig",
@@ -338,19 +338,19 @@ def rhs(state: PerturbationState, constants: PhysicalConstants) -> PerturbationS
     return _view(out, state.grid, state.time)
 
 
-def _sup(f: Field) -> float:
-    """max |samples| of a field, without caching the samples on it."""
-    return float(np.max(np.abs(_irfftn(f.coeffs, f.grid.n)))) if f.coeffs.any() else 0.0
-
-
-def cfl_dt(state: PerturbationState, grid: GridSpec, constants: PhysicalConstants, safety: float = 0.5) -> float:
+def cfl_dt(
+    state: PerturbationState,
+    grid: GridSpec,
+    constants: PhysicalConstants,
+    safety: float = SolverConfig.cfl_safety,
+) -> float:
     """Advisory step size: safety / (k_max * (1 + nu + |u|_inf + |n|_inf)).
 
     The 1 covers the unit sound and light speeds of the rescaled system.
     """
     kmax = math.pi * grid.n / grid.box_length
-    speed = 1.0 + constants.nu + _sup(state.u) + _sup(state.n)
-    return safety / (kmax * speed)
+    sup_u, sup_n = (float(np.max(np.abs(f.physical()))) for f in (state.u, state.n))
+    return safety / (kmax * (1.0 + constants.nu + sup_u + sup_n))
 
 
 def _cfl_margin(state: PerturbationState, dt: float, constants: PhysicalConstants, safety: float, stacklevel: int) -> float:
@@ -366,8 +366,9 @@ def _cfl_margin(state: PerturbationState, dt: float, constants: PhysicalConstant
 
 
 def step(state: PerturbationState, dt: float, constants: PhysicalConstants) -> PerturbationState:
-    """One classical RK4 step."""
-    _cfl_margin(state, dt, constants, 0.5, stacklevel=3)
+    """One classical RK4 step; warns CflViolation, as ``simulate`` does, when
+    dt exceeds the advisory step at the default ``SolverConfig.cfl_safety``."""
+    _cfl_margin(state, dt, constants, SolverConfig.cfl_safety, stacklevel=3)
     g = state.grid
     y = _pack(state)
     with _Slabs(g.n) as slabs:
@@ -392,19 +393,6 @@ class RunLog:
         for key in self.columns:
             if len(self.columns[key]) < len(self.times):
                 self.columns[key].append(float("nan"))
-
-    def series(self, name: str):
-        from .analysis import NormSeries
-
-        return NormSeries(
-            label=name,
-            times=np.asarray(self.times),
-            values=np.asarray(self.columns[name]),
-            metadata=dict(self.metadata),
-        )
-
-    def column(self, name: str) -> np.ndarray:
-        return np.asarray(self.columns[name])
 
 
 @dataclass

@@ -96,6 +96,21 @@ class InequalityReport:
     seed: int = 0
 
 
+def _report(lemma: str, ratios: np.ndarray, exact: bool, params: dict, seed: int, **columns) -> InequalityReport:
+    """The report of one oracle from its kept ratio columns: the trial count
+    and record of the primary column ``ratios``, the plateau test over every
+    column, and each named column's record (0 if it is empty) in params."""
+    return InequalityReport(
+        lemma=lemma,
+        trials=len(ratios),
+        max_ratio=float(ratios.max()),
+        exact=exact,
+        plateau_ok=all(_plateau_ok(c) for c in (ratios, *columns.values())),
+        params={**params, **{name: float(c.max()) if c.size else 0.0 for name, c in columns.items()}},
+        seed=seed,
+    )
+
+
 def _plateau_ok(ratios) -> bool:
     """First-half max within 5% of the global max.
 
@@ -267,15 +282,7 @@ def check_gagliardo_nirenberg(
         return _ratio(lhs, den, den > 0)[:, None]
 
     ratios = _kept(_ensemble_values(grid, np.random.default_rng(seed), trials, evaluate)[:, 0])
-    return InequalityReport(
-        lemma="gagliardo_nirenberg",
-        trials=len(ratios),
-        max_ratio=float(ratios.max()),
-        exact=False,
-        plateau_ok=_plateau_ok(ratios),
-        params={"p": p, "alpha": alpha, "m": m, "l": l, "theta": theta},
-        seed=seed,
-    )
+    return _report("gagliardo_nirenberg", ratios, False, {"p": p, "alpha": alpha, "m": m, "l": l, "theta": theta}, seed)
 
 
 def check_closure_estimates(
@@ -328,20 +335,9 @@ def check_closure_estimates(
 
     values = _ensemble_values(grid, np.random.default_rng(seed), trials, evaluate)
     r_l2, r_inf, r_quad = (_kept(col) for col in values.T)
-    return InequalityReport(
-        lemma="closure_estimates",
-        trials=len(r_l2),
-        max_ratio=float(r_l2.max()),
-        exact=bool(gamma == 3.0),
-        plateau_ok=_plateau_ok(r_l2) and _plateau_ok(r_inf) and _plateau_ok(r_quad),
-        params={
-            "k": k,
-            "gamma": gamma,
-            "amplitude": amplitude,
-            "max_ratio_inf": float(r_inf.max()) if r_inf.size else 0.0,
-            "max_ratio_quadratic": float(r_quad.max()) if r_quad.size else 0.0,
-        },
-        seed=seed,
+    return _report(
+        "closure_estimates", r_l2, bool(gamma == 3.0), {"k": k, "gamma": gamma, "amplitude": amplitude}, seed,
+        max_ratio_inf=r_inf, max_ratio_quadratic=r_quad,
     )
 
 
@@ -422,15 +418,7 @@ def check_commutator(
         raise ExactViolated(
             f"commutator definition and Leibniz expansion differ by {worst_identity:.2e}"
         )
-    return InequalityReport(
-        lemma="commutator",
-        trials=len(ratios),
-        max_ratio=float(ratios.max()),
-        exact=False,
-        plateau_ok=_plateau_ok(ratios),
-        params={"k": k, "identity_residual": worst_identity},
-        seed=seed,
-    )
+    return _report("commutator", ratios, False, {"k": k, "identity_residual": worst_identity}, seed)
 
 
 def _bump_block(grid: GridSpec, bumps) -> np.ndarray:
@@ -517,21 +505,11 @@ def check_embeddings(
 
     values = _bump_values(grid, np.random.default_rng(seed), trials, evaluate)
     r_sob, r_bes = _kept(values[:, 0]), _kept(values[:, 1])
-    primary = r_sob if check_sobolev else r_bes
-    return InequalityReport(
-        lemma="lp_embeddings",
-        trials=len(primary),
-        max_ratio=float(primary.max()),
-        exact=bool(s == 0.0),
-        plateau_ok=_plateau_ok(r_sob) and _plateau_ok(r_bes),
-        params={
-            "s": s,
-            "p": p,
-            "sobolev_side": check_sobolev,
-            "besov_side": check_besov,
-            "max_ratio_besov": float(r_bes.max()) if r_bes.size else 0.0,
-        },
-        seed=seed,
+    # without the Sobolev side r_sob is empty, and the Besov column is the primary one
+    return _report(
+        "lp_embeddings", r_sob if check_sobolev else r_bes, bool(s == 0.0),
+        {"s": s, "p": p, "sobolev_side": check_sobolev, "besov_side": check_besov}, seed,
+        max_ratio_besov=r_bes,
     )
 
 
@@ -574,15 +552,8 @@ def check_exact_interpolation(
             raise ExactViolated(
                 f"discrete interpolation ratio {over[0] - 1.0:.3e} above one"
             )
-    return InequalityReport(
-        lemma=f"exact_interpolation_{kind}",
-        trials=len(ratios),
-        max_ratio=float(ratios.max()),
-        exact=kind == "sobolev",
-        plateau_ok=_plateau_ok(ratios),
-        params={"l": l, "s": s, "theta": theta, "kind": kind},
-        seed=seed,
-    )
+    params = {"l": l, "s": s, "theta": theta, "kind": kind}
+    return _report(f"exact_interpolation_{kind}", ratios, kind == "sobolev", params, seed)
 
 
 def default_suite(trials: int = 500, seed: int = 0) -> list[InequalityReport]:

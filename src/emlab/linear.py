@@ -69,7 +69,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import analysis
-from .analysis import DecayFit, NormSeries, theoretical_exponent
+from .analysis import DecayFit, NormSeries, check_s, theoretical_exponent
 from .errors import (
     NotRealForm, QuadratureNotConverged, RequiresBInftyZero, check, is_count, is_real
 )
@@ -452,7 +452,7 @@ def decay_report(
 ) -> list[DecayReportRow]:
     """Fitted decay exponents of the linearized flow against their targets.
 
-    The data class is given by the negative index s in (0, 3/2] (a Lebesgue
+    The data class is given by the negative index s in [0, 3/2] (a Lebesgue
     exponent p maps to s through analysis.s_of_p).  By default all
     quantities are fitted, n_divu only with a zero background field;
     requesting n_divu explicitly with a nonzero background raises.
@@ -466,6 +466,7 @@ def decay_report(
     the propagation counts of multi_norm_series, and the wall time spent in
     the quadrature (``quadrature_s``) and in the fits (``fit_s``).
     """
+    check_s(s)
     check(k_list, lambda ks: all(is_count(k) for k in ks), "k_list", "a list of nonnegative integers")
     check(quantities, lambda qs: qs is None or set(qs) <= QUANTITIES.keys(), "quantities", f"from {sorted(QUANTITIES)}")
     check(fit_window, lambda w: len(w) == 2 and all(map(is_real, w)) and 0 < w[0] < w[1], "fit_window", "0 < start < end")

@@ -123,9 +123,9 @@ def density_closure(n, gamma: float):
     return float(out) if out.ndim == 0 else out
 
 
-def closure_field(n: Field, gamma: float) -> Field:
-    """The closure applied pointwise in physical space."""
-    return Field.from_physical(n.grid, density_closure(n.physical(), gamma))
+def closure_field(grid: GridSpec, n_phys: np.ndarray, gamma: float) -> Field:
+    """The closure of the density samples n_phys, applied pointwise, as a field on grid."""
+    return Field.from_physical(grid, density_closure(n_phys, gamma))
 
 
 # -- the linearization -------------------------------------------------------------
@@ -282,23 +282,23 @@ def _unit_bump(rho2: np.ndarray) -> np.ndarray:
         return np.where(rho2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1e-300, 1.0 - rho2)), 0.0)
 
 
-def _normalize_max(values: np.ndarray, target: float, grid: GridSpec | None = None) -> np.ndarray:
-    """values scaled so that max |samples| = target (unscaled if all are zero); the
-    samples are values itself or, given a grid, those of the coefficients values."""
-    m = float(np.max(np.abs(values if grid is None else Field(grid, values).physical())))
-    return values * (target / m) if m > 0 else values
+def _max_scale(samples: np.ndarray, target: float) -> float:
+    """The factor that scales a field to max |samples| = target (1 if all are zero)."""
+    m = float(np.max(np.abs(samples)))
+    return target / m if m > 0 else 1.0
 
 
-def _gauss_e(e_t: np.ndarray, n: Field, constants: PhysicalConstants) -> Field:
+def _gauss_e(e_t: np.ndarray, closure: Field, nu: float) -> Field:
     """E with the given transverse part e_t plus the longitudinal solve of
-    the electrostatic constraint div E = -nu * closure(n)."""
-    return Field(n.grid, e_t + solve_gauss_longitudinal(closure_field(n, constants.gamma), constants.nu))
+    the electrostatic constraint div E = -nu * closure."""
+    return Field(closure.grid, e_t + solve_gauss_longitudinal(closure, nu))
 
 
 def _project_gauss(state: PerturbationState, constants: PhysicalConstants) -> PerturbationState:
     """The state with its longitudinal electric part replaced by the
     constraint-consistent solve."""
-    return replace(state, E=_gauss_e(_transverse_project(state.E.coeffs, state.grid), state.n, constants))
+    closure = closure_field(state.grid, state.n.physical(), constants.gamma)
+    return replace(state, E=_gauss_e(_transverse_project(state.E.coeffs, state.grid), closure, constants.nu))
 
 
 _KINDS = ("low_freq", "flat_low", "bump", "single_mode")
@@ -404,19 +404,22 @@ def make_initial_data(
             u0 = Field(grid, coeff_scale * u_f.coeffs)
             parts = [coeff_scale * v for v in parts]
         else:
-            n_phys = _normalize_max(n_f.physical(), amplitude)
-            u0 = Field.from_physical(grid, _normalize_max(u_f.physical(), amplitude))
-            parts = [_normalize_max(v, amplitude, grid) for v in parts]
+            n_phys = n_f.physical()
+            n_phys *= _max_scale(n_phys, amplitude)
+            u0 = Field(grid, u_f.coeffs * _max_scale(u_f.physical(), amplitude))
+            parts = [v * _max_scale(Field(grid, v).physical(), amplitude) for v in parts]
         b_coeffs, e_t = parts[0], parts[1] if include_transverse_e else None
 
     n0 = Field.from_physical(grid, _shift_to_zero_closure_mean(n_phys, constants.gamma))
-    margin = float(np.min(1.0 + constants.mu * n0.physical()))
+    n_phys = n0.physical()  # the samples of n0, for the positivity check and the Gauss solve
+    margin = float(np.min(1.0 + constants.mu * n_phys))
     if margin <= 0:
         raise AmplitudeTooLarge(
             f"amplitude {amplitude} drives 1 + mu*n to {margin:.3e}"
         )
     e_t = np.zeros_like(b_coeffs) if e_t is None else e_t
-    return PerturbationState(n=n0, u=u0, E=_gauss_e(e_t, n0, constants), B=Field(grid, b_coeffs))
+    e = _gauss_e(e_t, closure_field(grid, n_phys, constants.gamma), constants.nu)
+    return PerturbationState(n=n0, u=u0, E=e, B=Field(grid, b_coeffs))
 
 
 @dataclass(frozen=True)
@@ -433,9 +436,9 @@ def verify_compatibility(state: PerturbationState, constants: PhysicalConstants)
     planes excluded): the closure is computed pointwise, so it carries Nyquist
     content that no real longitudinal field can match.
     """
-    ga = constants.gamma
-    closure = resolved_part(closure_field(state.n, ga))
+    n_phys = state.n.physical()
+    closure = resolved_part(closure_field(state.grid, n_phys, constants.gamma))
     gauss = l2_norm(divergence(state.E) + constants.nu * closure)
     divb = l2_norm(divergence(state.B))
-    margin = float(np.min(1.0 + constants.mu * state.n.physical()))
+    margin = float(np.min(1.0 + constants.mu * n_phys))
     return CompatibilityReport(gauss, divb, margin)

@@ -294,12 +294,9 @@ class Field:
         return self.coeffs.ndim == 4
 
     def physical(self) -> np.ndarray:
-        """Real-space samples (cached)."""
-        if "_phys" not in self.__dict__:
-            phys = _irfftn(self.coeffs, self.grid.n)
-            phys.setflags(write=False)
-            object.__setattr__(self, "_phys", phys)
-        return self.__dict__["_phys"]
+        """Real-space samples, transformed anew on every call: a caller that
+        reads them twice holds them."""
+        return _irfftn(self.coeffs, self.grid.n)
 
     # -- arithmetic (convenience for tests and monitors) -------------------
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import emlab
-from emlab import cli, model
+from emlab import analysis, cli, model
 
 # 8 radial nodes x 2 x 3 directions: fast, converged enough to fit every row
 TINY_LINEAR = {"linear": {"radial_nodes": 8, "n_theta": 2, "n_phi": 3, "check_convergence": False}}
@@ -106,6 +106,19 @@ class TestSimulate:
         assert _run(tmp_path, "simulate", {"emit_plot_script": False}, "plot") == 2
         assert _run(tmp_path, "simulate", {"solver": {"dealias": True}}, "dealias") == 2
         assert _run(tmp_path, "inequalities", {"inequalities": {"grid_points": 16}}, "grid_points") == 2
+        assert _run(tmp_path, "simulate", {"initial_data": {"s": 1.0}}, "initial_s") == 2
+        assert len(_leaves(cli.resolve_config({}))) == 42
+
+    def test_low_freq_data_read_the_data_class(self, tmp_path):
+        # data_class.p = 1.2 is the class s = 3 (1/1.2 - 1/2) = 1, which low_freq data now draw from;
+        # the envelope depends on s only below |k| = 1, so the box is wider than 2 pi
+        grid = {"points": 32, "box_length": 4 * math.pi}
+        config = {**TINY_SIMULATE, "grid": grid, "initial_data": {"kind": "low_freq"}}
+        runs = {"by_p": {"p": 1.2}, "by_s": {"s": analysis.s_of_p(1.2)}, "default": {}}
+        for out, data_class in runs.items():
+            assert _run(tmp_path, "simulate", {**config, "data_class": data_class}, out) == 0
+        by_p, by_s, default = ((tmp_path / out / "timeseries.csv").read_bytes() for out in runs)
+        assert by_p == by_s != default
 
     def test_a_fault_inside_initial_data_is_not_a_config_error(self, tmp_path, monkeypatch):
         # only the argument checks of make_initial_data report a config error
@@ -120,6 +133,10 @@ class TestSimulate:
         # gamma and b_infty are the only parameters of the rescaled system
         assert _run(tmp_path, "simulate", {"constants": {"relaxation": 2.0}}, "relax") == 2
         assert "unknown config keys: ['constants.relaxation']" in capsys.readouterr().err
+
+
+def _leaves(cfg: dict) -> list:
+    return [leaf for value in cfg.values() for leaf in (_leaves(value) if isinstance(value, dict) else [value])]
 
 
 def test_resolved_sections_are_fresh_copies():
@@ -162,7 +179,8 @@ INVALID_VALUES = {
     "initial_data.mode=[true, 0, 0]": (
         "simulate", {"initial_data": {"kind": "single_mode", "mode": [True, 0, 0]}}, "initial_data"
     ),
-    "initial_data.s": ("simulate", {"initial_data": {"s": "x"}}, "initial_data"),
+    # simulate's low_freq data read the one data class too
+    "data_class.s/simulate": ("simulate", {"data_class": {"s": "x"}}, "data_class"),
     "fit.window=x": ("fit", {"fit": {"window": "x"}}, "fit"),
     "fit.window=1": ("fit", {"fit": {"window": [1]}}, "fit"),
     "fit.target": ("fit", {"fit": {"target": "x"}}, "fit"),

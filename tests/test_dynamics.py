@@ -1,5 +1,6 @@
 """Right-hand side, RK4 stepping, constraint preservation, simulation driver."""
 
+import inspect
 import math
 import sys
 import time
@@ -370,9 +371,17 @@ class TestCfl:
 
     def test_leaves_no_samples_cached(self, grid16, constants_bz):
         st = random_state(grid16, 5)
-        assert "_phys" not in vars(st.u) and "_phys" not in vars(st.n)
         cfl_dt(st, grid16, constants_bz)
-        assert "_phys" not in vars(st.u) and "_phys" not in vars(st.n)
+        assert vars(st.u).keys() == vars(st.n).keys() == {"grid", "coeffs"}
+
+    def test_step_and_cfl_dt_read_the_solver_safety(self, grid16, constants_bz, monkeypatch):
+        # the CFL safety has one home: step and cfl_dt's default read SolverConfig.cfl_safety
+        assert inspect.signature(cfl_dt).parameters["safety"].default == SolverConfig().cfl_safety
+        st = make_initial_data("single_mode", 1e-3, 0, grid16, constants_bz)
+        dt = 0.9 * cfl_dt(st, grid16, constants_bz)
+        monkeypatch.setattr(SolverConfig, "cfl_safety", SolverConfig.cfl_safety / 2.0)
+        with pytest.warns(CflViolation):
+            step(st, dt, constants_bz)
 
     def test_simulate_rechecks_every_sample(self, grid16, constants_bz, rng):
         # a transverse E drives u from rest, so |u|_inf grows and a dt fixed
@@ -504,7 +513,7 @@ class TestSimulate:
         st = make_initial_data("flat_low", 1e-8, 5, grid16, constants_b0)
         cfg = SolverConfig(end_time=1.5, output_stride=5)
         res = simulate(st, cfg, constants_b0, monitors=[standard_monitor(constants_b0)])
-        e3 = res.log.column("E_3")
+        e3 = np.asarray(res.log.columns["E_3"])
         assert np.all(np.diff(e3) <= 1e-12 * e3[0])
 
     def test_every_sample_logs_the_constraint_residuals(self, grid16, constants_b0):
@@ -513,11 +522,11 @@ class TestSimulate:
         st = make_initial_data("flat_low", 1e-2, 5, grid16, constants_b0)
         res = simulate(st, SolverConfig(end_time=0.3, output_stride=2), constants_b0)
         assert sorted(res.log.columns) == ["divB_residual", "gauss_residual"]
-        gauss = res.log.column("gauss_residual")
+        gauss = res.log.columns["gauss_residual"]
         assert len(gauss) == len(res.log.times) > 2
         final = verify_compatibility(res.final_state, constants_b0)
         assert gauss[-1] == final.gauss_residual
-        assert res.log.column("divB_residual")[-1] == final.divb_residual
+        assert res.log.columns["divB_residual"][-1] == final.divb_residual
         assert res.log.metadata["gauss_residual_max"] == max(gauss[1:])
 
     def test_horizon_metadata(self, grid16, constants_bz):
@@ -538,7 +547,7 @@ class TestSimulate:
             )
             out = simulate(st, cfg, constants_b0, monitors=[standard_monitor(constants_b0)])
             assert out.log.metadata["gauss_within_budget"]
-            assert out.log.column("gauss_residual")[-1] <= 1e-6
+            assert out.log.columns["gauss_residual"][-1] <= 1e-6
 
     def test_gauss_exactly_preserved_at_collapsed_closure(self, grid16):
         # at gamma = 3 the closure is the identity, the constraint functional
@@ -551,13 +560,13 @@ class TestSimulate:
             dt=dt, end_time=64 * dt, gauss_projection_stride=None, output_stride=1000
         )
         out = simulate(st, cfg, constants, monitors=[standard_monitor(constants)])
-        assert out.log.column("gauss_residual")[-1] <= 1e-12
+        assert out.log.columns["gauss_residual"][-1] <= 1e-12
 
     def test_gauss_projection_keeps_constraint(self, grid16, constants_b0):
         st = make_initial_data("flat_low", 1e-2, 5, grid16, constants_b0)
         cfg = SolverConfig(end_time=1.0, gauss_projection_stride=5, output_stride=5)
         res = simulate(st, cfg, constants_b0, monitors=[standard_monitor(constants_b0)])
-        assert res.log.column("gauss_residual")[-1] <= 1e-8
+        assert res.log.columns["gauss_residual"][-1] <= 1e-8
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_abort(self, grid16, constants_bz):
@@ -573,6 +582,5 @@ class TestSimulate:
         log = RunLog()
         log.append(0.0, {"a": 1.0})
         log.append(1.0, {"a": 0.5, "b": 2.0})
-        s = log.series("a")
-        assert list(s.values) == [1.0, 0.5]
-        assert math.isnan(log.column("b")[0])
+        assert log.columns["a"] == [1.0, 0.5]
+        assert math.isnan(log.columns["b"][0]) and log.columns["b"][1] == 2.0

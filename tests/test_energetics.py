@@ -299,8 +299,8 @@ class TestReportsAndMonitors:
         cfg = SolverConfig(end_time=2.0, output_stride=2)
         res = simulate(st, cfg, constants_b0, monitors=[standard_monitor(constants_b0)])
         t = np.asarray(res.log.times)
-        e = res.log.column("window_E_0")
-        d = res.log.column("window_D_0")
+        e = np.asarray(res.log.columns["window_E_0"])
+        d = np.asarray(res.log.columns["window_D_0"])
         dedt = np.gradient(e, t)
         mid = slice(1, -1)
         lam = -dedt[mid] / np.maximum(d[mid], 1e-300)

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from emlab import linear
-from emlab.errors import NotRealForm, QuadratureNotConverged, RequiresBInftyZero
+from emlab.errors import NotRealForm, QuadratureNotConverged, RequiresBInftyZero, SOutOfRange
 from emlab.linear import QUANTITIES, QuadratureSpec, SpectralProfile, decay_report, multi_norm_series
 from emlab.model import PhysicalConstants, _direction_frame, linear_generator
 
@@ -503,3 +503,13 @@ class TestDecayReport:
                 quantities=["n_divu"],
                 quad=QuadratureSpec(radial_nodes=50, check_convergence=False),
             )
+
+    def test_s_is_checked_before_the_quadrature(self, constants_bz, monkeypatch):
+        # an out-of-range s fails with the other argument checks, before any quadrature
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("the quadrature ran before s was checked")
+
+        monkeypatch.setattr(linear, "multi_norm_series", no_quadrature)
+        quad = QuadratureSpec(radial_nodes=8, n_theta=2, n_phi=3, check_convergence=False)
+        with pytest.raises(SOutOfRange):
+            decay_report(constants_bz, s=5.0, k_list=[0], quad=quad)

@@ -247,14 +247,16 @@ class TestInitialDataContract:
     @NORMALIZATIONS
     def test_e_is_the_gauss_solve_without_transverse_e(self, grid16, constants_bz, kind, normalization):
         st = _contract_state(grid16, constants_bz, kind, False, normalization)
-        e_long = solve_gauss_longitudinal(closure_field(st.n, constants_bz.gamma), constants_bz.nu)
+        closure = closure_field(grid16, st.n.physical(), constants_bz.gamma)
+        e_long = solve_gauss_longitudinal(closure, constants_bz.nu)
         assert np.array_equal(st.E.coeffs, e_long)
 
     @pytest.mark.parametrize("kind", sorted(ENVELOPES))
     @TRANSVERSE_E
     def test_physical_normalization_sets_the_max_sample(self, grid16, constants_bz, kind, transverse_e):
         st = _contract_state(grid16, constants_bz, kind, transverse_e, "physical")
-        e_long = solve_gauss_longitudinal(closure_field(st.n, constants_bz.gamma), constants_bz.nu)
+        closure = closure_field(grid16, st.n.physical(), constants_bz.gamma)
+        e_long = solve_gauss_longitudinal(closure, constants_bz.nu)
         parts = [st.u, st.B] + ([Field(grid16, st.E.coeffs - e_long)] if transverse_e else [])
         for f in parts:
             assert float(np.max(np.abs(f.physical()))) == pytest.approx(1e-2, rel=1e-12)

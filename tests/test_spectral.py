@@ -47,6 +47,13 @@ class TestGridAndField:
         f = Field.from_physical(grid32, values)
         assert np.max(np.abs(f.physical() - values)) <= 1e-12 * np.max(np.abs(values))
 
+    def test_samples_are_not_kept_on_the_field(self, grid16, rng):
+        # every call transforms anew; a caller that reads the samples twice holds them
+        f = Field.from_physical(grid16, rng.standard_normal((16, 16, 16)))
+        first = f.physical()
+        assert vars(f).keys() == {"grid", "coeffs"}
+        assert f.physical() is not first and np.array_equal(f.physical(), first)
+
     def test_conjugate_symmetry_of_real_fields(self, grid16, rng):
         # the half-spectrum of real samples round-trips through physical space
         f = Field.from_physical(grid16, rng.standard_normal((16, 16, 16)))
