@@ -42,7 +42,7 @@ from .analysis import NormSeries, check_s, fit_decay, s_of_p
 from .dynamics import SolverConfig, simulate
 from .errors import ConfigError, EmlabError, InsufficientSamples, InvalidArgument, NonpositiveValue, is_count
 from .model import PhysicalConstants, make_initial_data
-from .spectral import GridSpec, _fft
+from .spectral import GridSpec
 
 __all__ = ["main", "load_config", "resolve_config", "run_simulate", "run_linear", "run_inequalities", "run_fit"]
 
@@ -297,10 +297,6 @@ def main(argv=None) -> int:
         outdir = Path(cfg["output_dir"])
         outdir.mkdir(parents=True, exist_ok=True)
         _emit_resolved(cfg, outdir)
-        if args.command in ("simulate", "inequalities"):
-            # their set-up, not their compute call, pays for loading the
-            # transform backend; linear and fit make no transform and skip it
-            _fft()
 
         if args.command == "simulate":
             summary = run_simulate(cfg, outdir)

@@ -26,15 +26,18 @@ state views: each RK4 step writes its result into a fresh array, and the
 stage and slope buffers are scratch owned by one ``simulate`` (or ``step``)
 call.
 
-Transforms per RHS.  The 11 masked product inputs (n, u, grad n, div u,
-B - curl u) go back in one ``_band_irfftn`` call and the 8 products forward
-in one ``_band_rfftn`` call: a pass along z, and an (x, y) pass only on the
-kz planes below b = n//3 + 1, which the two-thirds rule keeps.  The numbers
+Transforms per RHS.  The 11 masked product inputs go back and the 8
+products forward through numpy.fft passes in scipy's order (see
+``spectral``): each x and y pass runs only on the kz planes below
+b = n//3 + 1, which the two-thirds rule keeps, and the inverse x pass and
+the forward y pass only on the in-band rows of the other axis.  The numbers
 are those of full transforms, bit for bit.
 
-Threads.  Between the transforms, the elementwise work of the RHS and the
-RK4 stage sums runs on x-slabs of the grid, one slab per CPU, from a thread
-pool that one ``simulate``, ``step`` or ``rhs`` call owns.  The slabs are
+Threads.  One thread pool, owned by one ``simulate``, ``step`` or ``rhs``
+call, runs every parallel part of a step: the five runs of each RHS (the
+elementwise stages on x-slabs, the transform passes on slabs of the rows
+they cover) and the RK4 stage sums, whose last one also flags non-finite
+entries.  The calling thread runs the last slab of each run.  The slabs are
 disjoint, so the numbers do not depend on the CPU count.
 
 Samples.  Every sample of a run logs the electrostatic (Gauss) and
@@ -42,6 +45,9 @@ solenoidal constraint residuals of ``model.verify_compatibility`` as the
 columns ``gauss_residual`` and ``divB_residual``, next to whatever the
 monitors return.  The Gauss projection every ``gauss_projection_stride``
 steps is ``model._project_gauss``, the solve that builds the initial data.
+A step transforms n once for its projection, its residual check and its
+sample together; the first sample reuses the samples of the t = 0 advisory
+step.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ from .model import (
     linear_generator,
     verify_compatibility,
 )
-from .spectral import Field, GridSpec, _band_irfftn, _band_rfftn, l2_norm
+from .spectral import Field, GridSpec, _rows, _z_inverse, l2_norm
 
 __all__ = [
     "SolverConfig",
@@ -127,32 +133,54 @@ def _view(y: np.ndarray, grid: GridSpec, time: float) -> PerturbationState:
 
 
 class _Slabs:
-    """Runs an elementwise job on x-slabs of the grid: by default one slab
-    per CPU, each at least ``_MIN_SLAB`` planes thick.
+    """Runs a job on slabs of one grid axis: by default x-slabs, one per
+    CPU, each at least ``_MIN_SLAB`` planes thick.
 
-    numpy releases the interpreter lock inside its loops, so the slabs run
-    in parallel, and each slab gives the same numbers as one whole-array
-    pass.  Jobs write only into preallocated arrays: memory that a worker
-    thread allocates stays in that thread's malloc arena and raises the
-    peak memory of the process.  The thread pool lives until ``close``.
+    numpy releases the interpreter lock inside its loops and transforms, so
+    the slabs run in parallel, and each slab gives the same numbers as one
+    whole-array pass.  The calling thread runs the last slab; a pool of the
+    other workers runs the rest and lives until ``close``.  Jobs write only
+    into preallocated arrays: memory that a worker thread allocates stays in
+    that thread's malloc arena and raises the peak memory of the process.
     """
 
     def __init__(self, n: int, workers: int | None = None):
         if workers is None:
             workers = max(1, min(os.cpu_count() or 1, n // _MIN_SLAB))
-        cut = [n * i // workers for i in range(workers + 1)]
-        self.slabs = [slice(lo, hi) for lo, hi in zip(cut, cut[1:])]
-        self._pool = ThreadPoolExecutor(workers) if workers > 1 else None
+        self.workers = workers
+        self.slabs = self.split([slice(0, n)])
+        self._pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
 
-    def run(self, job: Callable[[slice], None]):
-        """``job(slab)`` for every slab; returns when all are done."""
-        if self._pool is None:
-            job(self.slabs[0])
-            return
-        futures = [self._pool.submit(job, slab) for slab in self.slabs]
+    def split(self, ranges: Sequence[slice]) -> list[slice]:
+        """The indices of ``ranges`` cut into one run per worker, as slices
+        (a run that crosses from one range to the next takes one slice in each)."""
+        total = sum(r.stop - r.start for r in ranges)
+        cut = [total * i // self.workers for i in range(self.workers + 1)]
+        out, offset = [], 0
+        for r in ranges:
+            for lo, hi in zip(cut, cut[1:]):
+                lo, hi = max(lo - offset, 0), min(hi - offset, r.stop - r.start)
+                if lo < hi:
+                    out.append(slice(r.start + lo, r.start + hi))
+            offset += r.stop - r.start
+        return out
+
+    def run(self, job: Callable[[slice], None], slabs: Sequence[slice] | None = None):
+        """``job(slab)`` for every slab (default: the x-slabs); returns when
+        all are done, raising the first failure in slab order."""
+        slabs = self.slabs if slabs is None else slabs
+        futures = [self._pool.submit(job, slab) for slab in slabs[:-1]] if self._pool else []
+        error = None
+        try:
+            for slab in slabs[len(futures):]:
+                job(slab)
+        except BaseException as exc:  # raised once every slab is done, after earlier slabs' failures
+            error = exc
         wait(futures)
         for f in futures:
             f.result()
+        if error is not None:
+            raise error
 
     def close(self):
         if self._pool is not None:
@@ -177,13 +205,18 @@ class _Rhs:
     work buffers of one grid and one set of constants; ``rhs(y, time, out)``
     writes the time derivative of the packed state ``y`` into ``out`` (the
     system is autonomous, so ``time`` is unused).  It writes nothing else
-    outside its own buffers.  The elementwise stages run on the x-slabs of
-    ``slabs``; the transforms between them run on whole stacks.  The
-    transforms skip the kz planes from b = n//3 + 1 up, where the masked
-    product inputs are zero and the mask discards the products; the
-    elementwise stages still run on whole planes, because numpy's passes
-    over the planes below b alone, strided, were slower.  The products are
-    formed in each call's c2r output.
+    outside its own buffers: ``spec`` holds the product inputs and then the
+    transformed products, ``phys`` the samples and then the products.
+
+    One call is five runs on the slabs of the pool, each a set of disjoint
+    jobs that write only into ``out`` and these buffers: (1) the linear part
+    and the masked product inputs, on x-slabs; (2) the inverse x pass, on the
+    in-band ky rows; (3) the inverse y and z passes, the scale, the closure,
+    the products and the forward z pass, on x-slabs; (4) the forward x pass,
+    on y-slabs; (5) the forward y pass and the accumulation into ``out``, on
+    the in-band kx rows.  The x and y passes run only on the kz planes below
+    b = n//3 + 1: the two-thirds rule zeroes the inputs above them and
+    discards the products there.
 
     The linear part is read off ``model.linear_generator``: row r of
     A(k) = A0 + i sum_a k_a A1[a] is a list of nonzero terms (a, column,
@@ -192,8 +225,9 @@ class _Rhs:
 
     def __init__(self, grid: GridSpec, constants: PhysicalConstants, slabs: _Slabs):
         n, h = grid.n, grid.n // 2 + 1
-        self.n = n
+        self.n, self.b = n, n // 3 + 1
         self.slabs = slabs
+        self.rows = slabs.split(_rows(n, n // 3))  # the in-band rows of a full axis, a run per worker
         self.nu, self.mu, self.gamma = constants.nu, constants.mu, constants.gamma
         self.ik = [1j * grid.k_axis(a) for a in range(3)]
         a0, a1 = linear_generator(constants)
@@ -202,24 +236,21 @@ class _Rhs:
         # complex, so that no multiply casts it; 1+0j and 0j are what a bool casts to
         self.mask = grid.dealias_mask.astype(np.complex128)
         self.spec = np.empty((11, n, n, h), dtype=np.complex128)
+        self.phys = np.empty((11, n, n, n))
         self.tmp = np.empty((n, n, h), dtype=np.complex128)
-        self.work = np.empty((2, n, n, n))
+        self.work = np.empty((3, n, n, n))
 
     def __call__(self, y: np.ndarray, time: float, out: np.ndarray):
-        self.slabs.run(lambda slab: self._linear(y, out, slab))
-        phys = _band_irfftn(self.spec, self.n)
-        closure = density_closure(phys[0], self.gamma)
-        self.slabs.run(lambda slab: self._products(phys, closure, slab))
-        # [0] |u|^2/2, [1:4] closure(n) u, [4:7] the vector term, [7] the density term
-        prods = _band_rfftn(phys[0:8])
-        self.slabs.run(lambda slab: self._accumulate(prods, out, slab))
-
-    def _multipliers(self, slab: slice):
-        return (self.ik[0][slab], self.ik[1], self.ik[2]), self.mask[slab]
+        run = self.slabs.run
+        run(lambda slab: self._linear(y, out, slab))
+        run(self._inverse_x, self.rows)
+        run(self._physical)
+        run(self._forward_x)
+        run(lambda rows: self._accumulate(out, rows), self.rows)
 
     def _linear(self, y: np.ndarray, out: np.ndarray, slab: slice):
         """The linear part into ``out`` and the masked product inputs into ``spec``."""
-        ik, m = self._multipliers(slab)
+        ik, m = (self.ik[0][slab], self.ik[1], self.ik[2]), self.mask[slab]
         x = _x(slab)
         y, out, spec, tmp = y[x], out[x], self.spec[x], self.tmp[slab]
         mults = (*ik, 1.0)
@@ -245,13 +276,26 @@ class _Rhs:
         np.multiply(y[0:4], m, out=spec[0:4])
         spec[4:11] *= m
 
-    def _products(self, phys: np.ndarray, closure: np.ndarray, slab: slice):
+    def _inverse_x(self, rows: slice):
+        band = self.spec[:, :, rows, : self.b]
+        np.fft.ifft(band, axis=-3, norm="forward", out=band)
+
+    def _physical(self, slab: slice):
+        """The samples of the product inputs of one x-slab, their products,
+        and the products' forward z pass, written back into ``spec``."""
+        band, phys = self.spec[:, slab, :, : self.b], self.phys[:, slab]
+        np.fft.ifft(band, axis=-2, norm="forward", out=band)
+        _z_inverse(self.spec[:, slab], self.n, out=phys)  # whole planes, zero above b: one numpy loop a field
+        self._products(phys, self.work[:, slab])
+        # [0] |u|^2/2, [1:4] closure(n) u, [4:7] the vector term, [7] the density term
+        np.fft.rfft(phys[0:8], axis=-1, out=self.spec[0:8, slab])
+
+    def _products(self, phys: np.ndarray, work: np.ndarray):
         """The 8 products into slots 0-7 of ``phys``, each written into a slot
         whose input is dead."""
-        x = _x(slab)
-        phys = phys[x]
-        acc, prod = self.work[x]
+        acc, prod, closure = work
         pn, pu, pg, pd, pw = phys[0], phys[1:4], phys[4:7], phys[7], phys[8:11]
+        density_closure(pn, self.gamma, out=closure)
         pn *= self.mu  # mu n
         # slot 7: u.grad n + mu n div u
         pd *= pn
@@ -276,13 +320,20 @@ class _Rhs:
             ke += prod
         ke *= 0.5
         # slots 1-3: closure(n) u
-        pu *= closure[slab]
+        pu *= closure
 
-    def _accumulate(self, prods: np.ndarray, out: np.ndarray, slab: slice):
-        """The masked transformed products into ``out``."""
-        ik, m = self._multipliers(slab)
-        x = _x(slab)
-        prods, out, tmp = prods[x], out[x], self.tmp[slab]
+    def _forward_x(self, slab: slice):
+        band = self.spec[0:8, :, slab, : self.b]
+        np.fft.fft(band, axis=-3, out=band)
+
+    def _accumulate(self, out: np.ndarray, rows: slice):
+        """The forward y pass of the products on the kx rows ``rows``, masked,
+        into ``out`` (on whole planes, faster than strided passes over b)."""
+        prods = self.spec[0:8, rows]
+        band = prods[..., : self.b]
+        np.fft.fft(band, axis=-2, out=band)
+        ik, m = (self.ik[0][rows], self.ik[1], self.ik[2]), self.mask[rows]
+        out, tmp = out[:, rows], self.tmp[rows]
         dn, du, de = out[0], out[1:4], out[4:7]
         prods *= m
         dn -= prods[7]
@@ -294,13 +345,21 @@ class _Rhs:
         de += prods[1:4]
 
 
-def _rk4(f, y: np.ndarray, time: float, dt: float, k: np.ndarray, stage: np.ndarray, slabs: _Slabs) -> np.ndarray:
-    """One classical RK4 step of the packed state ``y`` into a fresh array.
+def _scratch(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The RK4 work arrays of packed states shaped like ``y``: slope, stage, finite flags."""
+    return np.empty_like(y), np.empty_like(y), np.empty(y.shape, dtype=bool)
 
-    ``f(y, time, out)`` writes dy/dt into ``out``; ``k`` and ``stage`` are
-    scratch of y's shape.  Each stage is y + c*k and the result accumulates
-    y + sum (dt*w_i) k_i in stage order.
+
+def _rk4(f, y: np.ndarray, time: float, dt: float, scratch: tuple, slabs: _Slabs) -> tuple[np.ndarray, bool]:
+    """One classical RK4 step of the packed state ``y`` into a fresh array,
+    and whether every entry of that array is finite.
+
+    ``f(y, time, out)`` writes dy/dt into ``out``; ``scratch`` is
+    ``_scratch(y)``.  Each stage is y + c*k and the result accumulates
+    y + sum (dt*w_i) k_i in stage order; the last blend also flags the
+    finite entries.
     """
+    k, stage, finite = scratch
     out = np.empty_like(y)
 
     def combine(w: float, c: float, first: bool):
@@ -314,6 +373,8 @@ def _rk4(f, y: np.ndarray, time: float, dt: float, k: np.ndarray, stage: np.ndar
             if c:
                 np.multiply(k[x], dt * c, out=stage[x])
                 stage[x] += y[x]
+            else:
+                np.isfinite(out[x], out=finite[x])
 
         return job
 
@@ -323,7 +384,7 @@ def _rk4(f, y: np.ndarray, time: float, dt: float, k: np.ndarray, stage: np.ndar
     for t, w, c in ((half, 1.0 / 3.0, 0.5), (half, 1.0 / 3.0, 1.0), (time + dt, 1.0 / 6.0, 0.0)):
         f(stage, t, k)
         slabs.run(combine(w, c, False))
-    return out
+    return out, bool(finite.all())
 
 
 # -- public operations -------------------------------------------------------------
@@ -348,17 +409,21 @@ def cfl_dt(
 
     The 1 covers the unit sound and light speeds of the rescaled system.
     """
+    return _advisory(grid, constants, safety, state.u.physical(), state.n.physical())
+
+
+def _advisory(grid: GridSpec, constants: PhysicalConstants, safety: float, u_phys, n_phys) -> float:
+    """``cfl_dt`` from the samples of u and n."""
     kmax = math.pi * grid.n / grid.box_length
-    sup_u, sup_n = (float(np.max(np.abs(f.physical()))) for f in (state.u, state.n))
+    sup_u, sup_n = (float(np.max(np.abs(v))) for v in (u_phys, n_phys))
     return safety / (kmax * (1.0 + constants.nu + sup_u + sup_n))
 
 
-def _cfl_margin(state: PerturbationState, dt: float, constants: PhysicalConstants, safety: float, stacklevel: int) -> float:
-    """advisory / dt for the state; warns CflViolation when dt exceeds the advisory step by over 1e-4."""
-    advisory = cfl_dt(state, state.grid, constants, safety)
+def _cfl_margin(advisory: float, dt: float, time: float, stacklevel: int) -> float:
+    """advisory / dt; warns CflViolation when dt exceeds the advisory step by over 1e-4."""
     if dt > 1.0001 * advisory:
         warnings.warn(
-            f"dt={dt:.3e} exceeds advisory CFL step {advisory:.3e} at t={state.time:.6g}",
+            f"dt={dt:.3e} exceeds advisory CFL step {advisory:.3e} at t={time:.6g}",
             CflViolation,
             stacklevel=stacklevel,
         )
@@ -368,12 +433,12 @@ def _cfl_margin(state: PerturbationState, dt: float, constants: PhysicalConstant
 def step(state: PerturbationState, dt: float, constants: PhysicalConstants) -> PerturbationState:
     """One classical RK4 step; warns CflViolation, as ``simulate`` does, when
     dt exceeds the advisory step at the default ``SolverConfig.cfl_safety``."""
-    _cfl_margin(state, dt, constants, SolverConfig.cfl_safety, stacklevel=3)
     g = state.grid
+    _cfl_margin(cfl_dt(state, g, constants, SolverConfig.cfl_safety), dt, state.time, stacklevel=3)
     y = _pack(state)
     with _Slabs(g.n) as slabs:
-        out = _rk4(_Rhs(g, constants, slabs), y, state.time, dt, np.empty_like(y), np.empty_like(y), slabs)
-    if not np.isfinite(out).all():
+        out, finite = _rk4(_Rhs(g, constants, slabs), y, state.time, dt, _scratch(y), slabs)
+    if not finite:
         raise SimulationDiverged(f"non-finite state after step at t={state.time}")
     return _view(out, g, state.time + dt)
 
@@ -423,7 +488,9 @@ def simulate(
     margin min(1 + mu*n) over the samples is recorded as ``positivity_margin_min``.
     """
     grid = initial.grid
-    dt = cfl_dt(initial, grid, constants, config.cfl_safety) if config.dt == "auto" else float(config.dt)
+    n_phys = initial.n.physical()
+    advisory = _advisory(grid, constants, config.cfl_safety, initial.u.physical(), n_phys)
+    dt = advisory if config.dt == "auto" else float(config.dt)
     n_steps = max(0, math.ceil(config.end_time / dt - 1e-12))
 
     log = RunLog()
@@ -439,13 +506,14 @@ def simulate(
     )
     cfl_margin_min = positivity_margin_min = math.inf
 
-    def sample(st):
+    def sample(st, n_phys, advisory):
+        """Logs one sample of ``st``, whose n has the samples ``n_phys``."""
         nonlocal cfl_margin_min, positivity_margin_min
-        cfl_margin_min = min(cfl_margin_min, _cfl_margin(st, dt, constants, config.cfl_safety, stacklevel=4))
+        cfl_margin_min = min(cfl_margin_min, _cfl_margin(advisory, dt, st.time, stacklevel=4))
         row: dict[str, float] = {}
         for mon in monitors:
             row.update(mon(st))
-        compat = verify_compatibility(st, constants)
+        compat = verify_compatibility(st, constants, n_phys)
         row["gauss_residual"] = compat.gauss_residual
         row["divB_residual"] = compat.divb_residual
         positivity_margin_min = min(positivity_margin_min, compat.positivity_margin)
@@ -455,26 +523,31 @@ def simulate(
     y = _pack(initial)
     with _Slabs(grid.n) as slabs:
         kernel = _Rhs(grid, constants, slabs)
-        k, stage = np.empty_like(y), np.empty_like(y)
+        scratch = _scratch(y)
         state = _view(y, grid, initial.time)
-        sample(state)
+        sample(state, n_phys, advisory)
         max_gauss = 0.0
         for istep in range(1, n_steps + 1):
-            y = _rk4(kernel, y, state.time, dt, k, stage, slabs)
-            if not np.isfinite(y).all():
+            y, finite = _rk4(kernel, y, state.time, dt, scratch, slabs)
+            if not finite:
                 raise SimulationDiverged(
                     f"non-finite state at step {istep}, t={state.time + dt:.6g}; "
                     f"last logged time {log.times[-1]:.6g}"
                 )
             state = _view(y, grid, state.time + dt)
+            n_phys = None  # the samples of state.n, once a projection or a sample takes them
             if config.gauss_projection_stride and istep % config.gauss_projection_stride == 0:
-                # measure before projecting so projection cannot mask drift
-                res = verify_compatibility(state, constants).gauss_residual
+                # measure before projecting so projection cannot mask drift; n is unchanged by it
+                n_phys = state.n.physical()
+                res = verify_compatibility(state, constants, n_phys).gauss_residual
                 max_gauss = max(max_gauss, res)
-                y = _pack(_project_gauss(state, constants))
+                y = _pack(_project_gauss(state, constants, n_phys))
                 state = _view(y, grid, state.time)
             if istep % config.output_stride == 0 or istep == n_steps:
-                max_gauss = max(max_gauss, sample(state))
+                if n_phys is None:
+                    n_phys = state.n.physical()
+                advisory = _advisory(grid, constants, config.cfl_safety, state.u.physical(), n_phys)
+                max_gauss = max(max_gauss, sample(state, n_phys, advisory))
 
     state_scale = max(l2_norm(f) for f in state.fields().values())
     budget = max(config.gauss_tol, 10.0 * dt**4 * (dt * n_steps) * max(state_scale, 1e-300))

@@ -105,21 +105,23 @@ class PerturbationState:
 # -- the nonlinear closure -----------------------------------------------------
 
 
-def density_closure(n, gamma: float):
+def density_closure(n, gamma: float, out: np.ndarray | None = None):
     """(1 + mu*n)^(2/(gamma-1)) - 1 for gamma > 1; expm1(n) in the log variable
-    at gamma = 1.  Strictly increasing with closure(0) = 0."""
+    at gamma = 1.  Strictly increasing with closure(0) = 0.  Given ``out``,
+    the samples are written there and no array is allocated."""
     n = np.asarray(n, dtype=float)
     mu = (gamma - 1.0) / 2.0
     if gamma == 1.0:
-        out = np.expm1(n)
+        out = np.expm1(n, out=out)
     else:
-        base = 1.0 + mu * n
-        if np.any(base <= 0):
+        out = np.multiply(n, mu, out=np.empty_like(n) if out is None else out)
+        # 1 + mu*n <= 0 exactly when mu*n <= -1: near -1 the sum is exact (Sterbenz)
+        if np.fmin.reduce(out, axis=None) <= -1.0:
             raise DensityNonpositive("1 + mu*n must stay positive")
-        if mu == 1.0:
-            out = n.copy()  # gamma = 3 collapses the exponent exactly
-        else:
-            out = np.expm1(np.log1p(mu * n) / mu)
+        if mu != 1.0:  # gamma = 3 collapses the exponent exactly
+            np.log1p(out, out=out)
+            out /= mu
+            np.expm1(out, out=out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -294,10 +296,10 @@ def _gauss_e(e_t: np.ndarray, closure: Field, nu: float) -> Field:
     return Field(closure.grid, e_t + solve_gauss_longitudinal(closure, nu))
 
 
-def _project_gauss(state: PerturbationState, constants: PhysicalConstants) -> PerturbationState:
+def _project_gauss(state: PerturbationState, constants: PhysicalConstants, n_phys: np.ndarray) -> PerturbationState:
     """The state with its longitudinal electric part replaced by the
-    constraint-consistent solve."""
-    closure = closure_field(state.grid, state.n.physical(), constants.gamma)
+    constraint-consistent solve; ``n_phys`` holds the samples of state.n."""
+    closure = closure_field(state.grid, n_phys, constants.gamma)
     return replace(state, E=_gauss_e(_transverse_project(state.E.coeffs, state.grid), closure, constants.nu))
 
 
@@ -429,14 +431,18 @@ class CompatibilityReport:
     positivity_margin: float
 
 
-def verify_compatibility(state: PerturbationState, constants: PhysicalConstants) -> CompatibilityReport:
+def verify_compatibility(
+    state: PerturbationState, constants: PhysicalConstants, n_phys: np.ndarray | None = None
+) -> CompatibilityReport:
     """Residuals of the electrostatic and solenoidal constraints, plus positivity.
 
     The electrostatic functional is evaluated on the resolved band (Nyquist
     planes excluded): the closure is computed pointwise, so it carries Nyquist
-    content that no real longitudinal field can match.
+    content that no real longitudinal field can match.  ``n_phys``, the
+    samples of state.n, spares a transform to a caller that holds them.
     """
-    n_phys = state.n.physical()
+    if n_phys is None:
+        n_phys = state.n.physical()
     closure = resolved_part(closure_field(state.grid, n_phys, constants.gamma))
     gauss = l2_norm(divergence(state.E) + constants.nu * closure)
     divb = l2_norm(divergence(state.B))

@@ -13,13 +13,19 @@ Conventions used throughout the package:
   (Nyquist) plane are their own mirrors and count once.  Only this module
   knows the layout; other modules broadcast against ``GridSpec.k_axis`` and
   take sums through ``GridSpec.weight``.
-* ``_band_irfftn`` and ``_band_rfftn`` give the full transforms' numbers on
-  the kz planes the two-thirds rule keeps, and run their (x, y) passes there only.
-* The transforms run on scipy.fft, which this module imports on the first
-  transform (``_fft``), not with itself: a caller that makes none, such as
-  the linear analyzer, never loads it.  Every transform looks its function
-  up on the module at call time (``_fft().rfftn``), never through a name
-  bound at import, so a wrapper set on ``scipy.fft`` itself sees every call.
+* The transforms are chains of numpy.fft 1-D passes in the order of
+  scipy's n-D transforms: ``_rfftn`` runs z (r2c), then x, then y;
+  ``_irfftn`` runs x, then y, then z (c2r), and scales once by 1/n^3.  Their
+  numbers are scipy's rfftn and irfftn numbers bit for bit (numpy's own
+  rfftn runs y before x).  The passes run
+  in place on the calling thread; every function is looked up on numpy.fft
+  at call time, so a wrapper set there sees every pass.
+* ``band`` limits a transform to the modes |m_i| <= band and skips the
+  lines that are zero on input or discarded on output: the inverse is exact
+  only when its input is zero outside the band, the forward only on the
+  in-band modes, and nothing checks either.  The solver's RHS runs the same
+  passes at band n//3 (the two-thirds rule) on its own thread pool; the
+  inequality oracles band the transforms of their ensemble members.
 * Every weighted Fourier-side quantity is one reduction, ``_sums``: a stack
   of power spectra summed against per-mode weight columns (the |k|^(2l)
   weights, the Sobolev column of order -s, or the 2^(-2sj)-scaled dyadic
@@ -64,55 +70,52 @@ __all__ = [
 ]
 
 
-# Transforms of fewer real points run on the calling thread, where they were
-# faster (2-CPU guest: a 16^3 rfftn took 33 us against 58 us on two threads).
-_THREADED_MIN_POINTS = 1 << 17
+def _rows(n: int, band: int | None) -> tuple[slice, ...]:
+    """The indices |m| <= band of a full FFT axis of n points, as slices (all for no band)."""
+    if band is None or 2 * band + 1 >= n:
+        return (slice(None),)
+    return (slice(0, band + 1), slice(n - band, n)) if band else (slice(0, 1),)
 
 
-def _workers(points: int) -> int:
-    return -1 if points >= _THREADED_MIN_POINTS else 1
+def _rfftn(values: np.ndarray, band: int | None = None) -> np.ndarray:
+    """Half-spectra of a stack of real samples over its last three axes.
 
-
-@functools.cache
-def _fft():
-    """The transform backend, scipy.fft, imported on the first call."""
-    import scipy.fft
-
-    return scipy.fft
-
-
-def _rfftn(values: np.ndarray) -> np.ndarray:
-    return _fft().rfftn(values, axes=(-3, -2, -1), workers=_workers(values.size))
-
-
-def _irfftn(coeffs: np.ndarray, n: int) -> np.ndarray:
-    workers = _workers(coeffs.size // coeffs.shape[-1] * n)
-    return _fft().irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), workers=workers)
-
-
-def _xy_pass(fft, band: np.ndarray, workers: int, norm: str):
-    """The c2c pass ``fft`` over (x, y) of ``band``, written back into it; ``norm`` leaves it unscaled."""
-    got = fft(band, axes=(-3, -2), norm=norm, overwrite_x=True, workers=workers)
-    if not np.shares_memory(got, band):  # overwrite_x permits in place, it does not promise it
-        band[...] = got
-
-
-def _band_irfftn(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """``_irfftn``, bit for bit, of a stack that is zero from kz plane n//3+1 up
-    (the planes the two-thirds rule drops); overwrites the planes below.
-    irfftn makes the same passes and scales once, at the end, as here."""
-    workers = _workers(coeffs.size // coeffs.shape[-1] * n)
-    _xy_pass(_fft().ifftn, coeffs[..., : n // 3 + 1], workers, "forward")
-    out = _fft().irfft(coeffs, n, axis=-1, norm="forward", workers=workers)
-    out *= 1.0 / n**3
+    With ``band``, only the modes |m_i| <= band are computed: the y pass runs
+    on the kz planes 0..band of the in-band kx rows; the other modes hold
+    partial sums, which a caller masks.  The x pass runs on whole planes,
+    which numpy transforms in one loop a field; on the band's planes alone
+    it loops once a ky row, which was slower at n = 16.
+    """
+    out = np.fft.rfft(values, axis=-1)
+    np.fft.fft(out, axis=-3, out=out)
+    planes = out[..., : None if band is None else band + 1]
+    for rows in _rows(values.shape[-1], band):
+        np.fft.fft(planes[..., rows, :, :], axis=-2, out=planes[..., rows, :, :])
     return out
 
 
-def _band_rfftn(values: np.ndarray) -> np.ndarray:
-    """``_rfftn`` on the kz planes 0..n//3, bit for bit; above them, only the z pass."""
-    workers = _workers(values.size)
-    out = _fft().rfft(values, axis=-1, workers=workers)
-    _xy_pass(_fft().fftn, out[..., : values.shape[-1] // 3 + 1], workers, "backward")
+def _irfftn(coeffs: np.ndarray, n: int, band: int | None = None) -> np.ndarray:
+    """Real samples of a stack of half-spectra on n points per axis.
+
+    With ``band``, the input must be zero outside |m_i| <= band (nothing
+    checks it): the x pass runs only on the in-band ky rows of the kz planes
+    0..band and the y pass only on those planes.
+    """
+    if band is None:
+        work = np.fft.ifft(coeffs, axis=-3, norm="forward")
+    else:
+        work = np.zeros(coeffs.shape, dtype=np.complex128)
+        for rows in _rows(n, band):
+            np.fft.ifft(coeffs[..., rows, : band + 1], axis=-3, norm="forward", out=work[..., rows, : band + 1])
+    planes = work[..., : None if band is None else band + 1]
+    np.fft.ifft(planes, axis=-2, norm="forward", out=planes)
+    return _z_inverse(work, n)
+
+
+def _z_inverse(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The c2r pass along z of ``a``, then the one 1/n^3 scale of the inverse."""
+    out = np.fft.irfft(a, n, axis=-1, norm="forward", out=out)
+    out *= 1.0 / n**3
     return out
 
 
@@ -556,14 +559,13 @@ def _band_envelope(grid: GridSpec, slope: float, band_fraction: float) -> np.nda
 def _band_limited_block(grid: GridSpec, white: np.ndarray, slopes, band_fraction: float) -> np.ndarray:
     """Half-spectra of a stack of real samples: row i is white noise shaped by
     the envelope |k|^slopes[i] on |m_i| <= band_fraction * n per axis, mean
-    zero; a row whose slope is None is only transformed (callers mix exact
-    test fields into the same stacked transform).
+    zero; a row whose slope is None is only cut to that band, mean zero
+    (callers mix exact test fields into the same stacked transform).  The
+    transform computes the band only.
     """
-    coeffs = _rfftn(white)
+    coeffs = _rfftn(white, math.floor(grid.n * band_fraction))
     for row, slope in zip(coeffs, slopes):
-        if slope is not None:
-            row *= _band_envelope(grid, slope, band_fraction)
-            row[..., 0, 0, 0] = 0.0
+        row *= _band_envelope(grid, 0.0 if slope is None else slope, band_fraction)
     return coeffs
 
 

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -35,3 +36,21 @@ def constants_bz():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def fft_lines(monkeypatch):
+    """Counts the numpy.fft passes made while a test runs: ``calls`` and
+    ``lines`` (the 1-D transforms each pass makes), keyed by (function, axis).
+    emlab looks the four functions up on numpy.fft at call time."""
+    calls, lines = collections.Counter(), collections.Counter()
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def counting(a, *args, _name=name, _original=original, axis=-1, **kwargs):
+            calls[_name, axis] += 1
+            lines[_name, axis] += a.size // a.shape[axis]
+            return _original(a, *args, axis=axis, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return calls, lines

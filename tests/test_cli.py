@@ -297,48 +297,31 @@ def _fresh_interpreter(script: str) -> str:
 
 class TestImports:
     def test_linear_and_fit_load_no_scipy(self, tmp_path):
+        # no command loads scipy.fft: the transforms run on numpy.fft, and
+        # linear and fit load no scipy at all
         config = tmp_path / "linear.json"
         config.write_text(json.dumps(TINY_LINEAR))
         csv = tmp_path / "series.csv"
         times = [1.0 + 0.5 * i for i in range(16)]
         csv.write_text("time,decay\n" + "".join(f"{t!r},{(1.0 + t) ** -0.75!r}\n" for t in times))
+        sim, ineq = tmp_path / "sim.json", tmp_path / "ineq.json"
+        sim.write_text(json.dumps(TINY_SIMULATE))
+        ineq.write_text(json.dumps({"inequalities": {"trials": 20}}))
         loaded = _fresh_interpreter(f"""
             import sys
             from emlab import cli
             assert cli.main(["linear", "--config", {str(config)!r}, "--out", {str(tmp_path / "lin")!r}]) == 0
             assert cli.main(["fit", "--csv", {str(csv)!r}, "--out", {str(tmp_path / "fit")!r}]) == 0
             print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            cli.main(["simulate", "--config", {str(sim)!r}, "--out", {str(tmp_path / "sim")!r}])
+            cli.main(["inequalities", "--config", {str(ineq)!r}, "--out", {str(tmp_path / "ineq")!r}])
+            print("scipy.fft" in sys.modules)
         """)
-        assert loaded == "[]"
+        assert loaded.splitlines() == ["[]", "False"]
+        assert (tmp_path / "sim" / "timeseries.csv").exists()
+        assert (tmp_path / "ineq" / "inequality_report.json").exists()
         fits = json.loads((tmp_path / "fit" / "fit_report.json").read_text())["fits"]
         assert fits["decay"]["slope"] == pytest.approx(-0.75)
-
-    @pytest.mark.parametrize(
-        "command, config", [("simulate", TINY_SIMULATE), ("inequalities", {"inequalities": {"trials": 20}})]
-    )
-    def test_transforming_commands_load_scipy_fft_in_set_up(self, tmp_path, command, config):
-        # set-up ends where the compute call (simulate, default_suite) is
-        # entered: a stand-in there sees whether the transform backend loaded
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        seen = _fresh_interpreter(f"""
-            import sys
-            from emlab import cli, inequalities
-
-            class Entered(Exception):
-                pass
-
-            def stand_in(*args, **kwargs):
-                raise Entered("scipy.fft" in sys.modules)
-
-            cli.simulate = inequalities.default_suite = stand_in
-            before = "scipy.fft" in sys.modules
-            try:
-                cli.main([{command!r}, "--config", {str(path)!r}, "--out", {str(tmp_path / "out")!r}])
-            except Entered as entered:
-                print(before, entered.args[0])
-        """)
-        assert seen == "False True"
 
     def test_import_loads_no_numpy_polynomial(self):
         # the quadrature rules are spectral's own, not numpy's leggauss

@@ -7,9 +7,8 @@ import time
 
 import numpy as np
 import pytest
-import scipy.fft
 
-from emlab import dynamics
+from emlab import dynamics, spectral
 from emlab.dynamics import RunLog, SolverConfig, cfl_dt, rhs, simulate, step
 from emlab.energetics import standard_monitor
 from emlab.errors import CflViolation, SimulationDiverged
@@ -21,7 +20,7 @@ from emlab.model import (
     make_initial_data,
     verify_compatibility,
 )
-from emlab.spectral import Field, curl, divergence, l2_norm
+from emlab.spectral import Field, GridSpec, curl, divergence, l2_norm
 from spectral_reference import gradient, random_band_limited
 
 
@@ -195,56 +194,50 @@ class TestFusedRhs:
         assert got.time == want.time
         assert max_rel_diff(got, want) <= 1e-13
 
-    def test_transform_count(self, grid16, constants_bz, monkeypatch):
-        # the 11 product inputs go through one inverse (x, y) pass and one c2r
-        # pass along z, the 8 products through one r2c pass along z and one
-        # forward (x, y) pass; both (x, y) passes see only the n//3+1 kz planes
-        # that the two-thirds rule keeps
+    def test_transform_count(self, grid16, constants_bz, fft_lines):
+        # the 11 masked product inputs go back through an x pass on the
+        # in-band ky rows of the kz planes below b = n//3 + 1, a y pass on
+        # those planes and a c2r z pass that reads only them; the 8 products
+        # forward through an r2c z pass, an x pass below b and a y pass on
+        # the in-band kx rows below b
         st = random_state(grid16, 4)
-        shapes = {name: [] for name in ("ifftn", "irfft", "rfft", "fftn", "irfftn", "rfftn")}
-        for name in shapes:
-            original = getattr(scipy.fft, name)
-
-            def counting(x, *args, _name=name, _original=original, **kwargs):
-                shapes[_name].append(x.shape)
-                return _original(x, *args, **kwargs)
-
-            monkeypatch.setattr(scipy.fft, name, counting)
+        _, lines = fft_lines
+        lines.clear()
         rhs(st, constants_bz)
-        n, b, h = 16, 6, 9
-        assert shapes == {
-            "ifftn": [(11, n, n, b)],
-            "irfft": [(11, n, n, h)],
-            "rfft": [(8, n, n, n)],
-            "fftn": [(8, n, n, b)],
-            "irfftn": [],
-            "rfftn": [],
+        n, b, rows = 16, 6, 11
+        assert lines == {
+            ("ifft", -3): 11 * rows * b,
+            ("ifft", -2): 11 * n * b,
+            ("irfft", -1): 11 * n * n,
+            ("rfft", -1): 8 * n * n,
+            ("fft", -3): 8 * n * b,
+            ("fft", -2): 8 * rows * b,
         }
 
 
 class TestOutsideTheBand:
     def test_input_planes_above_the_band_stay_zero(self, grid16, constants_bz, monkeypatch):
-        # the inverse band transform skips these planes in its (x, y) pass,
-        # so it is exact only while they hold zeros
-        b = grid16.n // 3 + 1
-        kernels = []
+        # the inverse passes skip the ky rows and the kz planes outside the
+        # two-thirds band, so they are exact only while the product inputs
+        # hold zeros there
+        outside = ~grid16.dealias_mask
+        inputs = []
 
         class Recording(dynamics._Rhs):
-            def __init__(self, *args):
-                super().__init__(*args)
-                kernels.append(self)
+            def _linear(self, y, out, slab):
+                super()._linear(y, out, slab)
+                inputs.append((self.spec[:, slab].copy(), outside[slab]))
 
         y = dynamics._pack(random_state(grid16, 7))
         with dynamics._Slabs(grid16.n) as slabs:
-            kernel = Recording(grid16, constants_bz, slabs)
-            kernel(y, 0.0, np.empty_like(y))
+            Recording(grid16, constants_bz, slabs)(y, 0.0, np.empty_like(y))
         monkeypatch.setattr(dynamics, "_Rhs", Recording)
         cfg = SolverConfig(end_time=0.05, gauss_projection_stride=2, output_stride=1)
-        simulate(random_state(grid16, 8), cfg, constants_bz)
-        assert len(kernels) == 2
-        for kernel in kernels:
-            assert kernel.spec[..., :b].any()
-            assert not kernel.spec[..., b:].any()
+        steps = simulate(random_state(grid16, 8), cfg, constants_bz).log.metadata["steps"]
+        assert steps > 0 and len(inputs) == 1 + 4 * steps
+        for spec, out_of_band in inputs:
+            assert spec[:, ~out_of_band].any()
+            assert not spec[:, out_of_band].any()
 
     @pytest.mark.parametrize("b_infty", [(0, 0, 0), (0.3, -0.2, 0.9)])
     def test_a_mode_above_the_band_gets_the_linear_generator(self, grid16, b_infty):
@@ -279,13 +272,37 @@ class TestSlabs:
             for workers in (1, 2, 3, 5):
                 with dynamics._Slabs(grid16.n, workers) as slabs:
                     kernel = dynamics._Rhs(grid16, constants_bz, slabs)
-                    k, stage = np.empty_like(y), np.empty_like(y)
-                    results.append(dynamics._rk4(kernel, y, 0.0, 0.01, k, stage, slabs))
+                    out, finite = dynamics._rk4(kernel, y, 0.0, 0.01, dynamics._scratch(y), slabs)
+                    assert finite
+                    results.append(out)
         finally:
             sys.setswitchinterval(interval)
         assert len(results) == 4
         for got in results[1:]:
             assert np.array_equal(got, results[0])
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_pooled_rhs_matches_one_slab(self, n, constants_bz):
+        # the five runs of an RHS on the pool, with the calling thread taking
+        # the last slab of each, give the bits of one slab on one thread
+        grid = GridSpec(n, 2.0 * math.pi)
+        y = dynamics._pack(random_state(grid, 3))
+        results = []
+        for workers in (1, None, 3):
+            with dynamics._Slabs(n, workers) as slabs:
+                out = np.empty_like(y)
+                dynamics._Rhs(grid, constants_bz, slabs)(y, 0.0, out)
+                results.append(out)
+        for got in results[1:]:
+            assert np.array_equal(got, results[0])
+
+    def test_calling_thread_runs_the_last_slab(self):
+        import threading
+
+        seen = {}
+        with dynamics._Slabs(32, 2) as slabs:
+            slabs.run(lambda slab: seen.setdefault(slab.start, threading.get_ident()))
+        assert seen[16] == threading.get_ident() != seen[0]
 
     def test_a_failing_slab_raises_after_all_slabs_finish(self):
         finished = []
@@ -492,16 +509,31 @@ class TestStep:
         norm0 = math.sqrt(l2_norm(st.E) ** 2 + l2_norm(st.B) ** 2)
         dt = 0.005  # drift is O(dt^4); this step keeps 100 steps below 1e-8
         y = dynamics._pack(st)
-        k, stage = np.empty_like(y), np.empty_like(y)
+        scratch = dynamics._scratch(y)
         with dynamics._Slabs(grid16.n) as slabs:
             for i in range(100):
-                y = dynamics._rk4(maxwell_only, y, i * dt, dt, k, stage, slabs)
+                y, _ = dynamics._rk4(maxwell_only, y, i * dt, dt, scratch, slabs)
         st = dynamics._view(y, grid16, 100 * dt)
         norm1 = math.sqrt(l2_norm(st.E) ** 2 + l2_norm(st.B) ** 2)
         assert abs(norm1 - norm0) <= 1e-8 * norm0
 
 
 class TestSimulate:
+    def test_a_sample_transforms_n_once(self, grid16, constants_bz, monkeypatch):
+        # 6 steps, projecting at every one, sampled at t = 0 and at the end:
+        # the advisory step and the first sample share u's and n's samples,
+        # each projection reuses the n samples of its residual check, and the
+        # last sample reuses those of the last projection
+        calls = []
+        inverse = spectral._irfftn
+        monkeypatch.setattr(spectral, "_irfftn", lambda *a, **kw: calls.append(a[0].shape) or inverse(*a, **kw))
+        st = make_initial_data("single_mode", 1e-2, 0, grid16, constants_bz)
+        calls.clear()
+        cfg = SolverConfig(dt=0.01, end_time=0.06, gauss_projection_stride=1)
+        assert simulate(st, cfg, constants_bz).log.metadata["steps"] == 6
+        scalar, vector = (16, 16, 9), (3, 16, 16, 9)
+        assert calls == [scalar, vector] + [scalar] * 6 + [vector]
+
     def test_zero_run_all_zero(self, grid16, constants_bz):
         st = make_initial_data("flat_low", 0.0, 0, grid16, constants_bz)
         cfg = SolverConfig(end_time=0.3, output_stride=2)
