@@ -27,11 +27,11 @@ stage and slope buffers are scratch owned by one ``simulate`` (or ``step``)
 call.
 
 Transforms per RHS.  The 11 masked product inputs go back and the 8
-products forward through numpy.fft passes in scipy's order (see
-``spectral``): each x and y pass runs only on the kz planes below
-b = n//3 + 1, which the two-thirds rule keeps, and the inverse x pass and
-the forward y pass only on the in-band rows of the other axis.  The numbers
-are those of full transforms, bit for bit.
+products forward through the 1-D passes of ``spectral``'s transforms, in
+their order: each x and y pass runs only on the kz planes 0..n//3, which
+the two-thirds rule keeps, and the inverse x pass and the forward y pass
+only on the in-band rows of the other axis.  The numbers are those of full
+transforms, bit for bit.
 
 Threads.  One thread pool, owned by one ``simulate``, ``step`` or ``rhs``
 call, runs every parallel part of a step: the five runs of each RHS (the
@@ -70,7 +70,18 @@ from .model import (
     linear_generator,
     verify_compatibility,
 )
-from .spectral import Field, GridSpec, _rows, _z_inverse, l2_norm
+from .spectral import (
+    Field,
+    GridSpec,
+    _rows,
+    _x_forward,
+    _x_inverse,
+    _y_forward,
+    _y_inverse,
+    _z_forward,
+    _z_inverse,
+    l2_norm,
+)
 
 __all__ = [
     "SolverConfig",
@@ -214,9 +225,9 @@ class _Rhs:
     in-band ky rows; (3) the inverse y and z passes, the scale, the closure,
     the products and the forward z pass, on x-slabs; (4) the forward x pass,
     on y-slabs; (5) the forward y pass and the accumulation into ``out``, on
-    the in-band kx rows.  The x and y passes run only on the kz planes below
-    b = n//3 + 1: the two-thirds rule zeroes the inputs above them and
-    discards the products there.
+    the in-band kx rows.  The x and y passes run only on the kz planes
+    0..n//3: the two-thirds rule zeroes the inputs above them and discards
+    the products there.
 
     The linear part is read off ``model.linear_generator``: row r of
     A(k) = A0 + i sum_a k_a A1[a] is a list of nonzero terms (a, column,
@@ -225,9 +236,9 @@ class _Rhs:
 
     def __init__(self, grid: GridSpec, constants: PhysicalConstants, slabs: _Slabs):
         n, h = grid.n, grid.n // 2 + 1
-        self.n, self.b = n, n // 3 + 1
+        self.n, self.band = n, n // 3
         self.slabs = slabs
-        self.rows = slabs.split(_rows(n, n // 3))  # the in-band rows of a full axis, a run per worker
+        self.rows = slabs.split(_rows(n, self.band))  # the in-band rows of a full axis, a run per worker
         self.nu, self.mu, self.gamma = constants.nu, constants.mu, constants.gamma
         self.ik = [1j * grid.k_axis(a) for a in range(3)]
         a0, a1 = linear_generator(constants)
@@ -277,18 +288,17 @@ class _Rhs:
         spec[4:11] *= m
 
     def _inverse_x(self, rows: slice):
-        band = self.spec[:, :, rows, : self.b]
-        np.fft.ifft(band, axis=-3, norm="forward", out=band)
+        _x_inverse(self.spec, self.band, rows)
 
     def _physical(self, slab: slice):
         """The samples of the product inputs of one x-slab, their products,
         and the products' forward z pass, written back into ``spec``."""
-        band, phys = self.spec[:, slab, :, : self.b], self.phys[:, slab]
-        np.fft.ifft(band, axis=-2, norm="forward", out=band)
-        _z_inverse(self.spec[:, slab], self.n, out=phys)  # whole planes, zero above b: one numpy loop a field
+        spec, phys = self.spec[:, slab], self.phys[:, slab]
+        _y_inverse(spec, self.band)
+        _z_inverse(spec, self.n, out=phys)  # whole planes, zero above the band: one numpy loop a field
         self._products(phys, self.work[:, slab])
         # [0] |u|^2/2, [1:4] closure(n) u, [4:7] the vector term, [7] the density term
-        np.fft.rfft(phys[0:8], axis=-1, out=self.spec[0:8, slab])
+        _z_forward(phys[0:8], out=spec[0:8])
 
     def _products(self, phys: np.ndarray, work: np.ndarray):
         """The 8 products into slots 0-7 of ``phys``, each written into a slot
@@ -323,15 +333,13 @@ class _Rhs:
         pu *= closure
 
     def _forward_x(self, slab: slice):
-        band = self.spec[0:8, :, slab, : self.b]
-        np.fft.fft(band, axis=-3, out=band)
+        _x_forward(self.spec[0:8, :, slab], self.band)
 
     def _accumulate(self, out: np.ndarray, rows: slice):
         """The forward y pass of the products on the kx rows ``rows``, masked,
         into ``out`` (on whole planes, faster than strided passes over b)."""
+        _y_forward(self.spec[0:8], self.band, rows)
         prods = self.spec[0:8, rows]
-        band = prods[..., : self.b]
-        np.fft.fft(band, axis=-2, out=band)
         ik, m = (self.ik[0][rows], self.ik[1], self.ik[2]), self.mask[rows]
         out, tmp = out[:, rows], self.tmp[rows]
         dn, du, de = out[0], out[1:4], out[4:7]

@@ -173,24 +173,16 @@ def _trial_values(trials: int, block: int, period: int, fixed: dict, evaluate_dr
     return out
 
 
-def _member_band(grid: GridSpec) -> int:
-    """The per-axis band |m_i| <= band of the ensemble members."""
-    return (grid.n // 2 - 1) // 2
-
-
 class _Members:
     """Cycled mix of random slopes and adversarial nearly-extremal cases.
 
     Bands are capped so that pairwise products stay strictly below Nyquist,
     keeping grid products of two ensemble members exact for the calculus.
-    Every member's spectrum is zero outside |m_i| <= band and at k = 0 (the
-    cosines lose only their roundoff there), so the banded transforms of
-    ``spectral`` are exact on the members.
     """
 
     def __init__(self, grid: GridSpec, rng: np.random.Generator):
         self.grid, self.rng = grid, rng
-        self.band = _member_band(grid)
+        self.band = (grid.n // 2 - 1) // 2
         x = np.arange(grid.n) * grid.spacing
         self.axes = (x.reshape(-1, 1, 1), x.reshape(1, -1, 1), x.reshape(1, 1, -1))
 
@@ -207,8 +199,7 @@ class _Members:
         records the random members can set.
         """
         g, band = self.grid, self.band
-        cosines = np.stack([self.cosine((1, 0, 0)), self.cosine((0, 2, 1), 0.5)])
-        a, b = _band_limited_block(g, cosines, [None, None], band / g.n)
+        a, b = _rfftn(np.stack([self.cosine((1, 0, 0)), self.cosine((0, 2, 1), 0.5)]))
         mx, my, mz = (g.mode_axis(i) for i in range(3))
         m2 = mx * mx + my * my + mz * mz
         inside = (m2 > 0) & (m2 <= band * band)
@@ -280,14 +271,13 @@ def check_gagliardo_nirenberg(
     grid = grid or GridSpec(16, 2.0 * math.pi)
     # at p = 2 the left side is the order-alpha weighted sum as well
     weights = _weights(grid, [m, l, alpha] if p == 2 else [m, l])
-    band = _member_band(grid)  # the members' spectra are zero outside it
 
     def evaluate(coeffs):
         norms = np.sqrt(_sums(_power(coeffs), weights))
         if p == 2:
             lhs = norms[:, 2]
         else:
-            lhs = _lp_of_magnitude(grid, np.abs(_irfftn(_fractional(grid, coeffs, alpha), grid.n, band)), p)
+            lhs = _lp_of_magnitude(grid, np.abs(_irfftn(_fractional(grid, coeffs, alpha), grid.n)), p)
         den = norms[:, 0] ** (1.0 - theta) * norms[:, 1] ** theta
         return _ratio(lhs, den, den > 0)[:, None]
 
@@ -318,10 +308,9 @@ def check_closure_estimates(
     grid = grid or GridSpec(16, 2.0 * math.pi)
     # ||grad^k .||^2, ||grad^(k+2) .||^2, then the four terms of the H^3 norm
     weights = _weights(grid, [k, k + 2, 0, 1, 2, 3])
-    band = _member_band(grid)  # the members' spectra are zero outside it
 
     def evaluate(coeffs):
-        phys = _irfftn(coeffs, grid.n, band)
+        phys = _irfftn(coeffs, grid.n)
         scale = np.abs(phys).max(axis=(-3, -2, -1))
         live = scale != 0
         n_phys = phys * (amplitude / np.where(live, scale, 1.0))[:, None, None, None]
@@ -372,7 +361,6 @@ def check_commutator(
         raise ValueError("k must be >= 1")
     grid = grid or GridSpec(16, 2.0 * math.pi)
     n, shape = grid.n, grid.k_squared.shape
-    band = _member_band(grid)  # the members' spectra are zero outside it
     # every derivative of g and h up to order k, by multi-index; the last
     # `top` are those of order k, in the order of _multi_indices
     betas = [a for order in range(k + 1) for a in _multi_indices(order)]
@@ -395,8 +383,8 @@ def check_commutator(
     w_0, w_k1, w_k = (_weights(grid, [order]) for order in (0, k - 1, k))
 
     def evaluate(g, h):
-        d_g = _irfftn(mults * g[:, None], n, band)
-        d_h = _irfftn(mults * h[:, None], n, band)
+        d_g = _irfftn(mults * g[:, None], n)
+        d_h = _irfftn(mults * h[:, None], n)
         g_p, h_p = d_g[:, 0], d_h[:, 0]
         gh = _rfftn(g_p * h_p)
         comm = mults[top] * gh[:, None] - _rfftn(g_p[:, None] * d_h[:, top])

@@ -17,15 +17,16 @@ Conventions used throughout the package:
   scipy's n-D transforms: ``_rfftn`` runs z (r2c), then x, then y;
   ``_irfftn`` runs x, then y, then z (c2r), and scales once by 1/n^3.  Their
   numbers are scipy's rfftn and irfftn numbers bit for bit (numpy's own
-  rfftn runs y before x).  The passes run
-  in place on the calling thread; every function is looked up on numpy.fft
-  at call time, so a wrapper set there sees every pass.
-* ``band`` limits a transform to the modes |m_i| <= band and skips the
-  lines that are zero on input or discarded on output: the inverse is exact
-  only when its input is zero outside the band, the forward only on the
-  in-band modes, and nothing checks either.  The solver's RHS runs the same
-  passes at band n//3 (the two-thirds rule) on its own thread pool; the
-  inequality oracles band the transforms of their ensemble members.
+  rfftn runs y before x).  The passes run in place on the calling thread;
+  every function is looked up on numpy.fft at call time, so a wrapper set
+  there sees every pass.
+* The solver's RHS runs the same 1-D passes (``_x_inverse`` ... ``_y_forward``)
+  on its own thread pool, limited to the modes |m_i| <= n//3 that the
+  two-thirds rule keeps: a pass given ``band`` runs only on the kz planes
+  0..band, and ``rows`` picks the lines of the other axis.  Skipping the
+  other lines is exact only on inputs that are zero outside the band, and
+  for outputs only on the in-band modes; nothing checks either, so the RHS
+  masks its inputs and its products.
 * Every weighted Fourier-side quantity is one reduction, ``_sums``: a stack
   of power spectra summed against per-mode weight columns (the |k|^(2l)
   weights, the Sobolev column of order -s, or the 2^(-2sj)-scaled dyadic
@@ -70,46 +71,31 @@ __all__ = [
 ]
 
 
-def _rows(n: int, band: int | None) -> tuple[slice, ...]:
-    """The indices |m| <= band of a full FFT axis of n points, as slices (all for no band)."""
-    if band is None or 2 * band + 1 >= n:
-        return (slice(None),)
-    return (slice(0, band + 1), slice(n - band, n)) if band else (slice(0, 1),)
+def _rows(n: int, band: int) -> tuple[slice, slice]:
+    """The indices |m| <= band < n/2 of a full FFT axis of n points, as two slices."""
+    return slice(0, band + 1), slice(n - band, n)
 
 
-def _rfftn(values: np.ndarray, band: int | None = None) -> np.ndarray:
-    """Half-spectra of a stack of real samples over its last three axes.
-
-    With ``band``, only the modes |m_i| <= band are computed: the y pass runs
-    on the kz planes 0..band of the in-band kx rows; the other modes hold
-    partial sums, which a caller masks.  The x pass runs on whole planes,
-    which numpy transforms in one loop a field; on the band's planes alone
-    it loops once a ky row, which was slower at n = 16.
-    """
-    out = np.fft.rfft(values, axis=-1)
-    np.fft.fft(out, axis=-3, out=out)
-    planes = out[..., : None if band is None else band + 1]
-    for rows in _rows(values.shape[-1], band):
-        np.fft.fft(planes[..., rows, :, :], axis=-2, out=planes[..., rows, :, :])
-    return out
+# The 1-D passes of the transforms, each on the kz planes 0..band (all for no
+# band) of a stack of half-spectra; ``rows`` picks the lines of the other
+# axis.  ``_rfftn``, ``_irfftn`` and the solver's RHS run these and no other
+# transform call.
 
 
-def _irfftn(coeffs: np.ndarray, n: int, band: int | None = None) -> np.ndarray:
-    """Real samples of a stack of half-spectra on n points per axis.
+def _planes(band: int | None) -> slice:
+    return slice(None) if band is None else slice(0, band + 1)
 
-    With ``band``, the input must be zero outside |m_i| <= band (nothing
-    checks it): the x pass runs only on the in-band ky rows of the kz planes
-    0..band and the y pass only on those planes.
-    """
-    if band is None:
-        work = np.fft.ifft(coeffs, axis=-3, norm="forward")
-    else:
-        work = np.zeros(coeffs.shape, dtype=np.complex128)
-        for rows in _rows(n, band):
-            np.fft.ifft(coeffs[..., rows, : band + 1], axis=-3, norm="forward", out=work[..., rows, : band + 1])
-    planes = work[..., : None if band is None else band + 1]
-    np.fft.ifft(planes, axis=-2, norm="forward", out=planes)
-    return _z_inverse(work, n)
+
+def _x_inverse(a: np.ndarray, band: int | None = None, rows: slice = slice(None), out: np.ndarray | None = None):
+    """The inverse x pass of ``a`` on the ky rows ``rows``, into the same lines of ``out`` (default: in place)."""
+    lines = a[..., rows, _planes(band)]
+    np.fft.ifft(lines, axis=-3, norm="forward", out=lines if out is None else out[..., rows, _planes(band)])
+
+
+def _y_inverse(a: np.ndarray, band: int | None = None):
+    """The inverse y pass of ``a``, in place."""
+    lines = a[..., _planes(band)]
+    np.fft.ifft(lines, axis=-2, norm="forward", out=lines)
 
 
 def _z_inverse(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -117,6 +103,39 @@ def _z_inverse(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarr
     out = np.fft.irfft(a, n, axis=-1, norm="forward", out=out)
     out *= 1.0 / n**3
     return out
+
+
+def _z_forward(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The r2c pass along z of a stack of real samples."""
+    return np.fft.rfft(values, axis=-1, out=out)
+
+
+def _x_forward(a: np.ndarray, band: int | None = None):
+    """The forward x pass of ``a``, in place."""
+    lines = a[..., _planes(band)]
+    np.fft.fft(lines, axis=-3, out=lines)
+
+
+def _y_forward(a: np.ndarray, band: int | None = None, rows: slice = slice(None)):
+    """The forward y pass of ``a`` on the kx rows ``rows``, in place."""
+    lines = a[..., rows, :, _planes(band)]
+    np.fft.fft(lines, axis=-2, out=lines)
+
+
+def _rfftn(values: np.ndarray) -> np.ndarray:
+    """Half-spectra of a stack of real samples over its last three axes."""
+    out = _z_forward(values)
+    _x_forward(out)
+    _y_forward(out)
+    return out
+
+
+def _irfftn(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Real samples of a stack of half-spectra on n points per axis."""
+    work = np.empty(coeffs.shape, dtype=np.complex128)
+    _x_inverse(coeffs, out=work)
+    _y_inverse(work)
+    return _z_inverse(work, n)
 
 
 @dataclass(frozen=True)
@@ -559,13 +578,14 @@ def _band_envelope(grid: GridSpec, slope: float, band_fraction: float) -> np.nda
 def _band_limited_block(grid: GridSpec, white: np.ndarray, slopes, band_fraction: float) -> np.ndarray:
     """Half-spectra of a stack of real samples: row i is white noise shaped by
     the envelope |k|^slopes[i] on |m_i| <= band_fraction * n per axis, mean
-    zero; a row whose slope is None is only cut to that band, mean zero
-    (callers mix exact test fields into the same stacked transform).  The
-    transform computes the band only.
+    zero; a row whose slope is None is only transformed (callers mix exact
+    test fields into the same stacked transform).
     """
-    coeffs = _rfftn(white, math.floor(grid.n * band_fraction))
+    coeffs = _rfftn(white)
     for row, slope in zip(coeffs, slopes):
-        row *= _band_envelope(grid, 0.0 if slope is None else slope, band_fraction)
+        if slope is not None:
+            row *= _band_envelope(grid, slope, band_fraction)
+            row[..., 0, 0, 0] = 0.0
     return coeffs
 
 

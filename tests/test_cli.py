@@ -295,6 +295,24 @@ def _fresh_interpreter(script: str) -> str:
     return done.stdout.strip()
 
 
+class TestHoldFreedMemory:
+    def test_sets_glibc_mmap_and_trim_thresholds(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+        cli._hold_freed_memory()
+        assert calls == [(-3, 4 << 20), (-1, 8 << 20)]  # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD
+
+    def test_a_c_library_without_mallopt_is_left_alone(self, monkeypatch):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        cli._hold_freed_memory()
+
+
 class TestImports:
     def test_linear_and_fit_load_no_scipy(self, tmp_path):
         # no command loads scipy.fft: the transforms run on numpy.fft, and

@@ -24,7 +24,7 @@ from emlab.inequalities import (
     check_gagliardo_nirenberg,
 )
 from emlab.model import density_closure
-from emlab.spectral import Field, GridSpec, _band_envelope, homog_norm, l2_norm
+from emlab.spectral import Field, GridSpec, homog_norm, l2_norm
 from spectral_reference import (
     DerivativeTensor,
     besov_norm,
@@ -45,12 +45,6 @@ def _single_mode_field(grid, mode, amp=1.0):
     return Field.from_physical(grid, amp * np.cos(kv[0] * x + kv[1] * y + kv[2] * z))
 
 
-def _cut_to_band(grid, coeffs, band):
-    """The members' spectra are zero outside the band and at k = 0: a
-    cosine's transform loses its roundoff there."""
-    return Field(grid, coeffs * _band_envelope(grid, 0.0, band / grid.n))
-
-
 def _focusing_field(grid, band):
     mx, my, mz = (grid.mode_axis(a) for a in range(3))
     m2 = mx * mx + my * my + mz * mz
@@ -69,11 +63,11 @@ def _ensemble(grid, rng, trials):
             m[rng.integers(0, 3)] = 0
             if not m.any():
                 m[0] = 1
-            yield _cut_to_band(grid, _single_mode_field(grid, m).coeffs, band)
+            yield _single_mode_field(grid, m)
         elif kind == "two":
             a = _single_mode_field(grid, (1, 0, 0))
             b = _single_mode_field(grid, (0, 2, 1), 0.5)
-            yield _cut_to_band(grid, a.coeffs + b.coeffs, band)
+            yield Field(grid, a.coeffs + b.coeffs)
         elif kind == "focus":
             yield _focusing_field(grid, band)
         else:
@@ -317,21 +311,19 @@ def test_exact_violation_reports_the_first_violating_trial(monkeypatch):
 
 def test_transform_count_is_per_block(fft_lines):
     # one forward and one inverse stacked transform per block, plus one of
-    # each for the two deterministic members; the inverse runs its x and y
-    # passes, the forward its y pass, only on the members' band |m_i| <= 3,
-    # whose 7 rows and 4 kz planes hold every nonzero coefficient
+    # each for the two deterministic members; each pass runs on every line
     calls, lines = fft_lines
     check_gagliardo_nirenberg(math.inf, 0.0, 0.0, 2.0, trials=48, grid=G16)
     blocks = -(-48 // inequalities._block_size(G16, 1))
     assert calls["rfft", -1] == calls["irfft", -1] == blocks + 1
     members = 48 - 2 * (48 // 6) + 2  # the drawn ones, and the two deterministic ones once
-    n, rows, planes = 16, 7, 4
+    n, h = 16, 16 // 2 + 1
     assert lines == {
         ("rfft", -1): members * n * n,
-        ("fft", -3): members * n * (n // 2 + 1),
-        ("fft", -2): members * rows * planes,
-        ("ifft", -3): members * rows * planes,
-        ("ifft", -2): members * n * planes,
+        ("fft", -3): members * n * h,
+        ("fft", -2): members * n * h,
+        ("ifft", -3): members * n * h,
+        ("ifft", -2): members * n * h,
         ("irfft", -1): members * n * n,
     }
 

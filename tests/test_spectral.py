@@ -85,44 +85,69 @@ def _band_mask(grid: GridSpec, band: int) -> np.ndarray:
     return keep[0] & keep[1] & keep[2]
 
 
+def _banded_rfftn(values: np.ndarray, band: int) -> np.ndarray:
+    """The RHS's forward passes at ``band``: z, then x on the kz planes
+    0..band, then y on those planes of the in-band kx rows."""
+    from emlab import spectral
+
+    out = spectral._z_forward(values)
+    spectral._x_forward(out, band)
+    for rows in spectral._rows(values.shape[-1], band):
+        spectral._y_forward(out, band, rows)
+    return out
+
+
+def _banded_irfftn(coeffs: np.ndarray, n: int, band: int) -> np.ndarray:
+    """The RHS's inverse passes at ``band``, in place on a copy: x on the
+    in-band ky rows of the kz planes 0..band, y on those planes, then z."""
+    from emlab import spectral
+
+    work = coeffs.astype(np.complex128)
+    for rows in spectral._rows(n, band):
+        spectral._x_inverse(work, band, rows)
+    spectral._y_inverse(work, band)
+    return spectral._z_inverse(work, n)
+
+
 class TestBandTransforms:
-    # the RHS band n//3 and the oracle members' band (n/2 - 1)//2
     @pytest.mark.parametrize("n", [4, 6, 16, 18, 24, 32, 64])
     @pytest.mark.parametrize("banded", [False, True])
     def test_match_the_full_transforms(self, n, banded, rng):
         # numpy.fft passes in scipy's order give scipy.fft's bits: on every
-        # mode without a band, on the in-band modes with one
+        # mode without a band, on the in-band modes at the RHS's band n//3
         import scipy.fft as sfft
 
         from emlab import spectral
 
         grid = GridSpec(n, 2.0 * math.pi)
-        h = n // 2 + 1
         values = rng.standard_normal((3, n, n, n))
         coeffs = sfft.rfftn(values, axes=(-3, -2, -1))
-        for band in (n // 3, (n // 2 - 1) // 2) if banded else (None,):
-            keep = np.ones((n, n, h), dtype=bool) if band is None else _band_mask(grid, band)
-            assert np.array_equal(spectral._rfftn(values, band)[..., keep], coeffs[..., keep])
-            limited = coeffs * keep
-            want = sfft.irfftn(limited, s=(n, n, n), axes=(-3, -2, -1))
-            assert np.array_equal(spectral._irfftn(limited, n, band), want)
+        if not banded:
+            assert np.array_equal(spectral._rfftn(values), coeffs)
+            assert np.array_equal(spectral._irfftn(coeffs, n), sfft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1)))
+            return
+        keep = _band_mask(grid, n // 3)
+        assert np.array_equal(_banded_rfftn(values, n // 3)[..., keep], coeffs[..., keep])
+        limited = coeffs * keep
+        want = sfft.irfftn(limited, s=(n, n, n), axes=(-3, -2, -1))
+        assert np.array_equal(_banded_irfftn(limited, n, n // 3), want)
 
     def test_the_band_contract(self, grid16, rng):
-        # the banded inverse is exact only on inputs that are zero outside
-        # the band, and the banded forward only on the in-band modes: nothing
-        # checks either, so the callers keep them (the RHS masks its inputs
-        # and its products, the oracle members are enveloped)
+        # the banded inverse passes are exact only on inputs that are zero
+        # outside the band, and the banded forward passes only on the in-band
+        # modes: nothing checks either, so the RHS masks its inputs and its
+        # products
         from emlab import spectral
 
         n, band = 16, 5
         keep = _band_mask(grid16, band)
         values = rng.standard_normal((2, n, n, n))
         full = spectral._rfftn(values)
-        banded = spectral._rfftn(values, band)
+        banded = _banded_rfftn(values, band)
         assert np.array_equal(banded[..., keep], full[..., keep])
         assert not np.allclose(banded[..., ~keep], full[..., ~keep])
-        assert np.array_equal(spectral._irfftn(full * keep, n, band), spectral._irfftn(full * keep, n))
-        assert not np.allclose(spectral._irfftn(full, n, band), values)
+        assert np.array_equal(_banded_irfftn(full * keep, n, band), spectral._irfftn(full * keep, n))
+        assert not np.allclose(_banded_irfftn(full, n, band), values)
         assert np.allclose(spectral._irfftn(full, n), values, rtol=0, atol=1e-13)
 
 
