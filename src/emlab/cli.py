@@ -13,16 +13,21 @@ platform, except the wall times in the ``metrics`` block of
 decay_report.json.  Unknown config keys exit 2, as does a resolved_config.json
 carrying a removed key (such as the old constants besides gamma and b_infty,
 ``solver.dealias``: the solver always dealiases,
-``inequalities.grid_points``: the suite's grids are fixed, or
-``initial_data.s``: the data class is set once, in ``data_class``).
+``inequalities.grid_points``: the suite's grids are fixed,
+``initial_data.s``: the data class is set once, in ``data_class``, or
+``initial_data.rolloff_k`` and the kinds ``low_freq`` and ``flat_low``:
+``decay_class`` is the one random kind).
 Section defaults are the library's own; an invalid value, or a section
 given as a non-object, exits 2 with ``error: <section>: ...``, keeping exit
 1 for failed --ci verdicts.
 
 ``data_class`` (s, or a Lebesgue exponent p mapped to s = 3(1/p - 1/2)) is
 the one setting of the data class: ``linear`` reports the decay rates of
-that class, and ``simulate`` draws ``low_freq`` initial data from it; the
-other initial-data kinds and the other commands do not read it.
+that class, and ``simulate`` draws ``decay_class`` initial data (the
+default kind) from it, under the same envelope with its plateau edge at
+|k| = 1.  An s other than 3/2 acts only on a box with modes below that edge
+(box_length > 2 pi), and elsewhere exits 2 naming ``data_class``; the other
+initial-data kinds and the other commands do not read it.
 """
 
 from __future__ import annotations
@@ -41,7 +46,9 @@ import numpy as np
 from . import analysis, energetics, inequalities, linear
 from .analysis import NormSeries, check_s, fit_decay, s_of_p
 from .dynamics import SolverConfig, simulate
-from .errors import ConfigError, EmlabError, InsufficientSamples, InvalidArgument, NonpositiveValue, is_count
+from .errors import (
+    ConfigError, EmlabError, InsufficientSamples, InvalidArgument, NonpositiveValue, SOutOfRange, is_count
+)
 from .model import PhysicalConstants, make_initial_data
 from .spectral import GridSpec
 
@@ -60,7 +67,7 @@ _DEFAULTS: dict = {
     "output_dir": "runs/out",
     "grid": {"points": 32, "box_length": 2.0 * math.pi},
     "constants": asdict(PhysicalConstants()),
-    "initial_data": {"kind": "flat_low", "amplitude": 1e-2, **_keyword_defaults(make_initial_data, "s")},
+    "initial_data": {"kind": "decay_class", "amplitude": 1e-2, **_keyword_defaults(make_initial_data, "s")},
     "solver": asdict(SolverConfig()),
     "monitors": _keyword_defaults(energetics.standard_monitor),
     "data_class": {"s": 1.5, "p": None},
@@ -113,12 +120,13 @@ def resolve_config(raw: dict) -> dict:
 
 def _section(name: str, build):
     """build(), with an InvalidArgument, which only argument checks raise,
-    reported as a ConfigError naming the section its values came from.  Any
-    other error is a fault of the program and propagates."""
+    reported as a ConfigError naming the section its values came from:
+    ``data_class`` for s (SOutOfRange), else ``name``.  Any other error is a
+    fault of the program and propagates."""
     try:
         return build()
     except InvalidArgument as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+        raise ConfigError(f"{'data_class' if isinstance(exc, SOutOfRange) else name}: {exc}") from exc
 
 
 def _seed(cfg: dict) -> int:
@@ -151,10 +159,6 @@ def _write_csv(path: Path, times, columns: dict[str, list[float]]):
 
 def _write_json(path: Path, obj):
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _emit_resolved(cfg: dict, outdir: Path):
-    _write_json(outdir / "resolved_config.json", cfg)
 
 
 def run_simulate(cfg: dict, outdir: Path) -> dict:
@@ -321,7 +325,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"output_dir: must be a path string, got {cfg['output_dir']!r}")
         outdir = Path(cfg["output_dir"])
         outdir.mkdir(parents=True, exist_ok=True)
-        _emit_resolved(cfg, outdir)
+        _write_json(outdir / "resolved_config.json", cfg)
         _hold_freed_memory()
 
         if args.command == "simulate":

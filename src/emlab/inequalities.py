@@ -52,7 +52,6 @@ from .spectral import (
     GridSpec,
     _band_limited_block,
     _derivative_multiplier,
-    _fractional_coeffs,
     _irfftn,
     _lp_of_magnitude,
     _multi_indices,
@@ -133,7 +132,11 @@ def _plateau_ok(ratios) -> bool:
 def _fractional(grid: GridSpec, coeffs: np.ndarray, s: float) -> np.ndarray:
     """The oracles' grad^s, s >= 0: the identity at s = 0, else the radial
     multiplier |k|^s with the zero mode dropped."""
-    return _fractional_coeffs(grid, coeffs, s) if s else coeffs
+    if not s:
+        return coeffs
+    out = grid.k_mag**s * coeffs
+    out[..., 0, 0, 0] = 0.0
+    return out
 
 
 def _ratio(num: np.ndarray, den: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -203,7 +206,6 @@ class _Members:
         mx, my, mz = (g.mode_axis(i) for i in range(3))
         m2 = mx * mx + my * my + mz * mz
         inside = (m2 > 0) & (m2 <= band * band)
-        inside &= (np.abs(mx) <= band) & (np.abs(my) <= band) & (np.abs(mz) <= band)
         return np.stack([a + b, np.where(inside, 1.0 + 0.0j, 0.0)])
 
     def draw(self, positions) -> np.ndarray:

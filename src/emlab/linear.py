@@ -211,6 +211,8 @@ class SpectralProfile:
 
         The plateau edge sits well inside the weakly damped band so that the
         default fit window is transient-clean; see the module docstring.
+        ``simulate`` draws the same envelope with plateau 1 (model's
+        ``decay_class`` initial data), with random phases on the lattice.
         """
         env = _decay_class_envelope(s, plateau, rolloff)
         return SpectralProfile(envelope=env, label=f"decay_class(s={s})", **kwargs)

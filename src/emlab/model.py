@@ -11,9 +11,10 @@ In these rescaled units the pressure constant, relaxation time, Debye length,
 light speed and background density are one: gamma and B_inf are the only
 parameters.
 
-States on the constraint manifold are built here only: the initial-data
-kinds build raw parts, and one tail of ``make_initial_data`` puts them on the
-manifold through the Gauss solve that the solver's ``_project_gauss`` calls.
+States on the constraint manifold are built here only: the three initial-data
+kinds (``decay_class``, ``bump``, ``single_mode``) build raw parts, and one
+tail of ``make_initial_data`` puts them on the manifold through the Gauss
+solve that the solver's ``_project_gauss`` calls.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .analysis import check_s
 from .errors import (
-    AmplitudeTooLarge, ClosureShiftNotConverged, DensityNonpositive, check, is_count, is_real
+    AmplitudeTooLarge, ClosureShiftNotConverged, DensityNonpositive, SOutOfRange, check, is_count, is_real
 )
 from .spectral import (
     Field,
@@ -252,8 +254,9 @@ def _shift_to_zero_closure_mean(n_phys: np.ndarray, gamma: float) -> np.ndarray:
 
 def _decay_class_envelope(s: float, plateau: float, rolloff: float):
     """Borderline envelope of the negative-index-s class: |xi|^(s-3/2) below
-    the plateau edge, Gaussian rolloff above it, zero at xi = 0.  flat_low
-    data and linear.SpectralProfile.decay_class both read it."""
+    the plateau edge, Gaussian rolloff above it, zero at xi = 0.  decay_class
+    data (plateau edge _PLATEAU_EDGE) and linear.SpectralProfile.decay_class
+    both read it."""
     a = s - 1.5
 
     def env(r):
@@ -262,17 +265,6 @@ def _decay_class_envelope(s: float, plateau: float, rolloff: float):
         with np.errstate(divide="ignore"):
             core = np.where(r > 0, np.minimum(1.0, r / plateau) ** a, 0.0)
         return core * ramp
-
-    return env
-
-
-def _envelope_low_freq(s: float, rolloff_k: float):
-    a = s - 1.5  # borderline envelope of the decay class with index s
-
-    def env(r):
-        r = np.asarray(r, dtype=float)
-        core = np.where(r > 0, np.minimum(1.0, np.where(r > 0, r, 1.0)) ** a, 0.0)
-        return core * np.exp(-((r / rolloff_k) ** 2))
 
     return env
 
@@ -303,7 +295,9 @@ def _project_gauss(state: PerturbationState, constants: PhysicalConstants, n_phy
     return replace(state, E=_gauss_e(_transverse_project(state.E.coeffs, state.grid), closure, constants.nu))
 
 
-_KINDS = ("low_freq", "flat_low", "bump", "single_mode")
+_KINDS = ("decay_class", "bump", "single_mode")
+# the plateau edge |k| of decay_class data: the first shell of the default box, L = 2 pi
+_PLATEAU_EDGE = 1.0
 
 
 def make_initial_data(
@@ -314,7 +308,6 @@ def make_initial_data(
     constants: PhysicalConstants,
     s: float = 1.5,
     rolloff_width: float = 0.5,
-    rolloff_k: float = 2.0,
     mode: tuple[int, int, int] = (1, 0, 0),
     bump_radius_fraction: float = 0.2,
     include_transverse_e: bool = False,
@@ -323,10 +316,12 @@ def make_initial_data(
     """Compatible initial data of the requested class.
 
     Kinds:
-      * ``low_freq``: random phases under the borderline spectral envelope of
-        the decay class with negative index ``s`` (flat corresponds to s=3/2).
-      * ``flat_low``: constant modulus for |k| <= 1 with a Gaussian rolloff
-        above; the L1-like endpoint class.
+      * ``decay_class``: random phases under the envelope of
+        linear.SpectralProfile.decay_class(s, plateau=1, rolloff=rolloff_width):
+        |k|^(s-3/2) for |k| <= 1 with a Gaussian rolloff above; s = 3/2,
+        flat below the edge, is the L1-like endpoint class.  The class acts
+        only through modes with 0 < |k| < 1, so an s other than 3/2 on a box
+        with none (L <= 2 pi) raises SOutOfRange before any draw.
       * ``bump``: compactly supported physical bump, the L^p class.
       * ``single_mode``: one Fourier mode, for exactness tests.
 
@@ -336,10 +331,11 @@ def make_initial_data(
     constraint manifold: the zero-mean closure shift of the density, the
     positivity check, and the longitudinal electric part from Gauss's law.
 
-    For the random kinds, ``normalization="physical"`` scales each component
-    to max-abs amplitude (solver experiments), while ``"continuum"`` scales
-    coefficients like a fixed whole-space datum (n^3/L^3 per unit envelope),
-    making the negative-order class norms stable under box refinement.
+    For ``decay_class`` data, ``normalization="physical"`` scales each
+    component to max-abs amplitude (solver experiments), while
+    ``"continuum"`` scales coefficients like a fixed whole-space datum
+    (n^3/L^3 per unit envelope), making the negative-order class norms stable
+    under box refinement.
 
     Every argument is checked (InvalidArgument) before any work, including
     those the chosen kind does not read.
@@ -347,16 +343,19 @@ def make_initial_data(
     check(kind, lambda v: v in _KINDS, "kind", f"one of {list(_KINDS)}")
     check(amplitude, lambda v: is_real(v) and v >= 0, "amplitude", "a nonnegative number")
     check(seed, is_count, "seed", "a nonnegative integer")
-    check(s, is_real, "s", "a number")
-    for name, value in (
-        ("rolloff_width", rolloff_width), ("rolloff_k", rolloff_k), ("bump_radius_fraction", bump_radius_fraction)
-    ):
+    check_s(s)
+    for name, value in (("rolloff_width", rolloff_width), ("bump_radius_fraction", bump_radius_fraction)):
         check(value, lambda v: is_real(v) and v > 0, name, "positive")
     check(mode, lambda m: len(m) == 3 and any(m)
           and all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in m),
           "mode", "three integers, not all zero")
     check(include_transverse_e, lambda v: isinstance(v, bool), "include_transverse_e", "true or false")
     check(normalization, lambda v: v in ("physical", "continuum"), "normalization", "'physical' or 'continuum'")
+    if kind == "decay_class" and s != 1.5 and grid.k_min >= _PLATEAU_EDGE:
+        raise SOutOfRange(
+            f"s = {s!r} cannot act on a box of length {grid.box_length:.6g} <= 2 pi: no mode lies below the "
+            f"plateau edge |k| = {_PLATEAU_EDGE:g}, where the class sets the envelope; use s = 1.5 or a longer box"
+        )
     if amplitude == 0.0:
         zero = Field.zeros(grid, vector=True)
         return PerturbationState(n=Field.zeros(grid), u=zero, E=zero, B=zero)
@@ -390,11 +389,8 @@ def make_initial_data(
             e_t = _transverse_project(
                 Field.from_physical(grid, amplitude * np.stack([b, shifts[0], shifts[2]])).coeffs, grid
             )
-    else:  # low_freq, flat_low
-        if kind == "flat_low":  # the s = 3/2 class with its plateau edge at |k| = 1
-            env = _decay_class_envelope(1.5, 1.0, rolloff_width)
-        else:
-            env = _envelope_low_freq(s, rolloff_k)
+    else:  # decay_class
+        env = _decay_class_envelope(s, _PLATEAU_EDGE, rolloff_width)
         n_f = random_phase_field(grid, rng, env)
         u_f = random_phase_field(grid, rng, env, vector=True)
         # B, then E if loaded; freeing the raw draws early raised simulate's peak RSS by 6 MB at N=64

@@ -381,14 +381,6 @@ def resolved_part(f: Field) -> Field:
     return Field(f.grid, c)
 
 
-def _fractional_coeffs(g: GridSpec, coeffs: np.ndarray, s: float) -> np.ndarray:
-    """The radial multiplier |k|^s, s > 0, applied to half-spectra (or a stack
-    of them); the zero mode maps to zero."""
-    out = g.k_mag**s * coeffs
-    out[..., 0, 0, 0] = 0.0
-    return out
-
-
 # -- norms ----------------------------------------------------------------------
 
 

@@ -19,6 +19,12 @@ def grid32():
 
 
 @pytest.fixture(scope="session")
+def grid16_wide():
+    # the smallest box here with modes below |k| = 1, where the data class acts
+    return GridSpec(16, 4.0 * math.pi)
+
+
+@pytest.fixture(scope="session")
 def grid32_wide():
     return GridSpec(32, 8.0 * math.pi)
 

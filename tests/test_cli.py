@@ -107,13 +107,26 @@ class TestSimulate:
         assert _run(tmp_path, "simulate", {"solver": {"dealias": True}}, "dealias") == 2
         assert _run(tmp_path, "inequalities", {"inequalities": {"grid_points": 16}}, "grid_points") == 2
         assert _run(tmp_path, "simulate", {"initial_data": {"s": 1.0}}, "initial_s") == 2
-        assert len(_leaves(cli.resolve_config({}))) == 42
+        # decay_class is the one random kind, and its plateau edge is fixed
+        assert _run(tmp_path, "simulate", {"initial_data": {"kind": "low_freq"}}, "low_freq") == 2
+        assert _run(tmp_path, "simulate", {"initial_data": {"kind": "flat_low"}}, "flat_low") == 2
+        assert _run(tmp_path, "simulate", {"initial_data": {"rolloff_k": 2.0}}, "rolloff_k") == 2
+        assert len(_leaves(cli.resolve_config({}))) == 41
 
-    def test_low_freq_data_read_the_data_class(self, tmp_path):
-        # data_class.p = 1.2 is the class s = 3 (1/1.2 - 1/2) = 1, which low_freq data now draw from;
+    def test_a_data_class_acts_only_on_a_box_wider_than_2_pi(self, tmp_path, capsys):
+        # on the default box every mode has |k| >= 1, the plateau edge, where
+        # s no longer shapes the envelope: the setting is refused, not ignored
+        config = {**TINY_SIMULATE, "data_class": {"s": 1.0}}
+        assert _run(tmp_path, "simulate", config, "narrow") == 2
+        assert "error: data_class: s = 1.0 cannot act" in capsys.readouterr().err
+        wide = {**config, "grid": {"points": 16, "box_length": 4 * math.pi}}
+        assert _run(tmp_path, "simulate", wide, "wide", "--ci") == 0
+
+    def test_decay_class_data_read_the_data_class(self, tmp_path):
+        # data_class.p = 1.2 is the class s = 3 (1/1.2 - 1/2) = 1, which the default decay_class data draw from;
         # the envelope depends on s only below |k| = 1, so the box is wider than 2 pi
         grid = {"points": 32, "box_length": 4 * math.pi}
-        config = {**TINY_SIMULATE, "grid": grid, "initial_data": {"kind": "low_freq"}}
+        config = {**TINY_SIMULATE, "grid": grid}
         runs = {"by_p": {"p": 1.2}, "by_s": {"s": analysis.s_of_p(1.2)}, "default": {}}
         for out, data_class in runs.items():
             assert _run(tmp_path, "simulate", {**config, "data_class": data_class}, out) == 0
@@ -174,12 +187,12 @@ INVALID_VALUES = {
     "linear.quantities": ("linear", {"linear": {"quantities": ["bogus"]}}, "linear"),
     "inequalities.trials=0": ("inequalities", {"inequalities": {"trials": 0}}, "inequalities"),
     "inequalities.trials=-3": ("inequalities", {"inequalities": {"trials": -3}}, "inequalities"),
-    # checked whatever the kind, so under the default flat_low too
+    # checked whatever the kind, so under the default decay_class too
     "initial_data.mode": ("simulate", {"initial_data": {"mode": "x"}}, "initial_data"),
     "initial_data.mode=[true, 0, 0]": (
         "simulate", {"initial_data": {"kind": "single_mode", "mode": [True, 0, 0]}}, "initial_data"
     ),
-    # simulate's low_freq data read the one data class too
+    # simulate's decay_class data read the one data class too
     "data_class.s/simulate": ("simulate", {"data_class": {"s": "x"}}, "data_class"),
     "fit.window=x": ("fit", {"fit": {"window": "x"}}, "fit"),
     "fit.window=1": ("fit", {"fit": {"window": [1]}}, "fit"),
@@ -359,7 +372,7 @@ class TestImports:
             from emlab.model import PhysicalConstants, make_initial_data
             from emlab.spectral import GridSpec
             constants = PhysicalConstants()
-            make_initial_data("flat_low", 1e-2, 0, GridSpec(16, 2.0 * math.pi), constants)
+            make_initial_data("decay_class", 1e-2, 0, GridSpec(16, 2.0 * math.pi), constants)
             quad = linear.QuadratureSpec(radial_nodes=4, n_theta=2, n_phi=3, check_convergence=False)
             metrics = {}
             linear.decay_report(constants, s=1.5, k_list=[0], quantities=["full_state"], quad=quad,

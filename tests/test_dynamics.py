@@ -128,7 +128,7 @@ def mode_matrix_action(state, constants):
 
 class TestRhs:
     def test_zero_state_is_equilibrium(self, grid16, constants_bz):
-        st = make_initial_data("flat_low", 0.0, 0, grid16, constants_bz)
+        st = make_initial_data("decay_class", 0.0, 0, grid16, constants_bz)
         d = rhs(st, constants_bz)
         for f in d.fields().values():
             assert np.max(np.abs(f.coeffs)) == 0.0
@@ -137,7 +137,7 @@ class TestRhs:
     def test_linear_regime_matches_mode_matrix(self, grid16, b_infty):
         constants = PhysicalConstants(b_infty=b_infty)
         st = make_initial_data(
-            "flat_low", 1e-8, 5, grid16, constants, include_transverse_e=True
+            "decay_class", 1e-8, 5, grid16, constants, include_transverse_e=True
         )
         d = rhs(st, constants)
         ndot, udot, edot, bdot = mode_matrix_action(st, constants)
@@ -328,7 +328,7 @@ class TestWhoWritesWhere:
             kept.append((state, copies, state.n.physical().copy()))
             return {}
 
-        st = make_initial_data("flat_low", 1e-2, 3, grid16, constants_bz)
+        st = make_initial_data("decay_class", 1e-2, 3, grid16, constants_bz)
         cfg = SolverConfig(end_time=0.3, output_stride=1, gauss_projection_stride=2)
         res = simulate(st, cfg, constants_bz, monitors=[keeper])
         assert len(kept) == res.log.metadata["steps"] + 1
@@ -345,7 +345,7 @@ class TestWhoWritesWhere:
             assert np.array_equal(f.coeffs, before[name]), name
 
     def test_states_view_one_packed_array(self, grid16, constants_bz):
-        st = make_initial_data("flat_low", 1e-2, 3, grid16, constants_bz)
+        st = make_initial_data("decay_class", 1e-2, 3, grid16, constants_bz)
         for out in (step(st, 0.01, constants_bz), simulate(st, SolverConfig(end_time=0.05), constants_bz).final_state):
             base = out.n.coeffs.base
             assert base.shape == (10, 16, 16, 9)
@@ -358,7 +358,7 @@ class TestCfl:
         from emlab.spectral import GridSpec
 
         grid = GridSpec(64, 64.0)
-        st = make_initial_data("flat_low", 0.0, 0, grid, constants_bz)
+        st = make_initial_data("decay_class", 0.0, 0, grid, constants_bz)
         want = 0.5 / (math.pi * (1.0 + constants_bz.nu))
         assert cfl_dt(st, grid, constants_bz) == pytest.approx(want, rel=1e-12)
 
@@ -366,8 +366,8 @@ class TestCfl:
         from emlab.spectral import GridSpec
 
         g1, g2 = GridSpec(16, 2 * math.pi), GridSpec(32, 2 * math.pi)
-        s1 = make_initial_data("flat_low", 0.0, 0, g1, constants_bz)
-        s2 = make_initial_data("flat_low", 0.0, 0, g2, constants_bz)
+        s1 = make_initial_data("decay_class", 0.0, 0, g1, constants_bz)
+        s2 = make_initial_data("decay_class", 0.0, 0, g2, constants_bz)
         assert cfl_dt(s2, g2, constants_bz) == pytest.approx(
             cfl_dt(s1, g1, constants_bz) / 2.0, rel=1e-12
         )
@@ -442,7 +442,7 @@ class TestCfl:
 
 class TestStep:
     def test_zero_state_fixed_point(self, grid16, constants_bz):
-        st = make_initial_data("flat_low", 0.0, 0, grid16, constants_bz)
+        st = make_initial_data("decay_class", 0.0, 0, grid16, constants_bz)
         out = step(st, 0.01, constants_bz)
         for f in out.fields().values():
             assert np.max(np.abs(f.coeffs)) == 0.0
@@ -473,14 +473,14 @@ class TestStep:
     def test_conjugate_symmetry_preserved(self, grid16, constants_bz):
         # a stepped state is still the half-spectrum of real samples: the
         # implied full spectrum stays conjugate-symmetric
-        st = make_initial_data("flat_low", 1e-2, 3, grid16, constants_bz)
+        st = make_initial_data("decay_class", 1e-2, 3, grid16, constants_bz)
         out = step(st, 0.5 * cfl_dt(st, grid16, constants_bz), constants_bz)
         for f in out.fields().values():
             back = Field.from_physical(grid16, f.physical())
             assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-12 * np.max(np.abs(f.coeffs))
 
     def test_divb_preserved_many_steps(self, grid16, constants_b0):
-        st = make_initial_data("flat_low", 1e-2, 3, grid16, constants_b0)
+        st = make_initial_data("decay_class", 1e-2, 3, grid16, constants_b0)
         dt = cfl_dt(st, grid16, constants_b0)
         for _ in range(100):
             st = step(st, dt, constants_b0)
@@ -535,14 +535,14 @@ class TestSimulate:
         assert calls == [scalar, vector] + [scalar] * 6 + [vector]
 
     def test_zero_run_all_zero(self, grid16, constants_bz):
-        st = make_initial_data("flat_low", 0.0, 0, grid16, constants_bz)
+        st = make_initial_data("decay_class", 0.0, 0, grid16, constants_bz)
         cfg = SolverConfig(end_time=0.3, output_stride=2)
         res = simulate(st, cfg, constants_bz, monitors=[standard_monitor(constants_bz)])
         for name, col in res.log.columns.items():
             assert np.max(np.abs(col)) == 0.0, name
 
     def test_linear_regime_energy_nonincreasing(self, grid16, constants_b0):
-        st = make_initial_data("flat_low", 1e-8, 5, grid16, constants_b0)
+        st = make_initial_data("decay_class", 1e-8, 5, grid16, constants_b0)
         cfg = SolverConfig(end_time=1.5, output_stride=5)
         res = simulate(st, cfg, constants_b0, monitors=[standard_monitor(constants_b0)])
         e3 = np.asarray(res.log.columns["E_3"])
@@ -551,7 +551,7 @@ class TestSimulate:
     def test_every_sample_logs_the_constraint_residuals(self, grid16, constants_b0):
         # no monitors: the simulator's own columns, with the t = 0 sample
         # outside gauss_residual_max
-        st = make_initial_data("flat_low", 1e-2, 5, grid16, constants_b0)
+        st = make_initial_data("decay_class", 1e-2, 5, grid16, constants_b0)
         res = simulate(st, SolverConfig(end_time=0.3, output_stride=2), constants_b0)
         assert sorted(res.log.columns) == ["divB_residual", "gauss_residual"]
         gauss = res.log.columns["gauss_residual"]
@@ -562,7 +562,7 @@ class TestSimulate:
         assert res.log.metadata["gauss_residual_max"] == max(gauss[1:])
 
     def test_horizon_metadata(self, grid16, constants_bz):
-        st = make_initial_data("flat_low", 0.0, 0, grid16, constants_bz)
+        st = make_initial_data("decay_class", 0.0, 0, grid16, constants_bz)
         res = simulate(st, SolverConfig(end_time=0.1), constants_bz)
         assert res.log.metadata["horizon"] == pytest.approx(grid16.box_length / 4.0)
 
@@ -595,7 +595,7 @@ class TestSimulate:
         assert out.log.columns["gauss_residual"][-1] <= 1e-12
 
     def test_gauss_projection_keeps_constraint(self, grid16, constants_b0):
-        st = make_initial_data("flat_low", 1e-2, 5, grid16, constants_b0)
+        st = make_initial_data("decay_class", 1e-2, 5, grid16, constants_b0)
         cfg = SolverConfig(end_time=1.0, gauss_projection_stride=5, output_stride=5)
         res = simulate(st, cfg, constants_b0, monitors=[standard_monitor(constants_b0)])
         assert res.log.columns["gauss_residual"][-1] <= 1e-8

@@ -38,7 +38,7 @@ def single_mode_state(grid, amp=0.3, kmod=(0, 0, 2), which="n"):
 
 class TestEnergyAndDissipation:
     def test_zero_state(self, grid16, constants_bz):
-        st = make_initial_data("flat_low", 0.0, 0, grid16, constants_bz)
+        st = make_initial_data("decay_class", 0.0, 0, grid16, constants_bz)
         t = table(st)
         assert en._energy(t, 3) == 0.0
         assert en._dissipation(t, 3) == 0.0
@@ -51,7 +51,7 @@ class TestEnergyAndDissipation:
         assert en._energy(table(st), order) == pytest.approx(expected, rel=1e-12)
 
     def test_order_zero_is_l2(self, grid16, constants_bz):
-        st = make_initial_data("flat_low", 1e-2, 3, grid16, constants_bz)
+        st = make_initial_data("decay_class", 1e-2, 3, grid16, constants_bz)
         total = sum(l2_norm(f) ** 2 for f in st.fields().values())
         assert en._energy(table(st), 0) == pytest.approx(total, rel=1e-12)
 
@@ -69,7 +69,7 @@ class TestEnergyAndDissipation:
         assert en._energy(t, 3) > 0.0
 
     def test_dissipation_by_independent_term_loop(self, grid16, constants_bz, rng):
-        st = make_initial_data("flat_low", 1e-2, 8, grid16, constants_bz)
+        st = make_initial_data("decay_class", 1e-2, 8, grid16, constants_bz)
         N = 3
         total = 0.0
         from emlab.spectral import homog_norm
@@ -87,7 +87,7 @@ class TestEnergyAndDissipation:
         assert en._dissipation(t, N) <= en._energy(t, N)
 
     def test_energy_nondecreasing_in_order(self, grid16, constants_bz):
-        st = make_initial_data("flat_low", 1e-2, 8, grid16, constants_bz)
+        st = make_initial_data("decay_class", 1e-2, 8, grid16, constants_bz)
         t = table(st)
         vals = [en._energy(t, N) for N in range(5)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
@@ -101,7 +101,7 @@ class TestEnergyAndDissipation:
 
 class TestWindowFunctionals:
     def test_window_cross_check_with_full(self, grid16, constants_bz):
-        st = make_initial_data("flat_low", 1e-2, 8, grid16, constants_bz)
+        st = make_initial_data("decay_class", 1e-2, 8, grid16, constants_bz)
         e_win, d_win = en._window_energy(table(st), 0)
         # window k=0 covers orders 0..2 of the energy
         from emlab.spectral import homog_norm
@@ -116,7 +116,7 @@ class TestWindowFunctionals:
         assert d_win == pytest.approx(manual_d, rel=1e-10)
 
     def test_zero_state_window(self, grid16, constants_bz):
-        st = make_initial_data("flat_low", 0.0, 0, grid16, constants_bz)
+        st = make_initial_data("decay_class", 0.0, 0, grid16, constants_bz)
         assert en._window_energy(table(st), 1) == (0.0, 0.0)
 
     def test_single_shell_closed_form(self, grid32):
@@ -130,7 +130,7 @@ class TestWindowFunctionals:
 
 class TestInteractive:
     def test_zero_state(self, grid16, constants_bz):
-        st = make_initial_data("flat_low", 0.0, 0, grid16, constants_bz)
+        st = make_initial_data("decay_class", 0.0, 0, grid16, constants_bz)
         assert en._interactive(table(st), 0) == (0.0, 0.0, 0.0)
 
     def test_parallel_ue_closed_form(self, grid32):
@@ -167,7 +167,7 @@ class TestInteractive:
     def test_cauchy_schwarz_bound(self, grid16, constants_bz):
         from emlab.spectral import homog_norm
 
-        st = make_initial_data("flat_low", 1e-2, 4, grid16, constants_bz)
+        st = make_initial_data("decay_class", 1e-2, 4, grid16, constants_bz)
         i_n, _, _ = en._interactive(table(st), 0)
         bound = sum(
             homog_norm(st.u, l) * homog_norm(st.n, l + 1) for l in (0, 1)
@@ -177,7 +177,7 @@ class TestInteractive:
 
 class TestEquivalentEnergies:
     def test_cross_ue_small_eps_is_plain_norm(self, grid16, constants_bz):
-        st = make_initial_data("flat_low", 1e-2, 4, grid16, constants_bz, include_transverse_e=True)
+        st = make_initial_data("decay_class", 1e-2, 4, grid16, constants_bz, include_transverse_e=True)
         from emlab.spectral import homog_norm
 
         base = homog_norm(st.u, 1) ** 2 + homog_norm(st.E, 1) ** 2
@@ -231,7 +231,7 @@ class TestEquivalentEnergies:
 
         for seed in range(5):
             st = make_initial_data(
-                "flat_low", 1e-2, seed, grid16, constants_bz, include_transverse_e=True
+                "decay_class", 1e-2, seed, grid16, constants_bz, include_transverse_e=True
             )
             for k in (0, 1):
                 base = homog_norm(st.u, k) ** 2 + homog_norm(st.E, k) ** 2
@@ -242,13 +242,13 @@ class TestEquivalentEnergies:
 class TestReportsAndMonitors:
     def test_report_row_keys(self, grid16, constants_bz):
         # the residuals and the time are the simulator's columns, not the monitor's
-        st = make_initial_data("flat_low", 1e-2, 4, grid16, constants_bz)
+        st = make_initial_data("decay_class", 1e-2, 4, grid16, constants_bz)
         row = standard_monitor(constants_bz, energy_orders=(3,), window_orders=(0,), grad_norms=((0, "B"),))(st)
         assert sorted(row) == sorted(["E_3", "D_3", "window_E_0", "window_D_0", "I_n_0", "I_E_0", "I_B_0",
                                       "cross_uE_0", "acoustic_0", "grad0_B"])
 
     def test_report_takes_powers_once_per_sample(self, grid16, constants_bz, monkeypatch):
-        st = make_initial_data("flat_low", 1e-2, 4, grid16, constants_bz)
+        st = make_initial_data("decay_class", 1e-2, 4, grid16, constants_bz)
         calls = []
         original = en._table
         monkeypatch.setattr(en, "_table", lambda s, orders: calls.append(s) or original(s, orders))
@@ -272,7 +272,7 @@ class TestReportsAndMonitors:
         assert row["grad2_E"] == en._grad_norm(t, 2, "E")
 
     def test_report_takes_cross_spectra_once_per_sample(self, grid16, constants_bz, monkeypatch):
-        st = make_initial_data("flat_low", 1e-2, 4, grid16, constants_bz)
+        st = make_initial_data("decay_class", 1e-2, 4, grid16, constants_bz)
         calls = []
         original = en._table
         monkeypatch.setattr(en, "_table", lambda s, orders: calls.append(s) or original(s, orders))
@@ -295,7 +295,7 @@ class TestReportsAndMonitors:
 
     def test_window_energy_decay_balance_on_linear_run(self, grid16, constants_b0):
         # d/dt(window E) + lambda (window D) <= 0 for some lambda in (0, 1]
-        st = make_initial_data("flat_low", 1e-8, 5, grid16, constants_b0)
+        st = make_initial_data("decay_class", 1e-8, 5, grid16, constants_b0)
         cfg = SolverConfig(end_time=2.0, output_stride=2)
         res = simulate(st, cfg, constants_b0, monitors=[standard_monitor(constants_b0)])
         t = np.asarray(res.log.times)
@@ -309,7 +309,7 @@ class TestReportsAndMonitors:
         assert np.median(lam) <= 1.0
 
     def test_grad_norm_groups(self, grid16, constants_bz):
-        st = make_initial_data("flat_low", 1e-2, 4, grid16, constants_bz)
+        st = make_initial_data("decay_class", 1e-2, 4, grid16, constants_bz)
         t = table(st)
         full = en._grad_norm(t, 0, "nuEB")
         manual = math.sqrt(sum(l2_norm(f) ** 2 for f in st.fields().values()))

@@ -7,9 +7,9 @@ import pytest
 
 from emlab import model
 from emlab.errors import (
-    AmplitudeTooLarge, ClosureShiftNotConverged, DensityNonpositive, InvalidArgument
+    AmplitudeTooLarge, ClosureShiftNotConverged, DensityNonpositive, InvalidArgument, SOutOfRange
 )
-from emlab.linear import SpectralProfile
+from emlab.linear import QuadratureSpec, SpectralProfile, multi_norm_series
 from emlab.model import (
     PerturbationState,
     PhysicalConstants,
@@ -20,7 +20,7 @@ from emlab.model import (
     solve_gauss_longitudinal,
     verify_compatibility,
 )
-from emlab.spectral import Field, divergence, l2_norm
+from emlab.spectral import Field, GridSpec, divergence, homog_norm, l2_norm
 from spectral_reference import besov_norm
 
 
@@ -98,8 +98,8 @@ class TestClosure:
 
 # one bad value per case; the single_mode kind reads none but mode
 BAD_INITIAL_DATA = [
-    {"kind": "x"}, {"amplitude": -1.0}, {"amplitude": "x"}, {"seed": -1}, {"s": "x"},
-    {"rolloff_width": 0.0}, {"rolloff_k": "x"}, {"mode": (0, 0, 0)}, {"mode": "x"}, {"mode": (1.5, 0, 0)},
+    {"kind": "x"}, {"amplitude": -1.0}, {"amplitude": "x"}, {"seed": -1}, {"s": "x"}, {"s": 5.0},
+    {"rolloff_width": 0.0}, {"mode": (0, 0, 0)}, {"mode": "x"}, {"mode": (1.5, 0, 0)},
     {"bump_radius_fraction": 0.0}, {"include_transverse_e": 1}, {"normalization": "x"},
 ]
 
@@ -134,7 +134,7 @@ class TestInitialData:
             make_initial_data(**{**args, **bad})
 
     def test_zero_amplitude_gives_zero_state(self, grid16, constants_b0):
-        st = make_initial_data("flat_low", 0.0, 3, grid16, constants_b0)
+        st = make_initial_data("decay_class", 0.0, 3, grid16, constants_b0)
         rep = verify_compatibility(st, constants_b0)
         assert rep.gauss_residual == 0.0
         assert rep.divb_residual == 0.0
@@ -165,9 +165,9 @@ class TestInitialData:
         assert np.max(np.abs(st.u.physical() - u_want)) <= 1e-15
         assert np.max(np.abs(st.B.physical() - b_want)) <= 1e-15
 
-    @pytest.mark.parametrize("kind", ["flat_low", "low_freq", "bump"])
-    def test_generated_data_compatible(self, kind, grid32, constants_b0):
-        st = make_initial_data(kind, 1e-2, 7, grid32, constants_b0, s=1.0)
+    @pytest.mark.parametrize("kind", ["decay_class", "bump"])
+    def test_generated_data_compatible(self, kind, grid32_wide, constants_b0):
+        st = make_initial_data(kind, 1e-2, 7, grid32_wide, constants_b0, s=1.0)
         rep = verify_compatibility(st, constants_b0)
         scale = max(l2_norm(st.n), 1e-30)
         assert rep.gauss_residual <= 1e-10 * scale
@@ -175,7 +175,7 @@ class TestInitialData:
         assert rep.positivity_margin > 0
 
     def test_b_exactly_transverse(self, grid32, constants_b0):
-        st = make_initial_data("flat_low", 1e-2, 9, grid32, constants_b0)
+        st = make_initial_data("decay_class", 1e-2, 9, grid32, constants_b0)
         g = grid32
         kdotb = sum(g.k_axis(a) * st.B.coeffs[a] for a in range(3))
         assert np.max(np.abs(kdotb)) <= 1e-14 * max(np.max(np.abs(st.B.coeffs)), 1e-30)
@@ -185,7 +185,7 @@ class TestInitialData:
             make_initial_data("single_mode", 20.0, 0, grid16, constants_b0)
 
     def test_broken_gauss_detected(self, grid32, constants_b0):
-        st = make_initial_data("flat_low", 1e-2, 7, grid32, constants_b0)
+        st = make_initial_data("decay_class", 1e-2, 7, grid32, constants_b0)
         x, _, _ = grid32.coordinates()
         defect = Field.from_physical(grid32, 1e-3 * np.cos(x))
         # inject a longitudinal part whose divergence equals the defect
@@ -194,30 +194,57 @@ class TestInitialData:
         rep = verify_compatibility(broken, constants_b0)
         assert rep.gauss_residual == pytest.approx(l2_norm(defect), rel=1e-10)
 
-    def test_flat_low_besov_stable_under_box_doubling(self, constants_b0):
+    def test_decay_class_besov_stable_under_box_doubling(self, constants_b0):
         vals = []
         for L in (8 * math.pi, 16 * math.pi):
-            grid = __import__("emlab.spectral", fromlist=["GridSpec"]).GridSpec(32, L)
             st = make_initial_data(
-                "flat_low", 1e-2, 7, grid, constants_b0, normalization="continuum"
+                "decay_class", 1e-2, 7, GridSpec(32, L), constants_b0, normalization="continuum"
             )
             vals.append(besov_norm(st.u, 1.5))
         assert abs(vals[1] - vals[0]) <= 0.2 * vals[0]
 
     def test_determinism(self, grid16, constants_b0):
-        a = make_initial_data("flat_low", 1e-2, 42, grid16, constants_b0)
-        b = make_initial_data("flat_low", 1e-2, 42, grid16, constants_b0)
+        a = make_initial_data("decay_class", 1e-2, 42, grid16, constants_b0)
+        b = make_initial_data("decay_class", 1e-2, 42, grid16, constants_b0)
         for fa, fb in zip(a.fields().values(), b.fields().values()):
             assert np.array_equal(fa.coeffs, fb.coeffs)
 
+    @pytest.mark.parametrize("s", [0.0, 1.0, 1.49])
+    def test_a_data_class_that_cannot_act_is_rejected_before_any_draw(self, grid16, constants_b0, monkeypatch, s):
+        # on L = 2 pi every nonzero mode has |k| >= 1, the plateau edge, so
+        # only s = 3/2 describes the draws; the other kinds do not read s
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before the check")
 
-# the envelopes of the random kinds at their rolloff defaults, low_freq at
-# s = 1, written out here as the oracle
+        monkeypatch.setattr(model, "random_phase_field", no_draw)
+        with pytest.raises(SOutOfRange, match="cannot act"):
+            make_initial_data("decay_class", 1e-2, 0, grid16, constants_b0, s=s)
+        for kind in ("bump", "single_mode"):
+            make_initial_data(kind, 1e-2, 0, grid16, constants_b0, s=s)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+    def test_continuum_data_are_the_analyzers_datum(self, grid32_wide, constants_b0, s, k):
+        # the lattice norm of grad^k n is a Riemann sum of the integral that
+        # linear takes of the same profile, a (2 pi)^(-3/2) times it; k = 0
+        # is not asserted, as the box has no modes below 2 pi / L (the sum
+        # falls short by 6.2% at s = 1/2)
+        amplitude = 1e-2
+        st = make_initial_data("decay_class", amplitude, 7, grid32_wide, constants_b0, s=s, normalization="continuum")
+        profile = SpectralProfile.decay_class(s, plateau=1.0, rolloff=0.5, include_n=True)
+        quad = QuadratureSpec(radial_nodes=200, xi_max=4.0, check_convergence=False)
+        series = multi_norm_series(profile, k, ["n_only"], [0.0, 1.0], constants_b0, quad)["n_only"]
+        want = amplitude * (2.0 * math.pi) ** -1.5 * series.values[0]
+        assert homog_norm(st.n, k) == pytest.approx(want, rel=1e-3)
+
+
+# the envelope of the random kind at s = 1 and its rolloff default, written
+# out here as the oracle
 ENVELOPES = {
-    "flat_low": lambda r: np.where(r <= 1.0, 1.0, np.exp(-(((r - 1.0) / 0.5) ** 2))),
-    "low_freq": lambda r: np.minimum(1.0, np.where(r > 0, r, 1.0)) ** -0.5 * np.exp(-((r / 2.0) ** 2)),
+    "decay_class": lambda r: np.minimum(1.0, np.where(r > 0, r, 1.0)) ** -0.5
+    * np.where(r <= 1.0, 1.0, np.exp(-(((r - 1.0) / 0.5) ** 2))),
 }
-KINDS = ["low_freq", "flat_low", "bump", "single_mode"]
+KINDS = ["decay_class", "bump", "single_mode"]
 TRANSVERSE_E = pytest.mark.parametrize("transverse_e", [False, True], ids=["no_te", "te"])
 NORMALIZATIONS = pytest.mark.parametrize("normalization", ["physical", "continuum"])
 
@@ -229,13 +256,14 @@ def _contract_state(grid, constants, kind, transverse_e, normalization):
 
 class TestInitialDataContract:
     """The contract of make_initial_data on every kind, with and without a
-    transverse E, under both normalizations."""
+    transverse E, under both normalizations, at s = 1 on a box where the
+    data class acts."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @TRANSVERSE_E
     @NORMALIZATIONS
-    def test_on_the_constraint_manifold(self, grid16, constants_bz, kind, transverse_e, normalization):
-        st = _contract_state(grid16, constants_bz, kind, transverse_e, normalization)
+    def test_on_the_constraint_manifold(self, grid16_wide, constants_bz, kind, transverse_e, normalization):
+        st = _contract_state(grid16_wide, constants_bz, kind, transverse_e, normalization)
         rep = verify_compatibility(st, constants_bz)
         scale = max(l2_norm(f) for f in st.fields().values())
         assert scale > 0
@@ -245,36 +273,37 @@ class TestInitialDataContract:
 
     @pytest.mark.parametrize("kind", KINDS)
     @NORMALIZATIONS
-    def test_e_is_the_gauss_solve_without_transverse_e(self, grid16, constants_bz, kind, normalization):
-        st = _contract_state(grid16, constants_bz, kind, False, normalization)
-        closure = closure_field(grid16, st.n.physical(), constants_bz.gamma)
+    def test_e_is_the_gauss_solve_without_transverse_e(self, grid16_wide, constants_bz, kind, normalization):
+        st = _contract_state(grid16_wide, constants_bz, kind, False, normalization)
+        closure = closure_field(grid16_wide, st.n.physical(), constants_bz.gamma)
         e_long = solve_gauss_longitudinal(closure, constants_bz.nu)
         assert np.array_equal(st.E.coeffs, e_long)
 
     @pytest.mark.parametrize("kind", sorted(ENVELOPES))
     @TRANSVERSE_E
-    def test_physical_normalization_sets_the_max_sample(self, grid16, constants_bz, kind, transverse_e):
-        st = _contract_state(grid16, constants_bz, kind, transverse_e, "physical")
-        closure = closure_field(grid16, st.n.physical(), constants_bz.gamma)
+    def test_physical_normalization_sets_the_max_sample(self, grid16_wide, constants_bz, kind, transverse_e):
+        st = _contract_state(grid16_wide, constants_bz, kind, transverse_e, "physical")
+        closure = closure_field(grid16_wide, st.n.physical(), constants_bz.gamma)
         e_long = solve_gauss_longitudinal(closure, constants_bz.nu)
-        parts = [st.u, st.B] + ([Field(grid16, st.E.coeffs - e_long)] if transverse_e else [])
+        parts = [st.u, st.B] + ([Field(grid16_wide, st.E.coeffs - e_long)] if transverse_e else [])
         for f in parts:
             assert float(np.max(np.abs(f.physical()))) == pytest.approx(1e-2, rel=1e-12)
 
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("width", [0.3, 0.5])
     @TRANSVERSE_E
     @NORMALIZATIONS
-    def test_flat_low_is_the_decay_class_envelope(
-        self, grid16, constants_bz, monkeypatch, width, transverse_e, normalization
+    def test_decay_class_is_the_analyzer_envelope(
+        self, grid16_wide, constants_bz, monkeypatch, s, width, transverse_e, normalization
     ):
-        # the same draws under linear's s = 3/2 decay-class envelope with its
-        # plateau edge at 1 give the same state, bit for bit
+        # the same draws under linear's decay-class envelope of index s with
+        # its plateau edge at 1 give the same state, bit for bit
         def build():
-            return make_initial_data("flat_low", 1e-2, 11, grid16, constants_bz, rolloff_width=width,
+            return make_initial_data("decay_class", 1e-2, 11, grid16_wide, constants_bz, s=s, rolloff_width=width,
                                      include_transverse_e=transverse_e, normalization=normalization)
 
         own = build()
-        envelope = SpectralProfile.decay_class(1.5, plateau=1.0, rolloff=width).envelope
+        envelope = SpectralProfile.decay_class(s, plateau=1.0, rolloff=width).envelope
         draw, calls = model.random_phase_field, []
 
         def draw_under_decay_class(grid, rng, env, vector=False):
@@ -289,11 +318,11 @@ class TestInitialDataContract:
 
     @pytest.mark.parametrize("kind", sorted(ENVELOPES))
     @TRANSVERSE_E
-    def test_continuum_normalization_sets_the_coefficients(self, grid16, constants_bz, kind, transverse_e):
+    def test_continuum_normalization_sets_the_coefficients(self, grid16_wide, constants_bz, kind, transverse_e):
         # |u_a(k)| = amplitude n^3 / L^3 envelope(|k|) on the modes the
         # envelope reaches, off the zero mode and the Nyquist planes
-        st = _contract_state(grid16, constants_bz, kind, transverse_e, "continuum")
-        g = grid16
+        st = _contract_state(grid16_wide, constants_bz, kind, transverse_e, "continuum")
+        g = grid16_wide
         env = ENVELOPES[kind](g.k_mag)
         reached = (env > 0) & (g.k_squared > 0)
         ny = g.n // 2

@@ -450,7 +450,7 @@ def stepped_state(grid):
     from emlab.model import PhysicalConstants, make_initial_data
 
     constants = PhysicalConstants(b_infty=(0.0, 0.0, 1.0))
-    st = make_initial_data("flat_low", 1e-2, 3, grid, constants, include_transverse_e=True)
+    st = make_initial_data("decay_class", 1e-2, 3, grid, constants, include_transverse_e=True)
     return step(st, cfl_dt(st, grid, constants), constants)
 
 
