@@ -26,8 +26,9 @@ the one setting of the data class: ``linear`` reports the decay rates of
 that class, and ``simulate`` draws ``decay_class`` initial data (the
 default kind) from it, under the same envelope with its plateau edge at
 |k| = 1.  An s other than 3/2 acts only on a box with modes below that edge
-(box_length > 2 pi), and elsewhere exits 2 naming ``data_class``; the other
-initial-data kinds and the other commands do not read it.
+(box_length > 2 pi), and elsewhere exits 2 naming ``data_class``.  The
+other initial-data kinds do not read it, so with them any s other than 3/2
+exits 2 naming ``data_class`` too; the other commands do not read it.
 """
 
 from __future__ import annotations

@@ -16,29 +16,39 @@ difference in spectral space, so one product input serves both terms.
 
 Packed layout.  The stepper works on one contiguous complex array of shape
 (10, n, n, n//2+1): the rfft half-spectra of n, u (3), E (3) and B (3)
-stacked in that order.  A state is packed once on entry to ``simulate`` or
-``step`` and again only after a Gauss projection; every state the solver
-hands out (to monitors, to ``verify_compatibility``, as ``final_state`` or
-from ``step``) has four fields that are zero-copy views of such an array.
+stacked in that order.  A state is packed once on entry to ``simulate``,
+``step`` or ``rhs`` and again only after a Gauss projection; every state
+the solver hands out (to monitors, to ``verify_compatibility``, as
+``final_state``, from ``step`` or from ``rhs``) has four fields that are
+zero-copy views of such an array.
 
-Who writes where.  The solver never writes into an array that a handed-out
-state views: each RK4 step writes its result into a fresh array, and the
-stage and slope buffers are scratch owned by one ``simulate`` (or ``step``)
-call.
+Who writes where.  An RK4 step holds three registers: its input, which it
+only reads; its result, a fresh array; and the stage register, scratch
+owned by one ``simulate`` (or ``step``) call, which holds each stage and
+then that stage's slope.  The RHS writes its result over its input: one
+x-chunk at a time, it writes the chunk's product inputs, forms the chunk's
+linear part in a buffer and copies it over the chunk.  So the solver never
+writes into an array that a handed-out state views, and ``rhs`` returns
+the derivative written over its own packed copy of the input.
 
 Transforms per RHS.  The 11 masked product inputs go back and the 8
 products forward through the 1-D passes of ``spectral``'s transforms, in
 their order: each x and y pass runs only on the kz planes 0..n//3, which
-the two-thirds rule keeps, and the inverse x pass and the forward y pass
-only on the in-band rows of the other axis.  The numbers are those of full
-transforms, bit for bit.
+the two-thirds rule keeps and which are all the RHS's product buffer
+holds, and the inverse x pass and the forward y pass only on the in-band
+rows of the other axis.  The numbers are those of full transforms, bit for
+bit.
 
 Threads.  One thread pool, owned by one ``simulate``, ``step`` or ``rhs``
 call, runs every parallel part of a step: the five runs of each RHS (the
 elementwise stages on x-slabs, the transform passes on slabs of the rows
-they cover) and the RK4 stage sums, whose last one also flags non-finite
+they cover) and the RK4 stage blends, whose last one also flags non-finite
 entries.  The calling thread runs the last slab of each run.  The slabs are
-disjoint, so the numbers do not depend on the CPU count.
+disjoint, so the numbers do not depend on the CPU count.  The jobs on an
+x-slab go through it in chunks of x-planes, in buffers preallocated for
+that slab, whose size is capped in bytes (``_CHUNK_BYTES``): the worker
+threads allocate nothing, and the buffers do not grow with n^3.  A cut
+into chunks does not change the numbers either.
 
 Samples.  Every sample of a run logs the electrostatic (Gauss) and
 solenoidal constraint residuals of ``model.verify_compatibility`` as the
@@ -97,6 +107,9 @@ _SLOTS = 10  # scalar fields of the packed state: n, u (3), E (3), B (3)
 # x-planes per thread slab at least; thinner slabs lose more to thread
 # hand-offs than they gain (N=16: 12 ms per RK4 step on one thread, 19 ms on two)
 _MIN_SLAB = 16
+# bytes of an x-slab's chunk buffers at most (see ``_Rhs``): whole 16-plane slabs
+# at N=32, where thinner chunks were slower, and chunks of 4-5 planes at N=64
+_CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -143,6 +156,27 @@ def _view(y: np.ndarray, grid: GridSpec, time: float) -> PerturbationState:
     )
 
 
+def _chunk_buffers(slab: slice, n: int) -> list[tuple]:
+    """The x-chunks of ``slab``, each as (chunk, phys, work, half): views of
+    one set of buffers, contiguous and sized to the chunk (see ``_Rhs``).
+    The chunks are the fewest even runs of planes whose buffers take at most
+    ``_CHUNK_BYTES`` (at least one plane)."""
+    kinds = (((11, n, n), np.float64), ((3, n, n), np.float64), ((_SLOTS + 1, n, n // 2 + 1), np.complex128))
+    plane = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in kinds)
+    size = slab.stop - slab.start
+    count = -(-size // max(1, _CHUNK_BYTES // plane))
+    cut = [slab.start + size * i // count for i in range(count + 1)]
+    chunks = [slice(lo, hi) for lo, hi in zip(cut, cut[1:])]
+    most = max(c.stop - c.start for c in chunks)
+    bufs = [np.empty(math.prod(shape) * most, dtype=dtype) for shape, dtype in kinds]
+
+    def views(planes: int) -> list[np.ndarray]:
+        return [buf[: math.prod(shape) * planes].reshape(shape[0], planes, *shape[1:])
+                for buf, (shape, _) in zip(bufs, kinds)]
+
+    return [(c, *views(c.stop - c.start)) for c in chunks]
+
+
 class _Slabs:
     """Runs a job on slabs of one grid axis: by default x-slabs, one per
     CPU, each at least ``_MIN_SLAB`` planes thick.
@@ -153,6 +187,9 @@ class _Slabs:
     other workers runs the rest and lives until ``close``.  Jobs write only
     into preallocated arrays: memory that a worker thread allocates stays in
     that thread's malloc arena and raises the peak memory of the process.
+    So each x-slab comes with its ``chunks``: runs of x-planes, each with
+    views of the slab's own work buffers (``_chunk_buffers``), which the
+    jobs of the RHS and of the RK4 blends on that slab take turns to use.
     """
 
     def __init__(self, n: int, workers: int | None = None):
@@ -160,6 +197,7 @@ class _Slabs:
             workers = max(1, min(os.cpu_count() or 1, n // _MIN_SLAB))
         self.workers = workers
         self.slabs = self.split([slice(0, n)])
+        self.chunks = {slab.start: _chunk_buffers(slab, n) for slab in self.slabs}
         self._pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
 
     def split(self, ranges: Sequence[slice]) -> list[slice]:
@@ -214,20 +252,32 @@ class _Rhs:
 
     Holds the linear terms, the i*k multipliers, the dealias mask and the
     work buffers of one grid and one set of constants; ``rhs(y, time, out)``
-    writes the time derivative of the packed state ``y`` into ``out`` (the
-    system is autonomous, so ``time`` is unused).  It writes nothing else
-    outside its own buffers: ``spec`` holds the product inputs and then the
-    transformed products, ``phys`` the samples and then the products.
+    writes the time derivative of the packed state ``y`` into ``out``, which
+    may be ``y`` itself (the system is autonomous, so ``time`` is unused).
+    It writes nothing else outside its own buffers and its slabs' chunk
+    buffers: ``spec`` holds the product inputs and then the transformed
+    products, on the kz planes 0..n//3 only.
 
     One call is five runs on the slabs of the pool, each a set of disjoint
-    jobs that write only into ``out`` and these buffers: (1) the linear part
-    and the masked product inputs, on x-slabs; (2) the inverse x pass, on the
-    in-band ky rows; (3) the inverse y and z passes, the scale, the closure,
-    the products and the forward z pass, on x-slabs; (4) the forward x pass,
-    on y-slabs; (5) the forward y pass and the accumulation into ``out``, on
-    the in-band kx rows.  The x and y passes run only on the kz planes
-    0..n//3: the two-thirds rule zeroes the inputs above them and discards
-    the products there.
+    jobs that write only into ``out`` and these buffers: (1) the masked
+    product inputs and the linear part, on x-slabs; (2) the inverse x pass,
+    on the in-band ky rows; (3) the inverse y and z passes, the scale, the
+    closure, the products and the forward z pass, on x-slabs; (4) the
+    forward x pass, on y-slabs; (5) the forward y pass and the accumulation
+    into ``out``, on the in-band kx rows.  The transforms run only on the kz
+    planes 0..n//3: the two-thirds rule zeroes the inputs above them, and
+    the c2r z pass reads the missing planes as zeros, as it would read the
+    zeros themselves; the products above them are discarded.
+
+    Runs (1) and (3) go through each x-slab in chunks of x-planes, each
+    chunk in the slab's buffers (``_Slabs.chunks``): ``phys`` for the
+    samples and then the products, ``work`` for the products' temporaries,
+    and ``half`` for a chunk of half-spectra (run 1's linear part and its
+    temporary, run 3's forward z pass, the RK4 blends of ``_rk4``).  Run (1)
+    writes a chunk's product inputs, then forms its linear part in ``half``
+    and copies it over the chunk of ``out`` after the last read of ``y``.
+    A slab's buffers hold at most ``_CHUNK_BYTES`` (or one plane), so they
+    do not grow with the grid.
 
     The linear part is read off ``model.linear_generator``: row r of
     A(k) = A0 + i sum_a k_a A1[a] is a list of nonzero terms (a, column,
@@ -235,8 +285,9 @@ class _Rhs:
     """
 
     def __init__(self, grid: GridSpec, constants: PhysicalConstants, slabs: _Slabs):
-        n, h = grid.n, grid.n // 2 + 1
+        n = grid.n
         self.n, self.band = n, n // 3
+        b = self.band + 1
         self.slabs = slabs
         self.rows = slabs.split(_rows(n, self.band))  # the in-band rows of a full axis, a run per worker
         self.nu, self.mu, self.gamma = constants.nu, constants.mu, constants.gamma
@@ -245,11 +296,9 @@ class _Rhs:
         table = np.concatenate([a1, a0[None]])
         self.terms = [[(a, c, table[a, r, c]) for a, c in zip(*np.nonzero(table[:, r]))] for r in range(_SLOTS)]
         # complex, so that no multiply casts it; 1+0j and 0j are what a bool casts to
-        self.mask = grid.dealias_mask.astype(np.complex128)
-        self.spec = np.empty((11, n, n, h), dtype=np.complex128)
-        self.phys = np.empty((11, n, n, n))
-        self.tmp = np.empty((n, n, h), dtype=np.complex128)
-        self.work = np.empty((3, n, n, n))
+        self.mask = grid.dealias_mask[..., :b].astype(np.complex128)
+        self.spec = np.empty((11, n, n, b), dtype=np.complex128)
+        self.tmp = np.empty((n, n, b), dtype=np.complex128)
 
     def __call__(self, y: np.ndarray, time: float, out: np.ndarray):
         run = self.slabs.run
@@ -260,45 +309,57 @@ class _Rhs:
         run(lambda rows: self._accumulate(out, rows), self.rows)
 
     def _linear(self, y: np.ndarray, out: np.ndarray, slab: slice):
-        """The linear part into ``out`` and the masked product inputs into ``spec``."""
-        ik, m = (self.ik[0][slab], self.ik[1], self.ik[2]), self.mask[slab]
-        x = _x(slab)
-        y, out, spec, tmp = y[x], out[x], self.spec[x], self.tmp[slab]
-        mults = (*ik, 1.0)
-        for r, terms in enumerate(self.terms):
-            for i, (a, c, coeff) in enumerate(terms):
-                np.multiply(y[c], coeff * mults[a], out=tmp if i else out[r])
-                if i:
-                    out[r] += tmp
+        """The masked product inputs into ``spec`` and the linear part into
+        ``out``, a chunk at a time; ``out`` may be ``y``."""
+        b = self.band + 1
+        for chunk, _, _, half in self.slabs.chunks[slab.start]:
+            x = _x(chunk)
+            ik, m = (self.ik[0][chunk], self.ik[1], self.ik[2]), self.mask[chunk]
+            y_c, spec, lin, tmp = y[x], self.spec[x], half[:_SLOTS], half[_SLOTS]
 
-        # masked product inputs: n, u, grad n, div u, B - curl u
-        u, grad_n, div_u, w = y[1:4], spec[4:7], spec[7], spec[8:11]
-        np.multiply(ik[0], u[0], out=div_u)
-        for a in (1, 2):
-            np.multiply(ik[a], u[a], out=tmp)
-            div_u += tmp
-        for a in range(3):
-            i, j = (a + 1) % 3, (a + 2) % 3
-            np.multiply(ik[a], y[0], out=grad_n[a])
-            np.multiply(ik[i], u[j], out=w[a])
-            np.multiply(ik[j], u[i], out=tmp)
-            w[a] -= tmp
-            np.subtract(y[7 + a], w[a], out=w[a])
-        np.multiply(y[0:4], m, out=spec[0:4])
-        spec[4:11] *= m
+            # masked product inputs on the kz planes 0..band: n, u, grad n, div u, B - curl u
+            yb, ikb = y_c[..., :b], (*ik[:2], ik[2][..., :b])
+            u, grad_n, div_u, w = yb[1:4], spec[4:7], spec[7], spec[8:11]
+            tmpb = tmp.ravel()[: div_u.size].reshape(div_u.shape)  # contiguous: faster than tmp[..., :b]
+            np.multiply(ikb[0], u[0], out=div_u)
+            for a in (1, 2):
+                np.multiply(ikb[a], u[a], out=tmpb)
+                div_u += tmpb
+            for a in range(3):
+                i, j = (a + 1) % 3, (a + 2) % 3
+                np.multiply(ikb[a], yb[0], out=grad_n[a])
+                np.multiply(ikb[i], u[j], out=w[a])
+                np.multiply(ikb[j], u[i], out=tmpb)
+                w[a] -= tmpb
+                np.subtract(yb[7 + a], w[a], out=w[a])
+            np.multiply(yb[0:4], m, out=spec[0:4])
+            spec[4:11] *= m
+
+            # the linear part, copied over the chunk once it is read
+            mults = (*ik, 1.0)
+            for r, terms in enumerate(self.terms):
+                for i, (a, c, coeff) in enumerate(terms):
+                    np.multiply(y_c[c], coeff * mults[a], out=tmp if i else lin[r])
+                    if i:
+                        lin[r] += tmp
+            out[x] = lin
 
     def _inverse_x(self, rows: slice):
         _x_inverse(self.spec, self.band, rows)
 
     def _physical(self, slab: slice):
         """The samples of the product inputs of one x-slab, their products,
-        and the products' forward z pass, written back into ``spec``."""
-        spec, phys = self.spec[:, slab], self.phys[:, slab]
-        _y_inverse(spec, self.band)
-        _z_inverse(spec, self.n, out=phys)  # whole planes, zero above the band: one numpy loop a field
-        self._products(phys, self.work[:, slab])
-        # [0] |u|^2/2, [1:4] closure(n) u, [4:7] the vector term, [7] the density term
-        _z_forward(phys[0:8], out=spec[0:8])
+        and the products' forward z pass, written back into ``spec``, a chunk
+        at a time."""
+        b = self.band + 1
+        for chunk, phys, work, half in self.slabs.chunks[slab.start]:
+            spec = self.spec[:, chunk]
+            _y_inverse(spec)
+            _z_inverse(spec, self.n, out=phys)  # whole planes: one numpy loop a field
+            self._products(phys, work)
+            # [0] |u|^2/2, [1:4] closure(n) u, [4:7] the vector term, [7] the density term
+            _z_forward(phys[0:8], out=half[0:8])
+            spec[0:8] = half[0:8, ..., :b]
 
     def _products(self, phys: np.ndarray, work: np.ndarray):
         """The 8 products into slots 0-7 of ``phys``, each written into a slot
@@ -337,11 +398,11 @@ class _Rhs:
 
     def _accumulate(self, out: np.ndarray, rows: slice):
         """The forward y pass of the products on the kx rows ``rows``, masked,
-        into ``out`` (on whole planes, faster than strided passes over b)."""
+        into the kz planes 0..n//3 of ``out``."""
         _y_forward(self.spec[0:8], self.band, rows)
         prods = self.spec[0:8, rows]
-        ik, m = (self.ik[0][rows], self.ik[1], self.ik[2]), self.mask[rows]
-        out, tmp = out[:, rows], self.tmp[rows]
+        ik, m = (self.ik[0][rows], self.ik[1], self.ik[2][..., : self.band + 1]), self.mask[rows]
+        out, tmp = out[:, rows, :, : self.band + 1], self.tmp[rows]
         dn, du, de = out[0], out[1:4], out[4:7]
         prods *= m
         dn -= prods[7]
@@ -353,44 +414,51 @@ class _Rhs:
         de += prods[1:4]
 
 
-def _scratch(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The RK4 work arrays of packed states shaped like ``y``: slope, stage, finite flags."""
-    return np.empty_like(y), np.empty_like(y), np.empty(y.shape, dtype=bool)
+def _scratch(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The RK4 work arrays of packed states shaped like ``y``: the stage
+    register, which holds each stage and then its slope, and the finite flags."""
+    return np.empty_like(y), np.empty(y.shape, dtype=bool)
 
 
 def _rk4(f, y: np.ndarray, time: float, dt: float, scratch: tuple, slabs: _Slabs) -> tuple[np.ndarray, bool]:
     """One classical RK4 step of the packed state ``y`` into a fresh array,
     and whether every entry of that array is finite.
 
-    ``f(y, time, out)`` writes dy/dt into ``out``; ``scratch`` is
-    ``_scratch(y)``.  Each stage is y + c*k and the result accumulates
-    y + sum (dt*w_i) k_i in stage order; the last blend also flags the
-    finite entries.
+    Three registers: ``y``, which is only read, the result, and the stage
+    register of ``_scratch(y)``.  ``f(y, time, out)`` writes dy/dt into
+    ``out``, which may be ``y``: the first slope goes into the stage
+    register, and ``f(stage, t, stage)`` turns each later stage into its
+    slope k in place.  After each slope a blend adds (dt*w_i) k to the
+    result (y + sum (dt*w_i) k_i in stage order, each product formed in a
+    chunk buffer of ``slabs``) and overwrites k with the next stage,
+    y + (dt*c) k; the last blend flags the finite entries instead.
     """
-    k, stage, finite = scratch
+    stage, finite = scratch
     out = np.empty_like(y)
 
     def combine(w: float, c: float, first: bool):
-        def job(slab):  # out (+)= (dt*w) k, then stage = y + (dt*c) k
-            x = _x(slab)
-            np.multiply(k[x], dt * w, out=stage[x])
-            if first:
-                np.add(stage[x], y[x], out=out[x])
-            else:
-                out[x] += stage[x]
-            if c:
-                np.multiply(k[x], dt * c, out=stage[x])
-                stage[x] += y[x]
-            else:
-                np.isfinite(out[x], out=finite[x])
+        def job(slab):  # out (+)= (dt*w) k, then stage = y + (dt*c) k, over the k in stage
+            for chunk, _, _, buf in slabs.chunks[slab.start]:
+                x = _x(chunk)
+                k, term = stage[x], buf[:_SLOTS]
+                np.multiply(k, dt * w, out=term)
+                if first:
+                    np.add(term, y[x], out=out[x])
+                else:
+                    out[x] += term
+                if c:
+                    k *= dt * c
+                    k += y[x]
+                else:
+                    np.isfinite(out[x], out=finite[x])
 
         return job
 
-    f(y, time, k)
+    f(y, time, stage)
     slabs.run(combine(1.0 / 6.0, 0.5, True))
     half = time + dt / 2
     for t, w, c in ((half, 1.0 / 3.0, 0.5), (half, 1.0 / 3.0, 1.0), (time + dt, 1.0 / 6.0, 0.0)):
-        f(stage, t, k)
+        f(stage, t, stage)
         slabs.run(combine(w, c, False))
     return out, bool(finite.all())
 
@@ -401,10 +469,9 @@ def _rk4(f, y: np.ndarray, time: float, dt: float, scratch: tuple, slabs: _Slabs
 def rhs(state: PerturbationState, constants: PhysicalConstants) -> PerturbationState:
     """Time derivative of the state (returned as a state-shaped object)."""
     y = _pack(state)
-    out = np.empty_like(y)
     with _Slabs(state.grid.n) as slabs:
-        _Rhs(state.grid, constants, slabs)(y, state.time, out)
-    return _view(out, state.grid, state.time)
+        _Rhs(state.grid, constants, slabs)(y, state.time, y)
+    return _view(y, state.grid, state.time)
 
 
 def cfl_dt(

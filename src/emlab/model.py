@@ -325,6 +325,9 @@ def make_initial_data(
       * ``bump``: compactly supported physical bump, the L^p class.
       * ``single_mode``: one Fourier mode, for exactness tests.
 
+    Only ``decay_class`` reads s: the other kinds raise SOutOfRange for an s
+    other than 3/2, on any box, rather than ignore it.
+
     Each kind builds only raw parts: the density samples, the velocity, the
     exactly transverse magnetic part and, with ``include_transverse_e``, a
     transverse electric part (else zero).  One tail puts them on the
@@ -351,6 +354,9 @@ def make_initial_data(
           "mode", "three integers, not all zero")
     check(include_transverse_e, lambda v: isinstance(v, bool), "include_transverse_e", "true or false")
     check(normalization, lambda v: v in ("physical", "continuum"), "normalization", "'physical' or 'continuum'")
+    if kind != "decay_class" and s != 1.5:
+        raise SOutOfRange(f"s = {s!r} cannot act on {kind} data, which do not read the data class; use s = 1.5 "
+                          "or kind decay_class")
     if kind == "decay_class" and s != 1.5 and grid.k_min >= _PLATEAU_EDGE:
         raise SOutOfRange(
             f"s = {s!r} cannot act on a box of length {grid.box_length:.6g} <= 2 pi: no mode lies below the "

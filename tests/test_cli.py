@@ -122,6 +122,15 @@ class TestSimulate:
         wide = {**config, "grid": {"points": 16, "box_length": 4 * math.pi}}
         assert _run(tmp_path, "simulate", wide, "wide", "--ci") == 0
 
+    @pytest.mark.parametrize("kind", ["bump", "single_mode"])
+    def test_kinds_that_do_not_read_the_data_class_refuse_it(self, tmp_path, capsys, kind):
+        # bump and single_mode data are the same for every s: a data class
+        # other than 3/2 is refused naming data_class, even on a wide box
+        wide = {"points": 16, "box_length": 4 * math.pi}
+        config = {**TINY_SIMULATE, "grid": wide, "initial_data": {"kind": kind}, "data_class": {"s": 1.0}}
+        assert _run(tmp_path, "simulate", config, "refused") == 2
+        assert f"error: data_class: s = 1.0 cannot act on {kind} data" in capsys.readouterr().err
+
     def test_decay_class_data_read_the_data_class(self, tmp_path):
         # data_class.p = 1.2 is the class s = 3 (1/1.2 - 1/2) = 1, which the default decay_class data draw from;
         # the envelope depends on s only below |k| = 1, so the box is wider than 2 pi

@@ -1,9 +1,11 @@
 """Right-hand side, RK4 stepping, constraint preservation, simulation driver."""
 
+import functools
 import inspect
 import math
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,10 +219,10 @@ class TestFusedRhs:
 
 class TestOutsideTheBand:
     def test_input_planes_above_the_band_stay_zero(self, grid16, constants_bz, monkeypatch):
-        # the inverse passes skip the ky rows and the kz planes outside the
-        # two-thirds band, so they are exact only while the product inputs
-        # hold zeros there
-        outside = ~grid16.dealias_mask
+        # the inverse passes skip the ky rows outside the two-thirds band and
+        # read no kz plane above it (the buffer holds none), so they are
+        # exact only while the product inputs hold zeros there
+        outside = ~grid16.dealias_mask[..., : grid16.n // 3 + 1]
         inputs = []
 
         class Recording(dynamics._Rhs):
@@ -296,6 +298,35 @@ class TestSlabs:
         for got in results[1:]:
             assert np.array_equal(got, results[0])
 
+    @pytest.mark.parametrize("planes", [None, 7])
+    def test_chunks_do_not_change_the_numbers(self, constants_bz, monkeypatch, planes):
+        # N = 48 on 1, 2 and 3 workers: slabs of 48, 24 and 16 planes, cut
+        # into chunks of the default budget or of 7 planes, whose boundaries
+        # then differ with the worker count; an RK4 step, and an RHS written
+        # over its own input, give the same bits on every cut
+        n = 48
+        if planes:
+            per_plane = sum(buf.nbytes for buf in dynamics._chunk_buffers(slice(0, 1), n)[0][1:])
+            monkeypatch.setattr(dynamics, "_CHUNK_BYTES", planes * per_plane)
+        grid = GridSpec(n, 2.0 * math.pi)
+        y = dynamics._pack(random_state(grid, 12))
+        steps, cuts = [], []
+        for workers in (1, 2, 3):
+            with dynamics._Slabs(n, workers) as slabs:
+                cuts.append({c.start for chunks in slabs.chunks.values() for c, *_ in chunks})
+                kernel = dynamics._Rhs(grid, constants_bz, slabs)
+                out, finite = dynamics._rk4(kernel, y, 0.0, 0.01, dynamics._scratch(y), slabs)
+                assert finite
+                steps.append(out)
+                apart, over = np.empty_like(y), y.copy()
+                kernel(y, 0.0, apart)
+                kernel(over, 0.0, over)
+                assert np.array_equal(over, apart)
+        if planes:
+            assert cuts[0] != cuts[1] != cuts[2] != cuts[0]
+        for got in steps[1:]:
+            assert np.array_equal(got, steps[0])
+
     def test_calling_thread_runs_the_last_slab(self):
         import threading
 
@@ -344,6 +375,44 @@ class TestWhoWritesWhere:
         for name, f in final.fields().items():
             assert np.array_equal(f.coeffs, before[name]), name
 
+    def test_chunked_run_leaves_samples_and_final_state_alone(self, constants_bz, monkeypatch):
+        # N = 48 on 2 workers, where each slab runs in chunks and every RHS
+        # writes over its stage: the sampled states, kept by a monitor, and
+        # the final state keep their bits through the run and through later
+        # calls that take the final state as input
+        monkeypatch.setattr(dynamics, "_Slabs", functools.partial(dynamics._Slabs, workers=2))
+        grid = GridSpec(48, 2.0 * math.pi)
+        kept = []
+
+        def keeper(state):
+            kept.append((state, {name: f.coeffs.copy() for name, f in state.fields().items()}))
+            return {}
+
+        st = make_initial_data("decay_class", 1e-2, 3, grid, constants_bz)
+        cfg = SolverConfig(end_time=0.03, output_stride=1, gauss_projection_stride=2)
+        res = simulate(st, cfg, constants_bz, monitors=[keeper])
+        final = res.final_state
+        assert len(kept) == res.log.metadata["steps"] + 1 >= 3 and final is kept[-1][0]
+        rhs(final, constants_bz)
+        step(final, res.log.metadata["dt"], constants_bz)
+        simulate(final, SolverConfig(end_time=0.01), constants_bz)
+        for state, copies in kept:
+            for name, f in state.fields().items():
+                assert np.array_equal(f.coeffs, copies[name]), name
+
+    @pytest.mark.parametrize("n", [16, 48])
+    def test_rhs_and_step_leave_their_input_alone(self, n, constants_bz):
+        # both pack their input into an array of their own: rhs returns the
+        # derivative written over that array, step a fresh one
+        st = random_state(GridSpec(n, 2.0 * math.pi), 13)
+        before = {name: f.coeffs.copy() for name, f in st.fields().items()}
+        d = rhs(st, constants_bz)
+        out = step(st, 0.01, constants_bz)
+        for name, f in st.fields().items():
+            assert np.array_equal(f.coeffs, before[name]), name
+            assert not np.shares_memory(f.coeffs, d.n.coeffs.base)
+            assert not np.shares_memory(f.coeffs, out.n.coeffs.base)
+
     def test_states_view_one_packed_array(self, grid16, constants_bz):
         st = make_initial_data("decay_class", 1e-2, 3, grid16, constants_bz)
         for out in (step(st, 0.01, constants_bz), simulate(st, SolverConfig(end_time=0.05), constants_bz).final_state):
@@ -351,6 +420,29 @@ class TestWhoWritesWhere:
             assert base.shape == (10, 16, 16, 9)
             assert all(f.coeffs.base is base for f in out.fields().values())
 
+
+
+class TestWorkingSet:
+    def test_a_run_holds_three_registers_and_band_sized_buffers(self, constants_bz, monkeypatch):
+        # the memory a run allocates, in packed states P (10 half-spectra of
+        # 48^3 points), at N = 48 on 2 workers with a projection every step:
+        # three RK4 registers (3 P), the kz <= n//3 product buffer (0.75 P),
+        # the two slabs' chunk buffers (0.8 P), the finite flags and the
+        # samples and projection of a step come to about 5.3 P.  Four
+        # registers and product buffers over the whole spectrum took 7.2 P.
+        monkeypatch.setattr(dynamics, "_Slabs", functools.partial(dynamics._Slabs, workers=2))
+        grid = GridSpec(48, 2.0 * math.pi)
+        st = make_initial_data("decay_class", 1e-2, 3, grid, constants_bz)
+        packed = dynamics._SLOTS * st.n.coeffs.nbytes
+        cfg = SolverConfig(end_time=0.02, gauss_projection_stride=1, output_stride=1)
+        tracemalloc.start()
+        try:
+            steps = simulate(st, cfg, constants_bz).log.metadata["steps"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert steps >= 2
+        assert peak < 6.0 * packed
 
 
 class TestCfl:
@@ -492,11 +584,13 @@ class TestStep:
         nu = constants_b0.nu
 
         def maxwell_only(y, time, out):
-            # packed slots: n 0, u 1-3, E 4-6, B 7-9
+            # packed slots: n 0, u 1-3, E 4-6, B 7-9; out may be y, so both
+            # curls are formed before anything is written
             state = dynamics._view(y, grid16, time)
+            e_dot, b_dot = nu * curl(state.B).coeffs, -nu * curl(state.E).coeffs
             out[0:4] = 0.0
-            out[4:7] = nu * curl(state.B).coeffs
-            out[7:10] = -nu * curl(state.E).coeffs
+            out[4:7] = e_dot
+            out[7:10] = b_dot
 
         e0 = random_band_limited(grid16, rng, vector=True)
         b0 = random_band_limited(grid16, rng, vector=True)

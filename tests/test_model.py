@@ -167,7 +167,7 @@ class TestInitialData:
 
     @pytest.mark.parametrize("kind", ["decay_class", "bump"])
     def test_generated_data_compatible(self, kind, grid32_wide, constants_b0):
-        st = make_initial_data(kind, 1e-2, 7, grid32_wide, constants_b0, s=1.0)
+        st = make_initial_data(kind, 1e-2, 7, grid32_wide, constants_b0, s=1.0 if kind == "decay_class" else 1.5)
         rep = verify_compatibility(st, constants_b0)
         scale = max(l2_norm(st.n), 1e-30)
         assert rep.gauss_residual <= 1e-10 * scale
@@ -212,15 +212,24 @@ class TestInitialData:
     @pytest.mark.parametrize("s", [0.0, 1.0, 1.49])
     def test_a_data_class_that_cannot_act_is_rejected_before_any_draw(self, grid16, constants_b0, monkeypatch, s):
         # on L = 2 pi every nonzero mode has |k| >= 1, the plateau edge, so
-        # only s = 3/2 describes the draws; the other kinds do not read s
+        # only s = 3/2 describes the draws
         def no_draw(*args, **kwargs):
             raise AssertionError("drew before the check")
 
         monkeypatch.setattr(model, "random_phase_field", no_draw)
         with pytest.raises(SOutOfRange, match="cannot act"):
             make_initial_data("decay_class", 1e-2, 0, grid16, constants_b0, s=s)
-        for kind in ("bump", "single_mode"):
-            make_initial_data(kind, 1e-2, 0, grid16, constants_b0, s=s)
+
+    @pytest.mark.parametrize("kind", ["bump", "single_mode"])
+    @pytest.mark.parametrize("s", [0.0, 1.0, 1.49])
+    def test_kinds_that_do_not_read_the_data_class_refuse_it(self, grid16, grid16_wide, constants_b0, kind, s):
+        # bump and single_mode data do not depend on s: an s other than 3/2
+        # is refused on any box, where decay_class would act on it
+        for grid in (grid16, grid16_wide):
+            with pytest.raises(SOutOfRange, match=f"cannot act on {kind} data"):
+                make_initial_data(kind, 1e-2, 0, grid, constants_b0, s=s)
+        make_initial_data("decay_class", 1e-2, 0, grid16_wide, constants_b0, s=s)
+        make_initial_data(kind, 1e-2, 0, grid16_wide, constants_b0, s=1.5)
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
@@ -250,14 +259,16 @@ NORMALIZATIONS = pytest.mark.parametrize("normalization", ["physical", "continuu
 
 
 def _contract_state(grid, constants, kind, transverse_e, normalization):
-    return make_initial_data(kind, 1e-2, 11, grid, constants, s=1.0, mode=(1, 2, 0),
+    # s = 1 where the kind reads the data class; the others take only s = 3/2
+    s = 1.0 if kind == "decay_class" else 1.5
+    return make_initial_data(kind, 1e-2, 11, grid, constants, s=s, mode=(1, 2, 0),
                              include_transverse_e=transverse_e, normalization=normalization)
 
 
 class TestInitialDataContract:
     """The contract of make_initial_data on every kind, with and without a
-    transverse E, under both normalizations, at s = 1 on a box where the
-    data class acts."""
+    transverse E, under both normalizations, on a box where the data class
+    acts: decay_class at s = 1, the kinds that do not read s at s = 3/2."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @TRANSVERSE_E
