@@ -299,6 +299,44 @@ def _hold_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 8 << 20)
 
 
+# OpenBLAS's thread-count setter as numpy's wheels (scipy-openblas, 64- and
+# 32-bit integers) and system builds export it
+_OPENBLAS_SET_THREADS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _single_blas_thread() -> None:
+    """Run numpy's OpenBLAS on the calling thread only, and end its pool.
+
+    OpenBLAS starts its worker threads when numpy loads it, and they
+    busy-wait for about 0.1 s before they sleep: about 0.06 s of CPU on a
+    2-vCPU guest, which a short run (the benchmark's linear_bz, 0.02 s)
+    overlaps and so reads twice its wall time in CPU.  Setting one thread
+    does not stop that wait, so the idle workers are then shut down
+    (blas_thread_shutdown_, which OpenBLAS also runs at fork); with one
+    thread no later call restarts them.  No BLAS call of emlab gains from
+    threads (the linear eigensolves are 10x10; the spectral reductions use
+    einsum).  The symbols are looked up through numpy's core extension,
+    whose handle also resolves the OpenBLAS it links; where none is found
+    nothing changes.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (OSError, AttributeError):
+        return
+    setter = next((getattr(lib, n) for n in _OPENBLAS_SET_THREADS if hasattr(lib, n)), None)
+    if setter is None:
+        return
+    setter(1)
+    shutdown = getattr(lib, "blas_thread_shutdown_", None)
+    if shutdown is not None:
+        shutdown()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="emlab",
@@ -328,6 +366,7 @@ def main(argv=None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         _write_json(outdir / "resolved_config.json", cfg)
         _hold_freed_memory()
+        _single_blas_thread()
 
         if args.command == "simulate":
             summary = run_simulate(cfg, outdir)

@@ -18,7 +18,7 @@ _gauss_legendre, which also serves the Littlewood-Paley cutoff: Newton on the
 three-term Legendre recurrence from Tricomi's initial guesses, O(n^2) time
 and O(n) memory, where a companion-matrix eigensolve would take O(n^3) and an
 n x n matrix.  It integrates every polynomial of degree up to 2n - 1 to
-roundoff, and a pass of the report reuses it for every k.
+roundoff.
 
 The eigensolves are real.  With D = diag(1, i I6, I3), D A(xi) D^-1 is real:
 the u-E block of A0 is real, the n-u and E-B couplings of i A1 imaginary.
@@ -34,7 +34,10 @@ one stacked inverse of the eigenvectors, and forms vec . exp(lambda t) . c
 at every time, with c = vec^-1 D s0.  Each monitored quantity is a sum of
 squared moduli of linear functionals of the mode state (QUANTITIES): state
 components by index, plus the xi-dependent row i xi . u of n_divu.  One
-einsum reduces every functional at every time over the block's modes.
+pass per rule serves every k: only the weight |xi|^(2k+2) depends on k, so
+a block forms the squared moduli once and one einsum per k reduces every
+functional at every time over the block's modes.  decay_report groups its
+k by xi_max and runs one pass (and one convergence re-run) per group.
 Blocks are generated from mode indices, so peak memory does not grow with
 the quadrature.
 
@@ -315,7 +318,7 @@ def _sphere_directions(constants: PhysicalConstants, quad: QuadratureSpec):
 
 def _norm_series_values(
     profile: SpectralProfile,
-    k: int,
+    ks: Sequence[int],
     quantities: Sequence[str],
     times: np.ndarray,
     constants: PhysicalConstants,
@@ -323,20 +326,22 @@ def _norm_series_values(
     xi_max: float,
     quad: QuadratureSpec,
     counts: _PropagationCounts,
-) -> dict[str, np.ndarray]:
+) -> dict[int, dict[str, np.ndarray]]:
+    """One quadrature pass on [0, xi_max] for every order k of ``ks``: the
+    modes are propagated once and only the weight |xi|^(2k+2) is per k."""
     dirs, dir_ws, axis = _sphere_directions(constants, quad)
     e1, e2 = _direction_frame(dirs, axis)
     x, wq = _gauss_legendre(radial_nodes)
     radii = (x + 1.0) / 2.0 * xi_max
     radial_ws = wq * xi_max / 2.0
     rows = list(dict.fromkeys(row for q in quantities for row in QUANTITIES[q]))
-    acc = np.zeros((len(rows), len(times)))
+    acc = np.zeros((len(ks), len(rows), len(times)))
     n_modes = len(radii) * len(dirs)
     for lo in range(0, n_modes, _MODE_BLOCK):
         # modes run radius-major over the (radius, direction) pairs
         i, j = np.divmod(np.arange(lo, min(lo + _MODE_BLOCK, n_modes)), len(dirs))
         r, omega = radii[i], dirs[j]
-        w = radial_ws[i] * dir_ws[j] * r ** (2 * k + 2)
+        w = radial_ws[i] * dir_ws[j]
         xi = r[:, None] * omega
         states = _propagate(
             _mode_matrices(xi, constants, real=True),
@@ -344,11 +349,83 @@ def _norm_series_values(
             times,
             counts,
         )
-        values = _functional_rows(rows, xi) @ states
-        acc += np.einsum("m,mrt->rt", w, np.abs(values) ** 2)
+        power = np.abs(_functional_rows(rows, xi) @ states) ** 2
+        for acc_k, k in zip(acc, ks):
+            acc_k += np.einsum("m,mrt->rt", w * r ** (2 * k + 2), power)
     return {
-        q: np.sqrt(acc[[rows.index(row) for row in QUANTITIES[q]]].sum(axis=0)) for q in quantities
+        k: {q: np.sqrt(acc_k[[rows.index(row) for row in QUANTITIES[q]]].sum(axis=0)) for q in quantities}
+        for acc_k, k in zip(acc, ks)
     }
+
+
+def _series_by_k(
+    profile: SpectralProfile,
+    ks: Sequence[int],
+    quantities: Sequence[str],
+    times: Sequence[float],
+    constants: PhysicalConstants,
+    quad: QuadratureSpec,
+    total: _PropagationCounts | None = None,
+) -> dict[int, dict[str, NormSeries]]:
+    """multi_norm_series for every order k of ``ks``, one pass (and one
+    convergence re-run) per radial rule: the k are grouped by xi_max, and
+    each k's series carry the counts of its group's passes.  ``total``, when
+    given, accumulates the counts over all groups."""
+    times = np.asarray(sorted(times), dtype=float)
+    groups: dict[float, list[int]] = {}
+    for k in dict.fromkeys(ks):
+        xi_max = quad.xi_max if quad.xi_max is not None else _auto_xi_max(profile, k)
+        groups.setdefault(xi_max, []).append(k)
+    # full_state rides along to set the roundoff floor of the propagation
+    wanted = list(quantities)
+    computed = wanted if "full_state" in wanted else wanted + ["full_state"]
+    angular = "rotational-reduction" if constants.b_infty_is_zero else f"{quad.n_theta} theta nodes about B_inf"
+    nodes = 2 * quad.radial_nodes if quad.check_convergence else quad.radial_nodes
+    out: dict[int, dict[str, NormSeries]] = {}
+    for xi_max, group in groups.items():
+        counts = _PropagationCounts()
+        values = _norm_series_values(
+            profile, group, computed, times, constants, quad.radial_nodes, xi_max, quad, counts
+        )
+        rel_change = {}
+        if quad.check_convergence:
+            refined = _norm_series_values(
+                profile, group, computed, times, constants, nodes, xi_max, quad, counts
+            )
+            rel_change = {k: _converged(k, values[k], refined[k]) for k in group}
+            values = refined
+        if total is not None:
+            total.add(counts.modes, counts.expm_fallbacks, counts.max_eig_cond)
+        for k in group:
+            meta = {"profile": profile.label, "k": k, "radial_nodes": nodes, "xi_max": xi_max, "angular": angular}
+            if k in rel_change:
+                meta["convergence_rel_change"] = rel_change[k]
+            meta["roundoff_floor"] = float(1e-12 * values[k]["full_state"].max())
+            meta.update(asdict(counts))
+            out[k] = {
+                q: NormSeries(label=q, times=times, values=values[k][q], metadata=dict(meta))
+                for q in wanted
+            }
+    return out
+
+
+def _converged(k: int, coarse: dict[str, np.ndarray], fine: dict[str, np.ndarray]) -> float:
+    """The largest relative change of any value from the coarse to the
+    refined pass; QuadratureNotConverged when it exceeds CONVERGENCE_TOL."""
+    # eigen-roundoff noise scales with the total state amplitude, so
+    # values far below it carry no convergent signal
+    floor = 1e-12 * fine["full_state"]
+    worst = 0.0
+    for q, f in fine.items():
+        checked = np.abs(coarse[q] - f) / np.maximum(np.abs(f), 1e-300)
+        checked[f < floor] = 0.0
+        rel = float(np.max(checked))
+        if rel > CONVERGENCE_TOL:
+            raise QuadratureNotConverged(
+                f"{q} at k={k}: doubling radial nodes moved values by {rel:.2%}"
+            )
+        worst = max(worst, rel)
+    return worst
 
 
 def multi_norm_series(
@@ -365,56 +442,15 @@ def multi_norm_series(
     quantity's functional rows l)^(1/2) for each quantity, with
     constraint-consistent initialization, over one quadrature pass.  When
     ``quad.check_convergence`` is set the pass is repeated with twice the
-    radial nodes, and QuadratureNotConverged is raised when that moves any
-    reported value by more than CONVERGENCE_TOL.
+    radial nodes, and QuadratureNotConverged, naming the quantity and k, is
+    raised when that moves any reported value by more than CONVERGENCE_TOL.
+    decay_report runs the same passes once for all its k that share a rule.
 
     Every series carries the same metadata, including what the propagation
     did over both passes: ``modes`` propagated, ``expm_fallbacks`` taken and
     the worst eigenvector condition number ``max_eig_cond`` (1-norm).
     """
-    times = np.asarray(sorted(times), dtype=float)
-    xi_max = quad.xi_max if quad.xi_max is not None else _auto_xi_max(profile, k)
-    # full_state rides along to set the roundoff floor of the propagation
-    wanted = list(quantities)
-    computed = wanted if "full_state" in wanted else wanted + ["full_state"]
-    counts = _PropagationCounts()
-    values = _norm_series_values(
-        profile, k, computed, times, constants, quad.radial_nodes, xi_max, quad, counts
-    )
-    meta = {
-        "profile": profile.label,
-        "k": k,
-        "radial_nodes": quad.radial_nodes,
-        "xi_max": xi_max,
-        "angular": "rotational-reduction" if constants.b_infty_is_zero else f"{quad.n_theta} theta nodes about B_inf",
-    }
-    if quad.check_convergence:
-        refined = _norm_series_values(
-            profile, k, computed, times, constants, 2 * quad.radial_nodes, xi_max, quad, counts
-        )
-        # eigen-roundoff noise scales with the total state amplitude, so
-        # values far below it carry no convergent signal
-        floor = 1e-12 * refined["full_state"]
-        worst = 0.0
-        for q in computed:
-            coarse, fine = values[q], refined[q]
-            checked = np.abs(coarse - fine) / np.maximum(np.abs(fine), 1e-300)
-            checked[fine < floor] = 0.0
-            rel = float(np.max(checked))
-            if rel > CONVERGENCE_TOL:
-                raise QuadratureNotConverged(
-                    f"{q}: doubling radial nodes moved values by {rel:.2%}"
-                )
-            worst = max(worst, rel)
-            values[q] = fine
-        meta["radial_nodes"] = 2 * quad.radial_nodes
-        meta["convergence_rel_change"] = worst
-    meta["roundoff_floor"] = float(1e-12 * values["full_state"].max())
-    meta.update(asdict(counts))
-    return {
-        q: NormSeries(label=q, times=times, values=values[q], metadata=dict(meta))
-        for q in wanted
-    }
+    return _series_by_k(profile, [k], quantities, times, constants, quad)[k]
 
 
 @dataclass(frozen=True)
@@ -464,9 +500,10 @@ def decay_report(
     The arguments are checked (InvalidArgument) before the quadrature starts.
     The norms are sampled at num_times geometric times spanning fit_window.
 
-    When a ``metrics`` dict is given it is filled with the totals over all k:
-    the propagation counts of multi_norm_series, and the wall time spent in
-    the quadrature (``quadrature_s``) and in the fits (``fit_s``).
+    When a ``metrics`` dict is given it is filled with the propagation
+    counts of the quadrature passes made, one pass (and one re-run) per
+    xi_max shared by the k of ``k_list``, and the wall time spent in the
+    quadrature (``quadrature_s``) and in the fits (``fit_s``).
     """
     check_s(s)
     check(k_list, lambda ks: all(is_count(k) for k in ks), "k_list", "a list of nonnegative integers")
@@ -482,18 +519,15 @@ def decay_report(
         raise RequiresBInftyZero("n_divu requires a zero background magnetic field")
     prof = SpectralProfile.decay_class(s)
     times = np.geomspace(fit_window[0], fit_window[1], num_times)
-    rows: list[DecayReportRow] = []
     counts = _PropagationCounts()
-    quadrature_s = fit_s = 0.0
+    start = time.perf_counter()
+    by_k = _series_by_k(prof, k_list, quantities, times, constants, quad, counts)
+    quadrature_s = time.perf_counter() - start
+    rows: list[DecayReportRow] = []
+    fit_s = 0.0
     for k in k_list:
-        kept = list(quantities)
-        start = time.perf_counter()
-        series = multi_norm_series(prof, k, kept, times, constants, quad)
-        quadrature_s += time.perf_counter() - start
-        if series:
-            meta = next(iter(series.values())).metadata
-            counts.add(meta["modes"], meta["expm_fallbacks"], meta["max_eig_cond"])
-        for q in kept:
+        series = by_k[k]
+        for q in quantities:
             target_info = theoretical_exponent(q, k, s, b_infty_zero=constants.b_infty_is_zero)
             start = time.perf_counter()
             fit = analysis.fit_decay(

@@ -45,7 +45,7 @@ class TestLinear:
         assert keys == sorted((q, k) for q in ("full_state", "nuE", "n_only", "B_only") for k in (0, 1))
         assert all(isinstance(r["floor_contaminated"], bool) for r in report["rows"])
         metrics = report["metrics"]
-        assert metrics["modes"] == 2 * 8 * 2  # k in {0, 1}, radial x theta nodes
+        assert metrics["modes"] == 8 * 2  # radial x theta nodes, one pass for k in {0, 1}
         assert metrics["expm_fallbacks"] == 0
         assert metrics["max_eig_cond"] >= 1.0
         assert metrics["quadrature_s"] > 0.0 and metrics["fit_s"] > 0.0
@@ -333,6 +333,44 @@ class TestHoldFreedMemory:
     def test_a_c_library_without_mallopt_is_left_alone(self, monkeypatch):
         monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
         cli._hold_freed_memory()
+
+
+class TestSingleBlasThread:
+    def test_the_first_setter_found_is_set_to_one_thread_then_the_pool_ends(self, monkeypatch):
+        calls = []
+
+        class OpenBlas32:
+            def scipy_openblas_set_num_threads(self, n):
+                calls.append(("threads", n))
+
+            def blas_thread_shutdown_(self):
+                calls.append(("shutdown",))
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: OpenBlas32())
+        cli._single_blas_thread()
+        assert calls == [("threads", 1), ("shutdown",)]
+
+    def test_a_numpy_without_openblas_is_left_alone(self, monkeypatch):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        cli._single_blas_thread()
+
+    def test_numpys_openblas_reads_one_thread_and_its_workers_end(self):
+        # the symbols are found through numpy's core extension in a real
+        # process, whose threads are then the interpreter's own
+        threads = _fresh_interpreter("""
+            import ctypes, os
+            import numpy as np
+            from emlab import cli
+            lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+            get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+            cli._single_blas_thread()
+            np.linalg.eig(np.random.default_rng(0).standard_normal((10, 10)))
+            linux = os.path.isdir("/proc/self/task")
+            print("none" if get is None or not linux else f"{get()} {len(os.listdir('/proc/self/task'))}")
+        """)
+        if threads == "none":
+            pytest.skip("numpy is not linked against the 64-bit scipy-openblas, or no /proc")
+        assert threads == "1 1"
 
 
 class TestImports:

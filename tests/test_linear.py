@@ -259,6 +259,12 @@ class TestWeightedNormSeries:
         with pytest.raises(QuadratureNotConverged):
             multi_norm_series(prof, 0, ["full_state"], np.geomspace(20, 500, 8), constants_b0, quad)
 
+    def test_unconverged_quadrature_names_the_quantity_and_k(self, constants_b0):
+        # one pass serves several k, so the error says which k moved
+        quad = QuadratureSpec(radial_nodes=4, check_convergence=True)
+        with pytest.raises(QuadratureNotConverged, match=r"^full_state at k=1: doubling radial nodes"):
+            decay_report(constants_b0, s=1.5, k_list=[1], quantities=["full_state"], num_times=8, quad=quad)
+
     def test_angular_quadrature_agrees_with_reduction(self, constants_b0):
         # evaluate the isotropic case with the full angular product rule by
         # faking a nonzero background of size zero is not possible, so
@@ -509,7 +515,36 @@ class TestDecayReport:
         def no_quadrature(*args, **kwargs):
             raise AssertionError("the quadrature ran before s was checked")
 
-        monkeypatch.setattr(linear, "multi_norm_series", no_quadrature)
+        monkeypatch.setattr(linear, "_series_by_k", no_quadrature)
         quad = QuadratureSpec(radial_nodes=8, n_theta=2, n_phi=3, check_convergence=False)
         with pytest.raises(SOutOfRange):
             decay_report(constants_bz, s=5.0, k_list=[0], quad=quad)
+
+
+class TestSharedPass:
+    """decay_report propagates once per rule for all its k."""
+
+    @pytest.mark.parametrize("b_infty, n_dirs", [((0.0, 0.0, 0.0), 1), ((0.0, 0.0, 1.0), 2)])
+    def test_one_pass_per_rule_gives_the_rows_of_one_k_reports(self, b_infty, n_dirs):
+        constants = PhysicalConstants(b_infty=b_infty)
+        quad = QuadratureSpec(radial_nodes=40, n_theta=2, n_phi=3, check_convergence=True)
+        metrics = {}
+        shared = decay_report(constants, s=1.5, k_list=[0, 1, 2], quad=quad, num_times=12, metrics=metrics)
+        alone = [row for k in (0, 1, 2) for row in decay_report(constants, s=1.5, k_list=[k], quad=quad, num_times=12)]
+        assert [r.as_dict() for r in shared] == [r.as_dict() for r in alone]
+        # one coarse and one refined pass, whatever the number of k
+        assert metrics["modes"] == 40 * n_dirs * 3
+
+    def test_k_with_different_rules_get_their_own_pass(self, constants_bz):
+        # a Gaussian's auto xi_max grows with k, so each k is its own group
+        prof = SpectralProfile(envelope=lambda r: np.exp(-(r**2)), label="gaussian")
+        quad = QuadratureSpec(radial_nodes=24, n_theta=2, n_phi=3, check_convergence=False)
+        total = linear._PropagationCounts()
+        by_k = linear._series_by_k(prof, [0, 1], ["full_state", "B_only"], SHORT_TIMES, constants_bz, quad, total)
+        assert by_k[0]["full_state"].metadata["xi_max"] < by_k[1]["full_state"].metadata["xi_max"]
+        for k in (0, 1):
+            alone = multi_norm_series(prof, k, ["full_state", "B_only"], SHORT_TIMES, constants_bz, quad)
+            for q, series in alone.items():
+                assert np.array_equal(by_k[k][q].values, series.values)
+                assert by_k[k][q].metadata == series.metadata
+        assert total.modes == 2 * 24 * 2
