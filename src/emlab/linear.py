@@ -34,12 +34,11 @@ one stacked inverse of the eigenvectors, and forms vec . exp(lambda t) . c
 at every time, with c = vec^-1 D s0.  Each monitored quantity is a sum of
 squared moduli of linear functionals of the mode state (QUANTITIES): state
 components by index, plus the xi-dependent row i xi . u of n_divu.  One
-pass per rule serves every k: only the weight |xi|^(2k+2) depends on k, so
-a block forms the squared moduli once and one einsum per k reduces every
-functional at every time over the block's modes.  decay_report groups its
-k by xi_max and runs one pass (and one convergence re-run) per group.
-Blocks are generated from mode indices, so peak memory does not grow with
-the quadrature.
+pass (and one convergence re-run) serves every k of a report: only the
+weight |xi|^(2k+2) depends on k, so a block forms the squared moduli once
+and one einsum per k reduces every functional at every time over the
+block's modes.  Blocks are generated from mode indices, so peak memory does
+not grow with the quadrature.
 
 No fallback is silent.  A mode whose eigenvector condition number (in the
 1-norm, ||vec||_1 ||vec^-1||_1, which the inverse gives for free) exceeds
@@ -365,48 +364,36 @@ def _series_by_k(
     times: Sequence[float],
     constants: PhysicalConstants,
     quad: QuadratureSpec,
-    total: _PropagationCounts | None = None,
-) -> dict[int, dict[str, NormSeries]]:
-    """multi_norm_series for every order k of ``ks``, one pass (and one
-    convergence re-run) per radial rule: the k are grouped by xi_max, and
-    each k's series carry the counts of its group's passes.  ``total``, when
-    given, accumulates the counts over all groups."""
+) -> tuple[dict[int, dict[str, NormSeries]], _PropagationCounts]:
+    """multi_norm_series for every order k of ``ks`` (distinct) from one pass
+    and one convergence re-run, with the counts of both, which every series
+    also carries.  Unless ``quad.xi_max`` is set, the rule reaches the
+    largest k's auto xi_max: the weight |xi|^(2k+2) only moves the tail
+    outward, so that covers every smaller k."""
     times = np.asarray(sorted(times), dtype=float)
-    groups: dict[float, list[int]] = {}
-    for k in dict.fromkeys(ks):
-        xi_max = quad.xi_max if quad.xi_max is not None else _auto_xi_max(profile, k)
-        groups.setdefault(xi_max, []).append(k)
+    xi_max = quad.xi_max if quad.xi_max is not None else _auto_xi_max(profile, max(ks))
     # full_state rides along to set the roundoff floor of the propagation
     wanted = list(quantities)
     computed = wanted if "full_state" in wanted else wanted + ["full_state"]
+    counts = _PropagationCounts()
+    values = _norm_series_values(profile, ks, computed, times, constants, quad.radial_nodes, xi_max, quad, counts)
+    nodes = quad.radial_nodes
+    rel_change = {}
+    if quad.check_convergence:
+        nodes = 2 * quad.radial_nodes
+        refined = _norm_series_values(profile, ks, computed, times, constants, nodes, xi_max, quad, counts)
+        rel_change = {k: _converged(k, values[k], refined[k]) for k in ks}
+        values = refined
     angular = "rotational-reduction" if constants.b_infty_is_zero else f"{quad.n_theta} theta nodes about B_inf"
-    nodes = 2 * quad.radial_nodes if quad.check_convergence else quad.radial_nodes
     out: dict[int, dict[str, NormSeries]] = {}
-    for xi_max, group in groups.items():
-        counts = _PropagationCounts()
-        values = _norm_series_values(
-            profile, group, computed, times, constants, quad.radial_nodes, xi_max, quad, counts
-        )
-        rel_change = {}
-        if quad.check_convergence:
-            refined = _norm_series_values(
-                profile, group, computed, times, constants, nodes, xi_max, quad, counts
-            )
-            rel_change = {k: _converged(k, values[k], refined[k]) for k in group}
-            values = refined
-        if total is not None:
-            total.add(counts.modes, counts.expm_fallbacks, counts.max_eig_cond)
-        for k in group:
-            meta = {"profile": profile.label, "k": k, "radial_nodes": nodes, "xi_max": xi_max, "angular": angular}
-            if k in rel_change:
-                meta["convergence_rel_change"] = rel_change[k]
-            meta["roundoff_floor"] = float(1e-12 * values[k]["full_state"].max())
-            meta.update(asdict(counts))
-            out[k] = {
-                q: NormSeries(label=q, times=times, values=values[k][q], metadata=dict(meta))
-                for q in wanted
-            }
-    return out
+    for k in ks:
+        meta = {"profile": profile.label, "k": k, "radial_nodes": nodes, "xi_max": xi_max, "angular": angular}
+        if k in rel_change:
+            meta["convergence_rel_change"] = rel_change[k]
+        meta["roundoff_floor"] = float(1e-12 * values[k]["full_state"].max())
+        meta.update(asdict(counts))
+        out[k] = {q: NormSeries(label=q, times=times, values=values[k][q], metadata=dict(meta)) for q in wanted}
+    return out, counts
 
 
 def _converged(k: int, coarse: dict[str, np.ndarray], fine: dict[str, np.ndarray]) -> float:
@@ -444,13 +431,13 @@ def multi_norm_series(
     ``quad.check_convergence`` is set the pass is repeated with twice the
     radial nodes, and QuadratureNotConverged, naming the quantity and k, is
     raised when that moves any reported value by more than CONVERGENCE_TOL.
-    decay_report runs the same passes once for all its k that share a rule.
+    decay_report runs the same passes once for all its k.
 
     Every series carries the same metadata, including what the propagation
     did over both passes: ``modes`` propagated, ``expm_fallbacks`` taken and
     the worst eigenvector condition number ``max_eig_cond`` (1-norm).
     """
-    return _series_by_k(profile, [k], quantities, times, constants, quad)[k]
+    return _series_by_k(profile, [k], quantities, times, constants, quad)[0][k]
 
 
 @dataclass(frozen=True)
@@ -497,19 +484,26 @@ def decay_report(
     Samples within 100x of the propagation's roundoff floor mark a fit
     ``floor_contaminated`` and fail its verdict.
 
-    The arguments are checked (InvalidArgument) before the quadrature starts.
-    The norms are sampled at num_times geometric times spanning fit_window.
+    The arguments are checked (InvalidArgument) before the quadrature
+    starts: k_list and quantities (when given) must be non-empty lists of
+    distinct values, so that every report has rows and no row twice.  The
+    norms are sampled at num_times geometric times spanning fit_window,
+    at least the analysis._MIN_FIT_SAMPLES a fit needs.
 
     When a ``metrics`` dict is given it is filled with the propagation
-    counts of the quadrature passes made, one pass (and one re-run) per
-    xi_max shared by the k of ``k_list``, and the wall time spent in the
-    quadrature (``quadrature_s``) and in the fits (``fit_s``).
+    counts of the quadrature, one pass (and one re-run) for all of
+    ``k_list``, and the wall time spent in the quadrature
+    (``quadrature_s``) and in the fits (``fit_s``).
     """
     check_s(s)
-    check(k_list, lambda ks: all(is_count(k) for k in ks), "k_list", "a list of nonnegative integers")
-    check(quantities, lambda qs: qs is None or set(qs) <= QUANTITIES.keys(), "quantities", f"from {sorted(QUANTITIES)}")
+    # an empty list would pass --ci with no rows, a repeated value repeat them
+    check(k_list, lambda ks: all(map(is_count, ks)) and len(set(ks)) == len(ks) > 0,
+          "k_list", "a non-empty list of distinct nonnegative integers")
+    check(quantities, lambda qs: qs is None or set(qs) <= QUANTITIES.keys() and len(set(qs)) == len(qs) > 0,
+          "quantities", f"null or a non-empty list of distinct names from {sorted(QUANTITIES)}")
     check(fit_window, lambda w: len(w) == 2 and all(map(is_real, w)) and 0 < w[0] < w[1], "fit_window", "0 < start < end")
-    check(num_times, lambda v: is_count(v, 2), "num_times", "an integer >= 2")
+    fit_samples = analysis._MIN_FIT_SAMPLES
+    check(num_times, lambda v: is_count(v, fit_samples), "num_times", f"an integer >= {fit_samples}")
     check(tolerance, lambda v: is_real(v) and v > 0, "tolerance", "positive")
     if quantities is None:
         quantities = ["full_state", "nuE", "n_only", "B_only"]
@@ -519,9 +513,8 @@ def decay_report(
         raise RequiresBInftyZero("n_divu requires a zero background magnetic field")
     prof = SpectralProfile.decay_class(s)
     times = np.geomspace(fit_window[0], fit_window[1], num_times)
-    counts = _PropagationCounts()
     start = time.perf_counter()
-    by_k = _series_by_k(prof, k_list, quantities, times, constants, quad, counts)
+    by_k, counts = _series_by_k(prof, k_list, quantities, times, constants, quad)
     quadrature_s = time.perf_counter() - start
     rows: list[DecayReportRow] = []
     fit_s = 0.0

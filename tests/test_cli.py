@@ -194,6 +194,11 @@ INVALID_VALUES = {
     "linear.radial_nodes": ("linear", {"linear": {"radial_nodes": 0}}, "linear"),
     "linear.n_theta": ("linear", {"linear": {"n_theta": 0}}, "linear"),
     "linear.quantities": ("linear", {"linear": {"quantities": ["bogus"]}}, "linear"),
+    # a report with no rows or a row twice has no verdict; checked before the quadrature
+    "linear.k_list=[]": ("linear", {"linear": {"k_list": []}}, "linear"),
+    "linear.k_list=[0, 0]": ("linear", {"linear": {"k_list": [0, 0]}}, "linear"),
+    "linear.quantities=[]": ("linear", {"linear": {"quantities": []}}, "linear"),
+    "linear.num_times=4": ("linear", {"linear": {"num_times": 4}}, "linear"),
     "inequalities.trials=0": ("inequalities", {"inequalities": {"trials": 0}}, "inequalities"),
     "inequalities.trials=-3": ("inequalities", {"inequalities": {"trials": -3}}, "inequalities"),
     # checked whatever the kind, so under the default decay_class too

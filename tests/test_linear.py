@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from emlab import linear
-from emlab.errors import NotRealForm, QuadratureNotConverged, RequiresBInftyZero, SOutOfRange
+from emlab import analysis, linear
+from emlab.errors import InvalidArgument, NotRealForm, QuadratureNotConverged, RequiresBInftyZero, SOutOfRange
 from emlab.linear import QUANTITIES, QuadratureSpec, SpectralProfile, decay_report, multi_norm_series
 from emlab.model import PhysicalConstants, _direction_frame, linear_generator
 
@@ -520,9 +520,33 @@ class TestDecayReport:
         with pytest.raises(SOutOfRange):
             decay_report(constants_bz, s=5.0, k_list=[0], quad=quad)
 
+    @pytest.mark.parametrize("bad", [
+        {"k_list": []},
+        {"k_list": [0, 0]},
+        {"quantities": []},
+        {"quantities": ["B_only", "B_only"]},
+        {"num_times": 2},
+        {"num_times": 7},
+    ], ids=repr)
+    def test_arguments_without_a_verdict_are_checked_before_the_quadrature(self, constants_bz, monkeypatch, bad):
+        # no rows, repeated rows, or fewer samples than a fit needs
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("the quadrature ran before the arguments were checked")
+
+        monkeypatch.setattr(linear, "_series_by_k", no_quadrature)
+        quad = QuadratureSpec(radial_nodes=8, n_theta=2, n_phi=3, check_convergence=False)
+        with pytest.raises(InvalidArgument, match=next(iter(bad))):
+            decay_report(constants_bz, s=1.5, quad=quad, **{"k_list": [0], **bad})
+        # the smallest num_times a fit can take reaches the quadrature
+        with pytest.raises(AssertionError, match="quadrature ran"):
+            decay_report(constants_bz, s=1.5, k_list=[0], num_times=analysis._MIN_FIT_SAMPLES, quad=quad)
+
+
+GAUSSIAN = SpectralProfile(envelope=lambda r: np.exp(-(r**2)), label="gaussian")
+
 
 class TestSharedPass:
-    """decay_report propagates once per rule for all its k."""
+    """decay_report propagates once for all its k."""
 
     @pytest.mark.parametrize("b_infty, n_dirs", [((0.0, 0.0, 0.0), 1), ((0.0, 0.0, 1.0), 2)])
     def test_one_pass_per_rule_gives_the_rows_of_one_k_reports(self, b_infty, n_dirs):
@@ -535,16 +559,26 @@ class TestSharedPass:
         # one coarse and one refined pass, whatever the number of k
         assert metrics["modes"] == 40 * n_dirs * 3
 
-    def test_k_with_different_rules_get_their_own_pass(self, constants_bz):
-        # a Gaussian's auto xi_max grows with k, so each k is its own group
-        prof = SpectralProfile(envelope=lambda r: np.exp(-(r**2)), label="gaussian")
+    def test_orders_share_the_largest_orders_rule(self, constants_bz):
+        # a Gaussian's auto xi_max grows with k; k = 0 rides on k = 1's rule
+        prof = GAUSSIAN
         quad = QuadratureSpec(radial_nodes=24, n_theta=2, n_phi=3, check_convergence=False)
-        total = linear._PropagationCounts()
-        by_k = linear._series_by_k(prof, [0, 1], ["full_state", "B_only"], SHORT_TIMES, constants_bz, quad, total)
-        assert by_k[0]["full_state"].metadata["xi_max"] < by_k[1]["full_state"].metadata["xi_max"]
+        xi_max = linear._auto_xi_max(prof, 1)
+        assert linear._auto_xi_max(prof, 0) < xi_max
+        by_k, counts = linear._series_by_k(prof, [0, 1], ["full_state", "B_only"], SHORT_TIMES, constants_bz, quad)
+        assert counts.modes == 24 * 2
+        at_xi_max = replace(quad, xi_max=xi_max)
         for k in (0, 1):
-            alone = multi_norm_series(prof, k, ["full_state", "B_only"], SHORT_TIMES, constants_bz, quad)
+            alone = multi_norm_series(prof, k, ["full_state", "B_only"], SHORT_TIMES, constants_bz, at_xi_max)
             for q, series in alone.items():
                 assert np.array_equal(by_k[k][q].values, series.values)
                 assert by_k[k][q].metadata == series.metadata
-        assert total.modes == 2 * 24 * 2
+
+    @pytest.mark.parametrize("profile", [
+        *(SpectralProfile.decay_class(s) for s in (0.0, 0.5, 1.0, 1.5)),
+        GAUSSIAN,
+    ], ids=lambda p: p.label)
+    def test_auto_xi_max_never_decreases_with_k(self, profile):
+        # what lets the largest k's rule serve every smaller k
+        rules = [linear._auto_xi_max(profile, k) for k in range(31)]
+        assert rules == sorted(rules)
